@@ -302,6 +302,20 @@ class _BVPScalars:
         self.P = (1.0 + gamma * t * self.g1 / 2.0
                   + gamma * self.u2sq * t ** 3 * self.gdd / 8.0) / self.D_o
 
+    @classmethod
+    def stack(cls, per_horizon: list["_BVPScalars"]) -> "_BVPScalars":
+        """The scalars of several horizons (same gamma, omega) as arrays.
+
+        Everything below is elementwise, so f_coeffs, solve_even and
+        solve_odd of the stacked object serve all those horizons at once.
+        """
+        out = cls.__new__(cls)
+        for name, value in vars(per_horizon[0]).items():
+            if name != "roots":
+                value = np.array([vars(sc)[name] for sc in per_horizon])
+            setattr(out, name, value)
+        return out
+
     def f_coeffs(self) -> tuple[complex, complex, complex, complex]:
         """Basis weights (a, b, c, d) of the homogeneous boundary kernel."""
         zeta = self.roots.zeta
@@ -440,8 +454,7 @@ def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
                         grid: TimeGrid, w: np.ndarray):
     """Batched form of h_exponential over leading axes of w (..., n nodes).
 
-    Returns (values, d_start, d_end) with the leading shape of w; the
-    ensemble driver feeds every trajectory through one call per horizon.
+    Returns (values, d_start, d_end) with the leading shape of w.
     """
     w = np.asarray(w, dtype=float)
     if w.shape[-1] != grid.n:
@@ -452,32 +465,16 @@ def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
     if params.omega_collapse < 1e-8 * gamma:
         return _h_degenerate_core(t, grid, w, pref)
     sc = _BVPScalars(gamma, params.omega_collapse, t)
-    u1, u2, zeta = sc.roots.upsilon1, sc.roots.upsilon2, sc.roots.zeta
+    u1, u2 = sc.roots.upsilon1, sc.roots.upsilon2
     dt = grid.dt
     i1 = _conv_forward(u1, w, dt)
     j1 = _conv_backward(u1, w, dt)
     i2 = _conv_forward(u2, w, dt)
     j2 = _conv_backward(u2, w, dt)
-    c1 = -sc.u2sq / (2.0 * u1 * zeta)
-    c2 = sc.u1sq / (2.0 * u2 * zeta)
+    c1, c2 = _h_particular_weights(sc)
     hp = pref * (c1 * (-i1 - j1) + c2 * (-i2 - j2))
-    hp0, hpt = hp[..., 0], hp[..., -1]
-    hp_d0 = pref * (c1 * u1 * (i1[..., 0] - j1[..., 0]) + c2 * u2 * (i2[..., 0] - j2[..., 0]))
-    hp_dt = pref * (c1 * u1 * (i1[..., -1] - j1[..., -1]) + c2 * u2 * (i2[..., -1] - j2[..., -1]))
-    # G := i omega_c^2 F accompanies each basis pair with weight u_k^2
-    gp0 = pref * (sc.u1sq * c1 * (-i1[..., 0] - j1[..., 0])
-                  + sc.u2sq * c2 * (-i2[..., 0] - j2[..., 0]))
-    gpt = pref * (sc.u1sq * c1 * (-i1[..., -1] - j1[..., -1])
-                  + sc.u2sq * c2 * (-i2[..., -1] - j2[..., -1]))
-    gp_d0 = pref * (sc.u1sq * u1 * c1 * (i1[..., 0] - j1[..., 0])
-                    + sc.u2sq * u2 * c2 * (i2[..., 0] - j2[..., 0]))
-    gp_dt = pref * (sc.u1sq * u1 * c1 * (i1[..., -1] - j1[..., -1])
-                    + sc.u2sq * u2 * c2 * (i2[..., -1] - j2[..., -1]))
-
-    rob0 = gp_d0 - gamma * gp0          # memory-boundary defect at s = 0
-    robt = gp_dt + gamma * gpt          # and at s = t
-    a, c = sc.solve_even(-(hp0 + hpt) / 2.0, -(robt - rob0) / 2.0)
-    b, d = sc.solve_odd((hp0 - hpt) / 2.0, -(robt + rob0) / 2.0)
+    a, b, c, d, d_start, d_end = _h_boundary_solve(
+        sc, gamma, pref, (i1[..., -1], i2[..., -1]), (j1[..., 0], j2[..., 0]))
 
     s = grid.nodes()
     a, b, c, d = (np.asarray(x, dtype=complex) for x in (a, b, c, d))
@@ -486,28 +483,86 @@ def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
             + hp)
     vals[..., 0] = 0.0
     vals[..., -1] = 0.0
+    return vals, d_start, d_end
+
+
+def _h_particular_weights(sc: _BVPScalars) -> tuple[complex, complex]:
+    """c1, c2 of the particular solution h_p = pref sum_k c_k (-I_k - J_k)."""
+    u1, u2, zeta = sc.roots.upsilon1, sc.roots.upsilon2, sc.roots.zeta
+    return -sc.u2sq / (2.0 * u1 * zeta), sc.u1sq / (2.0 * u2 * zeta)
+
+
+def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, i_end, j_start):
+    """Basis weights (a, b, c, d) and endpoint slopes (h'(0), h'(t)) of h.
+
+    i_end = (I_1(t), I_2(t)) and j_start = (J_1(0), J_2(0)) are the
+    convolution ends of both roots; I_k(0) and J_k(t) vanish.  Elementwise,
+    so sc may also be the stacked scalars of several horizons with i_end,
+    j_start holding one column per horizon.
+    """
+    u1, u2 = sc.roots.upsilon1, sc.roots.upsilon2
+    c1, c2 = _h_particular_weights(sc)
+    i1, i2 = i_end
+    j1, j2 = j_start
+    hp0 = -pref * (c1 * j1 + c2 * j2)
+    hpt = -pref * (c1 * i1 + c2 * i2)
+    hp_d0 = -pref * (c1 * u1 * j1 + c2 * u2 * j2)
+    hp_dt = pref * (c1 * u1 * i1 + c2 * u2 * i2)
+    # G := i omega_c^2 F accompanies each basis pair with weight u_k^2
+    gp0 = -pref * (sc.u1sq * c1 * j1 + sc.u2sq * c2 * j2)
+    gpt = -pref * (sc.u1sq * c1 * i1 + sc.u2sq * c2 * i2)
+    gp_d0 = -pref * (sc.u1sq * u1 * c1 * j1 + sc.u2sq * u2 * c2 * j2)
+    gp_dt = pref * (sc.u1sq * u1 * c1 * i1 + sc.u2sq * u2 * c2 * i2)
+
+    rob0 = gp_d0 - gamma * gp0          # memory-boundary defect at s = 0
+    robt = gp_dt + gamma * gpt          # and at s = t
+    a, c = sc.solve_even(-(hp0 + hpt) / 2.0, -(robt - rob0) / 2.0)
+    b, d = sc.solve_odd((hp0 - hpt) / 2.0, -(robt + rob0) / 2.0)
     d_start = (-a * sc.u1sq * sc.tau1 + b - c * sc.u2sq * sc.tau2 + d + hp_d0)
     d_end = (a * sc.u1sq * sc.tau1 + b + c * sc.u2sq * sc.tau2 + d + hp_dt)
-    return vals, d_start, d_end
+    return a, b, c, d, d_start, d_end
 
 
 def _conv_forward(u: complex, w: np.ndarray, dt: float) -> np.ndarray:
     """I(s_j) = int_0^{s_j} e^{-u (s_j - r)} w(r) dr, trapezoid per cell."""
-    n = w.shape[-1]
     e = np.exp(-u * dt)
-    out = np.zeros(w.shape, dtype=complex)
-    for j in range(1, n):
-        out[..., j] = e * out[..., j - 1] + dt / 2.0 * (e * w[..., j - 1] + w[..., j])
-    return out
+    src = np.zeros(w.shape, dtype=complex)
+    src[..., 1:] = dt / 2.0 * (e * w[..., :-1] + w[..., 1:])
+    return _decay_scan(u * dt, src)
 
 
 def _conv_backward(u: complex, w: np.ndarray, dt: float) -> np.ndarray:
     """J(s_j) = int_{s_j}^t e^{-u (r - s_j)} w(r) dr, trapezoid per cell."""
-    n = w.shape[-1]
-    e = np.exp(-u * dt)
-    out = np.zeros(w.shape, dtype=complex)
-    for j in range(n - 2, -1, -1):
-        out[..., j] = e * out[..., j + 1] + dt / 2.0 * (e * w[..., j + 1] + w[..., j])
+    return _conv_forward(u, w[..., ::-1], dt)[..., ::-1]
+
+
+# Largest growth |e^{z m}| a block of _decay_scan may reach (e^40 ~ 2e17).
+_SCAN_GROWTH = 40.0
+
+
+def _decay_scan(z: complex, x: np.ndarray) -> np.ndarray:
+    """y_j = e^{-z} y_{j-1} + x_j along the last axis, y_0 = x_0 (Re z >= 0).
+
+    Each block of the recursion is one cumulative sum:
+    y_{b+m} = e^{-z m} (e^{-z} y_{b-1} + sum_{i<=m} e^{z i} x_{b+i}).  The
+    block length keeps |e^{z i}| <= e^_SCAN_GROWTH, so nothing overflows and
+    the rounding matches the step-by-step recursion; the powers come from
+    exp directly rather than from repeated products.
+    """
+    n = x.shape[-1]
+    rate = z.real
+    block = n if rate * n <= _SCAN_GROWTH else max(1, int(_SCAN_GROWTH / rate))
+    m = np.arange(block + 1)
+    grow = np.exp(z * m[:-1])
+    decay = np.exp(-z * m)
+    out = np.empty(x.shape, dtype=complex)
+    for b in range(0, n, block):
+        ln = min(block, n - b)
+        y = np.cumsum(x[..., b:b + ln] * grow[:ln], axis=-1)
+        y *= decay[:ln]
+        if b:
+            y += out[..., b - 1:b] * decay[1:ln + 1]
+        out[..., b:b + ln] = y
     return out
 
 

@@ -1,14 +1,18 @@
 """Command line surface: config parsing, subcommands, exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+from statistics import NormalDist
 
 import pytest
 
-from nmsse.cli import ConfigError, main, parse_config
+from nmsse.cli import ConfigError, _check_classical_means, _Checks, main, parse_config
 from nmsse.core import HBAR_SI
+from nmsse.ensemble import _sample_node_indices, run_ensemble
+from nmsse.propagator import gaussian_from_moments
 
 BASE = """\
 m = 1.0
@@ -129,6 +133,50 @@ def test_ensemble_end_to_end(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "check classical-mean-q: PASS" in stdout
     assert "check classical-mean-p: PASS" in stdout
+
+
+# CLI defaults N = 2001 and n_times = 50: 2 x 50 z-scores per run
+MEAN_CHECK = """\
+m = 1.0
+lambda = 0.1
+gamma = 1.0
+t_max = 1.0
+sigma0 = 1.0
+x0 = 1.0
+p0 = 0.5
+n_traj = 256
+"""
+
+
+def test_classical_mean_check_passes_seed_1025(tmp_path, capsys):
+    # the largest deviations at this seed are about 3.9 and 4.1 standard
+    # errors; a correct program reaches that often over 100 tests
+    cfg = _cfg_file(tmp_path, MEAN_CHECK)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", cfg, "--seed", "1025", "--out", str(out),
+                 "--plot", "none", "--format", "json"]) == 0
+    stdout = capsys.readouterr().out
+    assert "check classical-mean-q: PASS" in stdout
+    assert "check classical-mean-p: PASS" in stdout
+    assert "bound 5.73" in stdout
+
+
+def test_classical_mean_check_rejects_a_shifted_mean(tmp_path, capsys):
+    cfg = parse_config(MEAN_CHECK.replace("n_traj = 256", "n_traj = 64"))
+    params = cfg.build_params()
+    grid = cfg.build_grid()
+    state0 = gaussian_from_moments(cfg.x0, cfg.p0, cfg.sigma0, params)
+    t_samples = grid.nodes()[_sample_node_indices(grid, cfg.n_times, cfg.log_times)]
+    stats = run_ensemble(params, 1.0, state0, t_samples, cfg.n_traj, 1025, grid=grid)
+    bound = NormalDist().inv_cdf(1.0 - 1e-6 / (2.0 * 2.0 * stats.times.size))
+    checks = _Checks()
+    _check_classical_means(checks, stats, cfg)
+    assert checks.failed == []
+    exact = cfg.x0 + cfg.p0 * stats.times / cfg.m
+    shifted = dataclasses.replace(stats, mean_q=exact + 2.0 * bound * stats.se_q)
+    _check_classical_means(checks, shifted, cfg)
+    assert checks.failed == ["classical-mean-q"]
+    capsys.readouterr()
 
 
 def test_single_trajectory_ensemble_skips_mean_checks(tmp_path, capsys):

@@ -2,12 +2,15 @@
 
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from nmsse.core import InvalidGridError, InvalidParameterError, make_grid, make_params
-from nmsse.ensemble import run_ensemble, run_trajectory
+from nmsse.ensemble import _CHUNK_ROWS, _moment_curves, run_ensemble, run_trajectory
+from nmsse.kernels import characteristic_roots, f_exponential, h_exponential_batch
+from nmsse.noise import sample_exponential_noise_batch
 from nmsse.propagator import gaussian_from_moments, greens_coefficients
 
 CRIT = make_params(m=1.0, hbar=1.0, lam=0.1, unit_mode="scaled")
@@ -178,3 +181,130 @@ def test_default_grid_is_built_from_the_last_sample():
     rec = run_trajectory(CRIT, 1.0, state0, [0.5, 1.0], 42)
     assert rec.times[-1] == pytest.approx(1.0)
     assert rec.times.size == 2
+
+
+def _per_horizon_route(params, gamma, grid, w, idx, state0):
+    """Moments by solving both kernels again on the prefix grid of every
+    horizon, from the public kernel functions: an independent route to what
+    the single pass in _moment_curves computes."""
+    mu = 1j * params.m / (2.0 * params.hbar)
+    half_sl = 0.5 * math.sqrt(params.lam)
+    q = np.empty((w.shape[0], idx.size))
+    p = np.empty_like(q)
+    lns = np.empty_like(q)
+    sigma = np.empty(idx.size)
+    for j, k in enumerate(int(k) for k in idx):
+        sub = grid.prefix(k + 1)
+        t = sub.t_max
+        f = f_exponential(t, params, gamma, sub)
+        wk = w[:, : k + 1]
+        hv, h_d0, h_dt = h_exponential_batch(t, params, gamma, sub, wk)
+        trap = np.full(k + 1, sub.dt)
+        trap[[0, -1]] *= 0.5
+        A = mu * f.d_start
+        B = 2.0 * mu * f.d_end
+        C = -mu * h_d0 + half_sl * ((wk * f.values) @ trap)
+        D = mu * h_dt + half_sl * ((wk * f.values[::-1]) @ trap)
+        E = half_sl * ((hv * wk) @ trap)
+        denom = state0.alpha + A
+        alpha_t = (state0.alpha * A + mu * mu * f.endpoint_sum() * f.endpoint_diff()) / denom
+        ar = alpha_t.real
+        shift = C + state0.beta
+        beta_t = D + B * shift / (2.0 * denom)
+        g_t = state0.g + E + shift * shift / (4.0 * denom)
+        br = beta_t.real
+        q[:, j] = br / (2.0 * ar)
+        p[:, j] = params.hbar * (beta_t.imag - alpha_t.imag * br / ar)
+        # raw norm without the noise-free x0-integral and propagator factors
+        lns[:, j] = 2.0 * g_t.real + br * br / (2.0 * ar) + 0.5 * math.log(math.pi / (2.0 * ar))
+        sigma[j] = 0.5 / math.sqrt(ar)
+    return q, p, sigma, lns
+
+
+def _norm_constant(params, gamma, grid, idx, state0):
+    """log|pi/(alpha0 + A)| + log(|B|/2pi) per horizon, from f_exponential."""
+    mu = 1j * params.m / (2.0 * params.hbar)
+    out = []
+    for k in idx:
+        f = f_exponential(int(k) * grid.dt, params, gamma, grid.prefix(int(k) + 1))
+        denom = state0.alpha + mu * f.d_start
+        out.append(math.log(abs(math.pi / denom)) + math.log(abs(2.0 * mu * f.d_end) / (2.0 * math.pi)))
+    return np.array(out)
+
+
+def _assert_routes_agree(params, gamma, grid, idx, state0, n_traj, seed, rel):
+    q, p, sigma, lns = _moment_curves(params, gamma, grid, idx, state0, seed, range(n_traj))
+    w = sample_exponential_noise_batch(gamma, grid, seed, range(n_traj))
+    q0, p0, sigma0, lns0 = _per_horizon_route(params, gamma, grid, w, idx, state0)
+    for new, old in ((q, q0), (p, p0)):
+        scale = np.max(np.abs(old))
+        err = np.max(np.abs(new - old), axis=0)
+        assert np.all(err <= rel * scale), (err / scale, rel)
+    lns0 = lns0 + _norm_constant(params, gamma, grid, idx, state0)
+    np.testing.assert_allclose(lns, lns0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sigma, sigma0, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-18, 1e-8, 1e-4, 0.1, 2.0])
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 30.0, 1e3])
+@pytest.mark.parametrize("x0,p0", [(1.0, 0.5), (0.0, 0.0)])
+def test_single_pass_matches_per_horizon_route(lam, gamma, x0, p0):
+    # lam = 1e-18 puts h on its lam -> 0 branch; the noise-only state makes
+    # q and p pure noise response.  Both routes lose eps/|u2 t| to rounding
+    # at small |u2 t| (the per-horizon h documents it), hence the bound.
+    params = make_params(m=1.0, hbar=1.0, lam=lam)
+    grid = make_grid(1.0, 257)
+    idx = np.unique(np.rint(np.geomspace(1, 256, 10)).astype(int))
+    assert idx[0] == 1
+    u2 = abs(characteristic_roots(gamma, params.omega_collapse).upsilon2)
+    t = grid.nodes()[idx]
+    rel = np.maximum(1e-12, 1e-15 / np.maximum(u2 * t, 1e-300))
+    state0 = gaussian_from_moments(x0, p0, 1.0, params)
+    _assert_routes_agree(params, gamma, grid, idx, state0, _CHUNK_ROWS + 3, 11, rel)
+
+
+def test_single_pass_matches_at_the_benchmark_point():
+    grid = make_grid(1.0, 2001)
+    idx = np.array([1, 40, 500, 1333, 2000])
+    _assert_routes_agree(CRIT, 1.0, grid, idx, _fixture_state(CRIT), 6, 3, 1e-12)
+
+
+def test_trajectory_reproduces_ensemble_rows_across_chunks():
+    grid = make_grid(1.0, 129)
+    ts = [0.125, 0.5, 1.0]
+    idx = np.array([16, 64, 128])
+    state0 = _fixture_state(CRIT)
+    n_traj = _CHUNK_ROWS + 2
+    q, p, sigma, lns = _moment_curves(CRIT, 1.0, grid, idx, state0, 9, range(n_traj))
+    for i in (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, n_traj - 1):
+        rec = run_trajectory(CRIT, 1.0, state0, ts, 9, grid=grid, trajectory_index=i)
+        np.testing.assert_allclose(rec.mean_position, q[i], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(rec.mean_momentum, p[i], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(rec.log_norm_sq, lns[i], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(rec.sigma_position, sigma, rtol=1e-15)
+
+
+def test_free_particle_keeps_unit_norm():
+    # without coupling the evolution is unitary: every raw norm is 1
+    grid = make_grid(2.0, 129)
+    idx = np.array([1, 7, 64, 128])
+    for sigma0 in (1.0, 0.3):
+        state0 = gaussian_from_moments(1.0, 0.5, sigma0, FREE)
+        _, _, _, lns = _moment_curves(FREE, 1.0, grid, idx, state0, 4, range(20))
+        assert np.max(np.abs(lns)) <= 1e-12
+
+
+def test_reference_mean_of_the_squared_norm_is_one():
+    # E_ref |psi_t|^2 = 1 for the linear equation (trace preservation of the
+    # ensemble).  At lam = 1, gamma = 5 the weights degenerate and this
+    # estimate goes unresolved, so the test stays at a well-sampled point.
+    grid = make_grid(1.0, 257)
+    idx = np.array([64, 128, 256])
+    n_traj = 4000
+    z = NormalDist().inv_cdf(1.0 - 1e-6 / (2.0 * 2 * idx.size))
+    for sigma0 in (1.0, 0.3):
+        state0 = gaussian_from_moments(1.0, 0.5, sigma0, CRIT)
+        _, _, _, lns = _moment_curves(CRIT, 1.0, grid, idx, state0, 5, range(n_traj))
+        norm_sq = np.exp(lns)
+        se = norm_sq.std(axis=0, ddof=1) / math.sqrt(n_traj)
+        assert np.all(np.abs(norm_sq.mean(axis=0) - 1.0) <= z * se), (norm_sq.mean(axis=0), se)
