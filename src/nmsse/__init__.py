@@ -34,7 +34,6 @@ from .kernels import (
     f_markovian,
     f_ratio_form,
     h_exponential,
-    h_markovian,
     kernel_residual,
     solve_f_numeric,
     solve_h_numeric,
@@ -90,7 +89,6 @@ __all__ = [
     "f_markovian",
     "f_ratio_form",
     "h_exponential",
-    "h_markovian",
     "kernel_residual",
     "solve_f_numeric",
     "solve_h_numeric",

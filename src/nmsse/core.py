@@ -129,6 +129,16 @@ def make_params(
                           omega=omega, unit_mode=unit_mode)
 
 
+def _closed_form_constants(params: PhysicalParams) -> tuple[complex, complex, float]:
+    """(mu, pref, half_sl) = (i m/(2 hbar), -i hbar sqrt(lam)/m, sqrt(lam)/2)
+    of the closed forms.  The path-sum oracle and the collocation arbiter
+    derive their own on purpose, to stay independent routes."""
+    sqrt_lam = math.sqrt(params.lam)
+    return (1j * params.m / (2.0 * params.hbar),
+            -1j * params.hbar * sqrt_lam / params.m,
+            sqrt_lam / 2.0)
+
+
 def make_grid(t_max: float, n: int) -> TimeGrid:
     """Build a uniform time grid with n nodes covering [0, t_max]."""
     if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max > 0):

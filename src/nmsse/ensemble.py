@@ -46,22 +46,23 @@ from .core import (
     InvalidParameterError,
     PhysicalParams,
     TimeGrid,
+    _closed_form_constants,
     make_grid,
 )
-# f_exponential and h_exponential_batch are not called here any more; they
-# stay bound because bench/workloads.py wraps them here by name, next to the
-# sampler, when it traces the layers.
+# f_exponential and h_exponential_batch are not called here; the benchmark's
+# traced run wraps them here by name (guarded by tests/test_public_surface.py).
 from .kernels import (  # noqa: F401
     _BVPScalars,
     _conv_forward,
     _cumtrapz,
+    _degenerate_slopes,
     _h_boundary_solve,
     _h_particular_weights,
     f_exponential,
     h_exponential_batch,
 )
 from .noise import sample_exponential_noise_batch
-from .propagator import GaussianState
+from .propagator import GaussianState, _gaussian_update, mean_momentum, mean_position
 
 _MEASURES = ("physical", "reference")
 
@@ -244,14 +245,13 @@ class _Horizons:
             self.sinh_w.append(head.astype(complex) if u == 0 else np.sinh(u * head) / u)
             self.cosh_w.append(np.cosh(u * head))
 
-        mu = 1j * params.m / (2.0 * params.hbar)
+        mu, _, _ = _closed_form_constants(params)
         self.A = mu * ((sc.P + sc.Q) / 2.0)
         self.B = 2.0 * mu * ((sc.P - sc.Q) / 2.0)
         # det = A^2 - B^2/4 in factored endpoint form; the naive difference
         # cancels catastrophically in SI-scale regimes.
-        det = mu * mu * sc.P * sc.Q
-        self.denom = state0.alpha + self.A
-        self.alpha_t = (state0.alpha * self.A + det) / self.denom
+        self.det = mu * mu * sc.P * sc.Q
+        self.alpha_t, _, _ = _gaussian_update(state0, self.A, self.B, self.det)
         ar = self.alpha_t.real
         bad = np.flatnonzero(~(ar > 0.0))
         if bad.size:
@@ -262,7 +262,7 @@ class _Horizons:
         # |x0-integral|^2 and |propagator normalization|^2 = |B|/(2 pi): with
         # them exp(log_norm_sq) is the squared norm of the raw state.
         self.log_norm_const = (0.5 * np.log(np.pi / (2.0 * ar))
-                               + np.log(np.abs(np.pi / self.denom))
+                               + np.log(np.abs(np.pi / (state0.alpha + self.A)))
                                + np.log(np.abs(self.B) / (2.0 * np.pi)))
 
 
@@ -296,9 +296,7 @@ def _chunk_moments(params: PhysicalParams, hz: _Horizons, w: np.ndarray,
     dt = hz.dt
     t = hz.t
     w = w[:, : k[-1] + 1]
-    mu = 1j * params.m / (2.0 * params.hbar)
-    half_sl = 0.5 * math.sqrt(params.lam)
-    pref = -1j * params.hbar * math.sqrt(params.lam) / params.m
+    mu, pref, half_sl = _closed_form_constants(params)
 
     i_k, v_k, wi_k, even, odd = [], [], [], [], []
     for r, u in enumerate(hz.u):
@@ -330,8 +328,7 @@ def _chunk_moments(params: PhysicalParams, hz: _Horizons, w: np.ndarray,
         cw = _cumtrapz(w, dt)
         crw = _cumtrapz(s * w, dt)
         total = t * cw[:, k] - crw[:, k]
-        h_d0 = pref * (-total / t)
-        h_dt = pref * (cw[:, k] - total / t)
+        h_d0, h_dt = _degenerate_slopes(pref, t, cw[:, k], total)
         int_h = pref * (_trapz_at(w * (s * cw - crw), k, dt) - total / t * crw[:, k])
     else:
         a, b, c, d, h_d0, h_dt = _h_boundary_solve(hz.sc, hz.gamma, pref, i_k, v_k)
@@ -343,16 +340,10 @@ def _chunk_moments(params: PhysicalParams, hz: _Horizons, w: np.ndarray,
     C = -mu * h_d0 + half_sl * int_f
     D = mu * h_dt + half_sl * int_f_rev
     E = half_sl * int_h
-    shift = C + state0.beta
-    beta_t = D + hz.B * shift / (2.0 * hz.denom)
-    g_t = state0.g + E + shift * shift / (4.0 * hz.denom)
-
-    ar = hz.alpha_t.real
-    br = beta_t.real
-    q = br / (2.0 * ar)
-    p = params.hbar * (beta_t.imag - hz.alpha_t.imag * br / ar)
-    log_norm_sq = 2.0 * g_t.real + br * br / (2.0 * ar) + hz.log_norm_const
-    return q, p, log_norm_sq
+    state = GaussianState(*_gaussian_update(state0, hz.A, hz.B, hz.det, C, D, E))
+    br = state.beta.real
+    log_norm_sq = 2.0 * state.g.real + br * br / (2.0 * state.alpha.real) + hz.log_norm_const
+    return mean_position(state), mean_momentum(state, params), log_norm_sq
 
 
 def _moment_curves(

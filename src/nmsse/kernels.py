@@ -17,19 +17,19 @@ free of catastrophic cancellation in every parameter regime (verified to
 <= 4e-16 relative against 50-digit arithmetic, including SI scales where
 naive evaluation loses 40 digits).  A dense finite-difference collocation
 solver is provided as an independent arbiter, along with a ratio-form
-evaluator and an integration-by-parts construction kept as diagnostics.
+evaluator as a second cross-check of the homogeneous kernel.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid
+from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
+                   _closed_form_constants)
 from .noise import CorrelationKernel, NoisePath, kernel_eval
 
 __all__ = [
@@ -39,9 +39,7 @@ __all__ = [
     "f_exponential",
     "f_ratio_form",
     "h_exponential",
-    "h_particular_ibp",
     "f_markovian",
-    "h_markovian",
     "solve_f_numeric",
     "solve_h_numeric",
     "kernel_residual",
@@ -222,42 +220,6 @@ class KernelSolution:
     def endpoint_diff(self) -> complex:
         return self.d_diff if self.d_diff is not None else self.d_start - self.d_end
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("s,re,im\n")
-        s = self.grid.nodes()
-        v = self.values
-        for i in range(self.grid.n):
-            buf.write(f"{s[i]:.17g},{v[i].real:.17g},{v[i].imag:.17g}\n")
-        buf.write(f"# d_start,{self.d_start.real:.17g},{self.d_start.imag:.17g}\n")
-        buf.write(f"# d_end,{self.d_end.real:.17g},{self.d_end.imag:.17g}\n")
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str, kind: str = "F") -> "KernelSolution":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "s,re,im":
-            raise InvalidParameterError("kernel CSV must start with header 's,re,im'")
-        d_start = d_end = None
-        s_vals: list[float] = []
-        vals: list[complex] = []
-        for ln in lines[1:]:
-            if ln.startswith("# d_start,"):
-                _, re_s, im_s = ln[2:].split(",")
-                d_start = complex(float(re_s), float(im_s))
-            elif ln.startswith("# d_end,"):
-                _, re_s, im_s = ln[2:].split(",")
-                d_end = complex(float(re_s), float(im_s))
-            else:
-                a, b, c = ln.split(",")
-                s_vals.append(float(a))
-                vals.append(complex(float(b), float(c)))
-        if d_start is None or d_end is None:
-            raise InvalidParameterError("kernel CSV missing derivative footer")
-        grid = TimeGrid(t_max=s_vals[-1], n=len(s_vals))
-        return KernelSolution(grid=grid, values=np.asarray(vals), d_start=d_start,
-                              d_end=d_end, kind=kind)
-
 
 # ---------------------------------------------------------------------------
 # closed-form scalars of the quartic boundary problem
@@ -388,8 +350,8 @@ def f_endpoint_scalars(t: float, params: PhysicalParams, gamma: float) -> tuple[
         if abs(k) * t < 1e-250:
             return (-2.0 / t + 0j, 0.0 + 0j)
         z = k * t / 2.0
-        return (complex(-2.0 / (t * _tanh_ratio(z))),
-                complex(-(k * k) * t / 2.0 * _tanh_ratio(z)))
+        return (complex(-2.0 / (t * _tanh_ratio(z))),           # -kappa coth(kappa t / 2)
+                complex(-(k * k) * t / 2.0 * _tanh_ratio(z)))  # -kappa tanh(kappa t / 2)
     sc = _BVPScalars(gamma, params.omega_collapse, t)
     return complex(sc.P), complex(sc.Q)
 
@@ -438,7 +400,8 @@ def h_exponential(t: float, params: PhysicalParams, gamma: float,
     int_s^t e^{-u_k(r-s)} w dr enter (trapezoid-exponential recursions,
     O(n), no noise derivatives), then the same even/odd 2x2 boundary solve
     as the homogeneous kernel.  Near the lam -> 0 degeneracy
-    (omega_c < 1e-8 gamma) the double-integral limit form is used instead.
+    (omega_c < 1e-8 gamma) the double-integral limit form is used instead,
+    and gamma = inf dispatches to the white-noise closed form.
 
     Relative accuracy degrades like eps/|u2 t| as omega_c t -> 0 between
     the two branches; irrelevant at the scaled-unit operating points.
@@ -459,7 +422,7 @@ def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
     w = np.asarray(w, dtype=float)
     if w.shape[-1] != grid.n:
         raise InvalidGridError(f"noise has {w.shape[-1]} nodes, grid has {grid.n}")
-    pref = -1j * params.hbar * math.sqrt(params.lam) / params.m
+    _, pref, _ = _closed_form_constants(params)
     if math.isinf(gamma):
         return _h_markovian_core(t, params, grid, w, pref)
     if params.omega_collapse < 1e-8 * gamma:
@@ -579,53 +542,19 @@ def _h_degenerate_core(t: float, grid: TimeGrid, w: np.ndarray, pref: complex):
     vals = vals.astype(complex)
     vals[..., 0] = 0.0
     vals[..., -1] = 0.0
-    d_start = pref * (-total / t)
-    d_end = pref * (cw[..., -1] - total / t)
-    return vals, d_start, d_end
+    return (vals, *_degenerate_slopes(pref, t, cw[..., -1], total))
+
+
+def _degenerate_slopes(pref: complex, t, cw_t, total):
+    """h'(0), h'(t) of h'' = pref w with h(0) = h(t) = 0, from cw_t =
+    int_0^t w and total = int_0^t (t - r) w dr; elementwise."""
+    return pref * (-total / t), pref * (cw_t - total / t)
 
 
 def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     out = np.zeros_like(np.asarray(y, dtype=y.dtype if np.iscomplexobj(y) else float))
     out[..., 1:] = np.cumsum((y[..., 1:] + y[..., :-1]) / 2.0, axis=-1) * dt
     return out
-
-
-def h_particular_ibp(t: float, params: PhysicalParams, gamma: float,
-                     noise: NoisePath, w0_deriv: float) -> np.ndarray:
-    """Diagnostic: noise-kernel values via the integration-by-parts route.
-
-    This construction requires the initial slope of the noise, which no
-    sampled path possesses; callers must supply w0_deriv explicitly.  With
-    rough noise it amplifies that surrogate by an O(1) profile, which is
-    why it is not the production route (see h_exponential).
-    """
-    grid = noise.grid
-    _check_horizon(t, grid)
-    roots = characteristic_roots(gamma, params.omega_collapse)
-    u1, u2, zeta = roots.upsilon1, roots.upsilon2, roots.zeta
-    pref = -1j * params.hbar * math.sqrt(params.lam) / params.m
-    s = grid.nodes()
-    w = noise.values
-    dt = grid.dt
-
-    def phi1(x):
-        return (-u2 * u2 * np.sinh(u1 * x) / u1 + u1 * u1 * np.sinh(u2 * x) / u2) / zeta
-
-    def phi3(x):
-        return (np.sinh(u1 * x) / u1 - np.sinh(u2 * x) / u2) / zeta
-
-    def phi3p(x):
-        return (np.cosh(u1 * x) - np.cosh(u2 * x)) / zeta
-
-    n = grid.n
-    conv = np.zeros(n, dtype=complex)
-    for i in range(1, n):
-        ker = phi1(s[i] - s[: i + 1])
-        seg = ker * w[: i + 1]
-        conv[i] = dt * (seg.sum() - seg[0] / 2.0 - seg[-1] / 2.0)
-    hp = pref * (conv - phi3(s) * w0_deriv - phi3p(s) * w[0])
-    fvals = f_exponential(t, params, gamma, grid).values
-    return hp - hp[-1] * fvals[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -642,43 +571,28 @@ def f_markovian(t: float, params: PhysicalParams, grid: TimeGrid) -> KernelSolut
     _check_horizon(t, grid)
     k = _kappa(params)
     s = grid.nodes()
+    p_sum, q_diff = f_endpoint_scalars(t, params, math.inf)
     if abs(k) * t < 1e-250:
         vals = (1.0 - s / t).astype(complex)
-        return KernelSolution(grid=grid, values=vals, d_start=-1.0 / t + 0j,
-                              d_end=-1.0 / t + 0j, kind="F",
-                              d_sum=-2.0 / t + 0j, d_diff=0.0 + 0j)
-    den = -_cexpm1(-2.0 * k * t)
-    vals = (np.exp(-k * s) - np.exp(-k * (2.0 * t - s))) / den
-    vals[0] = 1.0
-    vals[-1] = 0.0
-    z = k * t / 2.0
-    p_sum = -2.0 / (t * _tanh_ratio(z))            # -kappa coth(kappa t / 2)
-    q_diff = -(k * k) * t / 2.0 * _tanh_ratio(z)   # -kappa tanh(kappa t / 2)
-    et = np.exp(-k * t)
-    return KernelSolution(
-        grid=grid, values=vals,
-        d_start=complex(-k * (1.0 + et * et) / den),
-        d_end=complex(-2.0 * k * et / den),
-        kind="F", d_sum=complex(p_sum), d_diff=complex(q_diff))
-
-
-def h_markovian(t: float, params: PhysicalParams, noise: NoisePath) -> KernelSolution:
-    """Noise-driven kernel in the white-noise limit.
-
-    Solves h'' - kappa^2 h = pref*w with zero boundary values through the
-    Dirichlet Green's function, assembled from decaying exponentials only
-    (four image terms), so it stays finite for arbitrarily stiff kappa t.
-    """
-    grid = noise.grid
-    _check_horizon(t, grid)
-    pref = -1j * params.hbar * math.sqrt(params.lam) / params.m
-    vals, d_start, d_end = _h_markovian_core(t, params, grid, noise.values, pref)
-    return KernelSolution(grid=grid, values=vals, d_start=complex(d_start),
-                          d_end=complex(d_end), kind="H")
+        d_start = d_end = -1.0 / t + 0j
+    else:
+        den = -_cexpm1(-2.0 * k * t)
+        vals = (np.exp(-k * s) - np.exp(-k * (2.0 * t - s))) / den
+        vals[0] = 1.0
+        vals[-1] = 0.0
+        et = np.exp(-k * t)
+        d_start = complex(-k * (1.0 + et * et) / den)
+        d_end = complex(-2.0 * k * et / den)
+    return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end,
+                          kind="F", d_sum=p_sum, d_diff=q_diff)
 
 
 def _h_markovian_core(t: float, params: PhysicalParams, grid: TimeGrid,
                       w: np.ndarray, pref: complex):
+    """Noise-driven kernel in the white-noise limit: h'' - kappa^2 h = pref w
+    with zero boundary values, through the Dirichlet Green's function built
+    from decaying exponentials only (four image terms), so it stays finite
+    for arbitrarily stiff kappa t."""
     k = _kappa(params)
     if abs(k) * t < 1e-250:
         return _h_degenerate_core(t, grid, w, pref)

@@ -10,7 +10,6 @@ are reproducible across runs and independent of sampling order.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -27,60 +26,28 @@ __all__ = [
     "empirical_covariance",
 ]
 
-_CSV_FMT = "%.17g"
-
 
 @dataclass(frozen=True)
 class CorrelationKernel:
-    """Two-time covariance of the driving noise.
+    """Two-time covariance of the driving noise, alpha(t,s) = gamma/2 e^{-gamma|t-s|}."""
 
-    kind="exponential" uses rate gamma: alpha(t,s) = gamma/2 e^{-gamma|t-s|}.
-    kind="tabulated" carries a symmetric matrix sampled on a grid; it exists
-    so the numeric boundary-value solver can be driven by measured kernels.
-    """
-
-    kind: str
-    gamma: float | None = None
-    table: np.ndarray | None = None
-    grid: TimeGrid | None = None
+    gamma: float
 
     def __post_init__(self):
-        if self.kind == "exponential":
-            g = self.gamma
-            if g is None or not (math.isfinite(g) and g > 0):
-                raise InvalidParameterError(f"exponential kernel needs gamma > 0, got {g!r}")
-        elif self.kind == "tabulated":
-            if self.table is None or self.grid is None:
-                raise InvalidParameterError("tabulated kernel needs table and grid")
-            tab = np.asarray(self.table)
-            if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] != self.grid.n:
-                raise InvalidParameterError("tabulated kernel table must be n x n for its grid")
-            if not np.allclose(tab, tab.T, rtol=1e-12, atol=0.0):
-                raise InvalidParameterError("tabulated kernel must be symmetric")
-        else:
-            raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
+        g = self.gamma
+        if not (math.isfinite(g) and g > 0):
+            raise InvalidParameterError(f"exponential kernel needs gamma > 0, got {g!r}")
 
 
 def exponential_kernel(gamma: float) -> CorrelationKernel:
-    return CorrelationKernel(kind="exponential", gamma=float(gamma))
+    return CorrelationKernel(gamma=float(gamma))
 
 
 def kernel_eval(kernel: CorrelationKernel, t: np.ndarray | float, s: np.ndarray | float):
-    """Evaluate alpha(t, s).  Arrays broadcast; tabulated kernels require
-    node-aligned inputs (nearest-node lookup with a tolerance guard)."""
-    t_arr = np.asarray(t, dtype=float)
-    s_arr = np.asarray(s, dtype=float)
-    if kernel.kind == "exponential":
-        out = 0.5 * kernel.gamma * np.exp(-kernel.gamma * np.abs(t_arr - s_arr))
-        return out if out.ndim else float(out)
-    dt = kernel.grid.dt
-    it = np.rint(t_arr / dt).astype(int)
-    i_s = np.rint(s_arr / dt).astype(int)
-    if (np.abs(it * dt - t_arr) > 1e-9 * max(dt, 1e-300)).any() or \
-       (np.abs(i_s * dt - s_arr) > 1e-9 * max(dt, 1e-300)).any():
-        raise InvalidParameterError("tabulated kernel evaluated off its grid nodes")
-    out = kernel.table[it, i_s]
-    return out if np.ndim(out) else float(out)
+    """Evaluate alpha(t, s); arrays broadcast."""
+    lag = np.abs(np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
+    out = 0.5 * kernel.gamma * np.exp(-kernel.gamma * lag)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -96,31 +63,6 @@ class NoisePath:
         """First k nodes of this path (consistent shorter-horizon view)."""
         return NoisePath(grid=self.grid.prefix(k), values=self.values[:k],
                          master_seed=self.master_seed, trajectory_index=self.trajectory_index)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("s,w\n")
-        s = self.grid.nodes()
-        for i in range(self.grid.n):
-            buf.write(f"{s[i]:.17g},{self.values[i]:.17g}\n")
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str, master_seed: int = 0, trajectory_index: int = 0) -> "NoisePath":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "s,w":
-            raise InvalidParameterError("noise CSV must start with header 's,w'")
-        s_vals, w_vals = [], []
-        for ln in lines[1:]:
-            a, b = ln.split(",")
-            s_vals.append(float(a))
-            w_vals.append(float(b))
-        n = len(s_vals)
-        if n < 2:
-            raise InvalidParameterError("noise CSV needs at least two rows")
-        grid = TimeGrid(t_max=s_vals[-1], n=n)
-        return NoisePath(grid=grid, values=np.asarray(w_vals), master_seed=master_seed,
-                         trajectory_index=trajectory_index)
 
 
 def _generator(master_seed: int, trajectory_index: int) -> np.random.Generator:
@@ -138,20 +80,10 @@ def sample_exponential_noise(
     w(0) ~ N(0, gamma/2); w_{k+1} = rho w_k + sqrt((gamma/2)(1-rho^2)) xi_k
     with rho = exp(-gamma dt).  These are the exact marginals/transitions of
     the stationary process, so subsampling a path to a coarser node set
-    yields a path with the law of the coarser-grid sampler.
+    yields a path with the law of the coarser-grid sampler.  The path is the
+    one-row case of sample_exponential_noise_batch.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
-    rng = _generator(master_seed, trajectory_index)
-    n = grid.n
-    xi = rng.standard_normal(n)
-    rho = math.exp(-gamma * grid.dt)
-    scale0 = math.sqrt(gamma / 2.0)
-    step_sd = math.sqrt((gamma / 2.0) * (1.0 - rho * rho))
-    w = np.empty(n)
-    w[0] = scale0 * xi[0]
-    for k in range(1, n):
-        w[k] = rho * w[k - 1] + step_sd * xi[k]
+    w = sample_exponential_noise_batch(gamma, grid, master_seed, [trajectory_index])[0]
     return NoisePath(grid=grid, values=w, master_seed=master_seed,
                      trajectory_index=trajectory_index)
 
@@ -162,10 +94,9 @@ def sample_exponential_noise_batch(
     master_seed: int,
     trajectory_indices: Iterable[int],
 ) -> np.ndarray:
-    """Rows of independent paths, row i keyed by trajectory_indices[i].
+    """Rows of independent OU paths, row i keyed by trajectory_indices[i].
 
-    Vectorized across trajectories: each row reproduces exactly what
-    sample_exponential_noise returns for the same key.
+    Each row depends on its key only, whatever the other rows of the batch.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")

@@ -7,7 +7,8 @@ The propagator for one noise realization is Gaussian:
 with A, B fixed by the endpoint derivatives of the homogeneous boundary
 kernel and C, D, E by the noise-driven kernel plus noise integrals.
 Applying it to exp(-alpha0 x^2 + beta0 x + g0) and completing the square
-gives the exact update implemented in propagate_gaussian.
+gives the exact update implemented once in _gaussian_update, which
+propagate_gaussian, spread_curve and the ensemble's moment pass share.
 
 Numerical note: alpha_t is evaluated as (alpha0 A + det)/(alpha0 + A) with
 det = A^2 - B^2/4 carried in cancellation-free form (mu^2 P Q from the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, PhysicalParams, TimeGrid
+from .core import InvalidParameterError, PhysicalParams, TimeGrid, _closed_form_constants
 from .kernels import (KernelSolution, characteristic_roots, f_endpoint_scalars,
                       f_exponential, h_exponential, _kappa)
 from .noise import NoisePath
@@ -51,7 +52,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Wave function exp(-alpha x^2 + beta x + g); physical iff Re alpha > 0."""
+    """Wave function exp(-alpha x^2 + beta x + g); physical iff Re alpha > 0.
+
+    The fields may hold arrays of states (a block of ensemble trajectories);
+    mean_position and mean_momentum read those elementwise."""
 
     alpha: complex
     beta: complex
@@ -90,12 +94,6 @@ class GreensCoefficients:
             payload[f"{name}_re"] = z.real
             payload[f"{name}_im"] = z.imag
         return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "GreensCoefficients":
-        d = json.loads(text)
-        vals = {name: complex(d[f"{name}_re"], d[f"{name}_im"]) for name in "ABCDE"}
-        return GreensCoefficients(t=float(d["t"]), **vals)
 
 
 @dataclass(frozen=True)
@@ -150,43 +148,52 @@ def greens_coefficients(
         raise InvalidParameterError("greens_coefficients needs a grid or a noise path")
     if f is None:
         f = f_exponential(t, params, gamma, grid)
-    mu = 1j * params.m / (2.0 * params.hbar)
+    mu, _, half_sl = _closed_form_constants(params)
     A = mu * f.d_start
-    B = (1j * params.m / params.hbar) * f.d_end
+    B = 2.0 * mu * f.d_end
     form_det = mu * mu * f.endpoint_sum() * f.endpoint_diff()
-    if noise is None:
-        return GreensCoefficients(t=t, A=complex(A), B=complex(B), C=0.0 + 0.0j,
-                                  D=0.0 + 0.0j, E=0.0 + 0.0j, form_det=complex(form_det))
-    if h is None:
-        h = h_exponential(t, params, gamma, noise)
-    w = noise.values
-    dt = grid.dt
-    half_sl = math.sqrt(params.lam) / 2.0
-    C = -mu * h.d_start + half_sl * _trapz(w * f.values, dt)
-    D = mu * h.d_end + half_sl * _trapz(w * f.values[::-1], dt)
-    E = half_sl * _trapz(w * h.values, dt)
+    C = D = E = 0.0 + 0.0j
+    if noise is not None:
+        if h is None:
+            h = h_exponential(t, params, gamma, noise)
+        w = noise.values
+        C = -mu * h.d_start + half_sl * _trapz(w * f.values, grid.dt)
+        D = mu * h.d_end + half_sl * _trapz(w * f.values[::-1], grid.dt)
+        E = half_sl * _trapz(w * h.values, grid.dt)
     return GreensCoefficients(t=t, A=complex(A), B=complex(B), C=complex(C),
                               D=complex(D), E=complex(E), form_det=complex(form_det))
 
 
-def propagate_gaussian(state0: GaussianState, coeffs: GreensCoefficients,
-                       renormalize: bool = True) -> GaussianState:
-    """Exact Gaussian update under the quadratic propagator.
+def _gaussian_update(state0: GaussianState, A, B, det, C=0.0, D=0.0, E=0.0):
+    """(alpha_t, beta_t, g_t) of state0 under the propagator A..E, elementwise.
 
-    alpha_t = (alpha0 A + (A^2 - B^2/4)) / (alpha0 + A)
+    alpha_t = (alpha0 A + det) / (alpha0 + A)
     beta_t  = D + B (C + beta0) / (2 (alpha0 + A))
     g_t     = g0 + E + (C + beta0)^2 / (4 (alpha0 + A))
+
+    det = A^2 - B^2/4, cancellation-free where the caller has it.  Python
+    scalars and broadcastable numpy arrays alike; callers validate
+    alpha0 + A != 0 and Re alpha_t > 0.
+    """
+    denom = state0.alpha + A
+    shift = C + state0.beta
+    return ((state0.alpha * A + det) / denom,
+            D + B * shift / (2.0 * denom),
+            state0.g + E + shift * shift / (4.0 * denom))
+
+
+def propagate_gaussian(state0: GaussianState, coeffs: GreensCoefficients,
+                       renormalize: bool = True) -> GaussianState:
+    """Exact Gaussian update under the quadratic propagator (_gaussian_update).
 
     With renormalize=True (the default) the result has unit norm; the raw
     update is what the linear response identity addresses, so tests pass
     renormalize=False there.
     """
-    denom = state0.alpha + coeffs.A
-    if denom == 0:
+    if state0.alpha + coeffs.A == 0:
         raise InvalidParameterError("degenerate propagation: alpha0 + A = 0")
-    alpha_t = (state0.alpha * coeffs.A + coeffs.det()) / denom
-    beta_t = coeffs.D + coeffs.B * (coeffs.C + state0.beta) / (2.0 * denom)
-    g_t = state0.g + coeffs.E + (coeffs.C + state0.beta) ** 2 / (4.0 * denom)
+    alpha_t, beta_t, g_t = _gaussian_update(state0, coeffs.A, coeffs.B, coeffs.det(),
+                                            coeffs.C, coeffs.D, coeffs.E)
     out = GaussianState(alpha=complex(alpha_t), beta=complex(beta_t), g=complex(g_t))
     return normalize(out) if renormalize else out
 
@@ -228,7 +235,7 @@ def asymptotic_alpha(params: PhysicalParams, gamma: float) -> complex:
     u1 - gamma ~ 1e-37 against gamma ~ 10) keeps full relative precision;
     gamma = inf returns the white-noise limit -i m/(2 hbar) kappa.
     """
-    mu = 1j * params.m / (2.0 * params.hbar)
+    mu, _, _ = _closed_form_constants(params)
     if math.isinf(gamma):
         return complex(-mu * _kappa(params))
     roots = characteristic_roots(gamma, params.omega_collapse)
@@ -252,24 +259,23 @@ def spread_curve(times, params: PhysicalParams, gamma: float,
 
     The width evolution is noise-independent (only the quadratic part of
     the propagator enters), so each horizon costs a scalar endpoint
-    evaluation: alpha_t = (alpha0 A + mu^2 P Q) / (alpha0 + A) with
-    A = mu (P + Q)/2.  Horizons must be positive.
+    evaluation: the centred state goes through _gaussian_update with
+    A = mu (P + Q)/2, B = mu (P - Q) and det = mu^2 P Q.  Horizons must be
+    positive.
     """
-    if not (math.isfinite(sigma0) and sigma0 > 0):
-        raise InvalidParameterError(f"sigma0 must be positive and finite, got {sigma0!r}")
-    alpha0 = 1.0 / (4.0 * sigma0 * sigma0)
-    mu = 1j * params.m / (2.0 * params.hbar)
+    centred = gaussian_from_moments(0.0, 0.0, sigma0, params)
+    mu, _, _ = _closed_form_constants(params)
     t_arr = np.asarray(times, dtype=float)
     out = np.empty(t_arr.shape)
     for i, t in np.ndenumerate(t_arr):
         if not (t > 0.0 and math.isfinite(t)):
             raise InvalidParameterError(f"spread_curve horizons must be positive, got {t!r}")
-        p_sum, q_diff = f_endpoint_scalars(float(t), params, gamma)
-        a_coef = mu * (p_sum + q_diff) / 2.0
-        alpha_t = (alpha0 * a_coef + mu * mu * p_sum * q_diff) / (alpha0 + a_coef)
-        if not alpha_t.real > 0.0:
+        p, q = f_endpoint_scalars(float(t), params, gamma)
+        state = GaussianState(*_gaussian_update(centred, mu * (p + q) / 2.0, mu * (p - q),
+                                                mu * mu * p * q))
+        if not state.is_normalizable():
             raise InvalidParameterError(f"propagated state not normalizable at t={t}")
-        out[i] = 1.0 / (2.0 * math.sqrt(alpha_t.real))
+        out[i] = spread_position(state)
     return out if out.ndim else float(out)
 
 
@@ -285,8 +291,8 @@ def functional_derivative_coeffs(
 
     a(s) = f(t-s) + (f'(0)/f'(t)) f(s)
     b(s) = f(s) / (m f'(t))
-    c(s) = h(s) - f(s)/(2 f'(t)) * (h'(t) - (i sqrt(lam) hbar / m)
-                                             int_0^t w(l) f(t-l) dl)
+    c(s) = h(s) - f(s)/(2 f'(t)) * (h'(t) + pref int_0^t w(l) f(t-l) dl),
+    pref = -i hbar sqrt(lam) / m
 
     c is equivalent to h(s) - D f(s)/B: the chain rule through the
     quadratic update leaves exactly that combination state-independent.
@@ -301,6 +307,6 @@ def functional_derivative_coeffs(
     a = rev + (f.d_start / f.d_end) * fv
     b = fv / (params.m * f.d_end)
     mixed = _trapz(noise.values * rev, grid.dt)
-    c = h.values - fv / (2.0 * f.d_end) * (
-        h.d_end - (1j * math.sqrt(params.lam) * params.hbar / params.m) * mixed)
+    _, pref, _ = _closed_form_constants(params)
+    c = h.values - fv / (2.0 * f.d_end) * (h.d_end + pref * mixed)
     return FunctionalDerivativeCoeffs(grid=grid, a=a, b=b, c=c)

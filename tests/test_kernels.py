@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from nmsse.core import make_grid, make_params
 from nmsse.kernels import (
-    KernelSolution,
     characteristic_roots,
     f_endpoint_scalars,
     f_exponential,
@@ -134,11 +133,13 @@ def test_endpoint_scalars_agree_with_grid_route():
 
 
 def test_endpoint_scalars_markovian_branch():
+    # f_markovian takes d_sum/d_diff from f_endpoint_scalars, so compare with
+    # the endpoint slopes it derives on its own
     grid = make_grid(1.0, 401)
     f = f_markovian(1.0, WHITE, grid)
     p_sum, p_diff = f_endpoint_scalars(1.0, WHITE, math.inf)
-    assert _close(p_sum, f.endpoint_sum(), 1e-14)
-    assert _close(p_diff, f.endpoint_diff(), 1e-14)
+    assert _close(p_sum, f.d_start + f.d_end, 1e-14)
+    assert _close(p_diff, f.d_start - f.d_end, 1e-14)
 
 
 def test_f_boundary_values_are_snapped():
@@ -248,13 +249,44 @@ def test_markovian_kernel_is_the_large_gamma_limit():
     assert dev <= 1e-5
 
 
-def test_kernel_solution_csv_roundtrip():
-    grid = make_grid(1.0, 65)
-    f = f_exponential(1.0, SCALED, 1.0, grid)
-    back = KernelSolution.from_csv(f.to_csv())
-    assert np.array_equal(back.values, f.values)
-    assert back.d_start == f.d_start
-    assert back.d_end == f.d_end
+def test_vanishing_coupling_h_matches_its_analytic_solution():
+    # omega_c < 1e-8 gamma takes the lam -> 0 form h'' = pref w, h(0) = h(t) = 0
+    # (the ensemble shares its endpoint slopes); for w = sin(5s) + 0.3 the
+    # solution is elementary, and the trapezoid integrals are off by O(dt^2)
+    params = make_params(m=1.0, hbar=1.0, lam=1e-18)
+    pref = -1j * math.sqrt(params.lam)
+    t = 1.5
+    part = lambda x: -np.sin(5.0 * x) / 25.0 + 0.15 * x * x
+    slope = lambda x: -np.cos(5.0 * x) / 5.0 + 0.3 * x
+    c = -(part(t) - part(0.0)) / t
+    for n in (513, 2001):
+        grid = make_grid(t, n)
+        s = grid.nodes()
+        h = h_exponential(t, params, 1.0, NoisePath(grid, np.sin(5.0 * s) + 0.3, 0, 0))
+        exact = pref * (part(s) - part(0.0) + c * s)
+        tol = 2.0 * grid.dt ** 2
+        assert np.max(np.abs(h.values - exact)) <= tol * np.max(np.abs(exact))
+        for got, want in ((h.d_start, pref * (slope(0.0) + c)), (h.d_end, pref * (slope(t) + c))):
+            assert abs(got - want) <= tol * abs(want)
+
+
+def test_white_noise_h_is_the_large_gamma_limit():
+    # gamma = inf takes the white-noise closed form of h; the finite-gamma
+    # closed form approaches it like 1/gamma^2, i.e. 100x per decade
+    grid = make_grid(1.0, 2001)
+    noise = sample_exponential_noise(1.0, grid, 3, 0)
+    limit = h_exponential(1.0, SCALED, math.inf, noise)
+    devs = []
+    for gamma in (1e2, 1e3, 1e4):
+        h = h_exponential(1.0, SCALED, gamma, noise)
+        devs.append(np.array([
+            np.max(np.abs(h.values - limit.values)) / np.max(np.abs(limit.values)),
+            abs(h.d_start - limit.d_start) / abs(limit.d_start),
+            abs(h.d_end - limit.d_end) / abs(limit.d_end),
+        ]))
+    assert np.all(devs[-1] <= 2e-8)
+    for coarse, fine in zip(devs, devs[1:]):
+        assert np.all(50.0 * fine <= coarse)
 
 
 @given(

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from nmsse.core import InvalidParameterError, make_grid
 from nmsse.noise import (
-    NoisePath,
     empirical_covariance,
     exponential_kernel,
     kernel_eval,
@@ -55,14 +54,6 @@ def test_rejects_nonfinite_gamma():
         sample_exponential_noise(math.inf, grid, 0, 0)
     with pytest.raises(InvalidParameterError):
         sample_exponential_noise(0.0, grid, 0, 0)
-
-
-def test_csv_roundtrip_is_lossless():
-    grid = make_grid(1.0, 17)
-    path = sample_exponential_noise(3.0, grid, 5, 2)
-    back = NoisePath.from_csv(path.to_csv())
-    assert np.array_equal(back.values, path.values)
-    assert back.grid.n == path.grid.n
 
 
 def test_kernel_eval_symmetric_and_decaying():

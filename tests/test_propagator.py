@@ -10,7 +10,6 @@ from nmsse.kernels import f_exponential, h_exponential
 from nmsse.noise import NoisePath, sample_exponential_noise
 from nmsse.propagator import (
     GaussianState,
-    GreensCoefficients,
     asymptotic_alpha,
     asymptotic_spread,
     functional_derivative_coeffs,
@@ -159,16 +158,6 @@ def test_form_determinant_survives_si_cancellation():
     state0 = gaussian_from_moments(0.0, 0.0, 1.0, SI)
     state = propagate_gaussian(state0, coeffs)
     assert state.is_normalizable()
-
-
-def test_coefficients_json_roundtrip():
-    grid = make_grid(1.0, 201)
-    noise = sample_exponential_noise(1.0, grid, 9, 0)
-    coeffs = greens_coefficients(1.0, CRIT, 1.0, noise=noise)
-    back = GreensCoefficients.from_json(coeffs.to_json())
-    assert back.t == coeffs.t
-    for name in "ABCDE":
-        assert getattr(back, name) == getattr(coeffs, name)
 
 
 def test_precomputed_kernels_shortcut_is_equivalent():
