@@ -62,7 +62,8 @@ from .kernels import (  # noqa: F401
     h_exponential_batch,
 )
 from .noise import sample_exponential_noise_batch
-from .propagator import GaussianState, _gaussian_update, mean_momentum, mean_position
+from .propagator import (GaussianState, _gaussian_update, _noise_free_update,
+                         mean_momentum, mean_position)
 
 _MEASURES = ("physical", "reference")
 
@@ -212,12 +213,12 @@ class _Horizons:
     """Noise-free data of every sample horizon, computed once per run.
 
     Per horizon t_k: the boundary-problem scalars of both kernels (``sc``,
-    stacked), the weights of f in the symmetric basis, e^{-u t_k} per root,
-    and the parts of the Gaussian update that do not depend on the noise.
-    Each is an array over the horizons, so a block of trajectories combines
-    with it column by column.  Per root, the horizons with |u t_k| <= 1 come
-    first; their odd-basis integrals use the node weights sinh(u s)/u and
-    cosh(u s).
+    one _BVPScalars over the array of horizons), the weights of f in the
+    symmetric basis, e^{-u t_k} per root, and the parts of the Gaussian
+    update that do not depend on the noise.  Each is an array over the
+    horizons, so a block of trajectories combines with it column by column.
+    Per root, the horizons with |u t_k| <= 1 come first; their odd-basis
+    integrals use the node weights sinh(u s)/u and cosh(u s).
     """
 
     def __init__(self, params: PhysicalParams, gamma: float, grid: TimeGrid,
@@ -230,7 +231,7 @@ class _Horizons:
         omega = params.omega_collapse
         self.degenerate = omega < 1e-8 * gamma
         self.gamma = gamma
-        self.sc = sc = _BVPScalars.stack([_BVPScalars(gamma, omega, float(tk)) for tk in t])
+        self.sc = sc = _BVPScalars(gamma, omega, t)
         self.u = (sc.roots.upsilon1, sc.roots.upsilon2)
         self.tau = (sc.tau1, sc.tau2)
         self.f_abcd = sc.f_coeffs()
@@ -245,19 +246,8 @@ class _Horizons:
             self.sinh_w.append(head.astype(complex) if u == 0 else np.sinh(u * head) / u)
             self.cosh_w.append(np.cosh(u * head))
 
-        mu, _, _ = _closed_form_constants(params)
-        self.A = mu * ((sc.P + sc.Q) / 2.0)
-        self.B = 2.0 * mu * ((sc.P - sc.Q) / 2.0)
-        # det = A^2 - B^2/4 in factored endpoint form; the naive difference
-        # cancels catastrophically in SI-scale regimes.
-        self.det = mu * mu * sc.P * sc.Q
-        self.alpha_t, _, _ = _gaussian_update(state0, self.A, self.B, self.det)
+        self.A, self.B, self.det, self.alpha_t = _noise_free_update(state0, params, sc.P, sc.Q, t)
         ar = self.alpha_t.real
-        bad = np.flatnonzero(~(ar > 0.0))
-        if bad.size:
-            raise InvalidParameterError(
-                f"propagated state not normalizable at t={float(t[bad[0]])!r}"
-            )
         self.sigma = 0.5 / np.sqrt(ar)
         # |x0-integral|^2 and |propagator normalization|^2 = |B|/(2 pi): with
         # them exp(log_norm_sq) is the squared norm of the raw state.

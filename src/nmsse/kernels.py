@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
                    _closed_form_constants)
@@ -58,28 +57,28 @@ def _cexpm1(z):
     """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) <= 0.5
-    # Horner for z * (1 + z/2 (1 + z/3 (... )))
+    zs = np.where(small, z, 0.0)   # Horner for z (1 + z/2 (1 + z/3 (...)))
     series = np.ones_like(z)
     for k in range(14, 1, -1):
-        series = 1.0 + z * series / k
-    series = z * series
+        series = 1.0 + zs * series / k
+    series = zs * series
     direct = np.exp(np.where(small, 0.0, z)) - 1.0
     out = np.where(small, series, direct)
     return out if out.ndim else complex(out)
 
 
 def _tanh_ratio(z):
-    """tanh(z)/z for complex z with Re z >= 0; exact limit 1 at z = 0.
+    """tanh(z)/z for complex z with Re z >= 0, elementwise; exact limit 1 at z = 0.
 
     Uses -expm1(-2z)/((1 + exp(-2z)) z) with the series expm1 above, which
     is cancellation-free for all magnitudes (both factors of z cancel
     analytically through the series' leading term).
     """
-    z = complex(z)
-    if z == 0.0:
-        return 1.0 + 0.0j
-    em = np.exp(-2.0 * z)
-    return -_cexpm1(-2.0 * z) / ((1.0 + em) * z)
+    z = np.asarray(z, dtype=complex)
+    zero = z == 0.0
+    z = np.where(zero, 1.0, z)
+    out = np.where(zero, 1.0 + 0.0j, -_cexpm1(-2.0 * z) / ((1.0 + np.exp(-2.0 * z)) * z))
+    return out[()]
 
 
 # Taylor coefficients of tanh(sqrt(x))/sqrt(x) around x = 0.
@@ -106,29 +105,31 @@ _TANH_SQRT_COEFFS = (
 )
 
 
-def _tanh_sqrt_divdiff(z1: complex, z2: complex) -> complex:
+def _tanh_sqrt_divdiff(z1, z2):
     """Divided difference (g(x1)-g(x2))/(x1-x2) of g(x) = tanh(sqrt x)/sqrt x
-    at x_k = z_k^2.
+    at x_k = z_k^2, elementwise.
 
-    When both arguments are inside |x| < 0.25 the difference cancels
-    catastrophically, so the series of the divided difference is summed
-    directly; outside, |x1 - x2| >= max|x| holds for every admissible root
+    Where both |x| < 0.25 the difference cancels catastrophically, so the
+    series sum_k a_k h_{k-1}(x1, x2), h_j = x1 h_{j-1} + x2^j, is summed
+    instead; outside, |x1 - x2| >= max|x| holds for every admissible root
     pair (|zeta| >= gamma^2), making the direct quotient safe.
     """
-    x1 = z1 * z1
-    x2 = z2 * z2
-    if max(abs(x1), abs(x2)) < 0.25:
-        acc = 0.0 + 0.0j
-        # sum_k a_k * (x1^{k-1} + x1^{k-2} x2 + ... + x2^{k-1})
-        for k in range(len(_TANH_SQRT_COEFFS) - 1, 0, -1):
-            inner = 0.0 + 0.0j
-            p = 1.0 + 0.0j
-            for i in range(k):
-                inner += p * x2 ** (k - 1 - i)
-                p *= x1
-            acc += _TANH_SQRT_COEFFS[k] * inner
-        return acc
-    return (_tanh_ratio(z1) - _tanh_ratio(z2)) / (x1 - x2)
+    x1 = np.square(np.asarray(z1, dtype=complex))
+    x2 = np.square(np.asarray(z2, dtype=complex))
+    series = np.maximum(np.abs(x1), np.abs(x2)) < 0.25
+    # each branch sees only its own elements; the other gets harmless stand-ins
+    s1 = np.where(series, x1, 0.0)
+    s2 = np.where(series, x2, 0.0)
+    h, p2 = [np.ones_like(s1)], np.ones_like(s2)
+    for _ in _TANH_SQRT_COEFFS[2:]:
+        p2 = p2 * s2
+        h.append(s1 * h[-1] + p2)
+    # sum_k a_k h_{k-1}, smallest terms first
+    acc = sum(a_k * h_k for a_k, h_k in zip(_TANH_SQRT_COEFFS[:0:-1], h[::-1]))
+    d1 = np.where(series, 1.0, z1)
+    d2 = np.where(series, 2.0, z2)
+    direct = (_tanh_ratio(d1) - _tanh_ratio(d2)) / (d1 * d1 - d2 * d2)
+    return np.where(series, acc, direct)[()]
 
 
 def _basis_even(u: complex, s: np.ndarray, t: float) -> np.ndarray:
@@ -226,7 +227,8 @@ class KernelSolution:
 # ---------------------------------------------------------------------------
 
 class _BVPScalars:
-    """Everything the closed forms need, computed once per (gamma, omega, t).
+    """Everything the closed forms need at (gamma, omega), for a float t or
+    elementwise over an array of horizons t (so are the methods below).
 
     The even/odd 2x2 systems share the determinant factors D_e and D_o
     (the common zeta is cancelled analytically), and P = f'(0) + f'(t),
@@ -234,12 +236,11 @@ class _BVPScalars:
     smallness carried exactly through Vieta's product.
     """
 
-    def __init__(self, gamma: float, omega: float, t: float):
+    def __init__(self, gamma: float, omega: float, t):
         roots = characteristic_roots(gamma, omega)
         self.roots = roots
         u1, u2, zeta = roots.upsilon1, roots.upsilon2, roots.zeta
         g2 = gamma * gamma
-        self.t = t
         self.u1sq = u1 * u1
         self.u2sq = (1j * g2 * omega * omega) / self.u1sq if omega > 0 else 0.0 + 0.0j
         z1 = u1 * t / 2.0
@@ -256,27 +257,14 @@ class _BVPScalars:
         # zeta-cancelled determinants: K1-K2 = zeta*D_e, tau1 L2 - tau2 L1 = zeta*D_o
         self.D_e = gamma + g2 * t * self.g1 / 2.0 + self.u2sq * self.u2sq * t ** 3 * self.gdd / 8.0
         self.D_o = self.u2sq * t ** 3 * self.gdd / 8.0 - t * self.g2 / 2.0 - gamma * self.tau1 * self.tau2
-        if self.D_e == 0 or self.D_o == 0:
-            raise InvalidParameterError(
-                f"degenerate kernel boundary problem at gamma={gamma}, omega={omega}, t={t}")
+        bad = (self.D_e == 0) | (self.D_o == 0)
+        if np.any(bad):
+            raise InvalidParameterError(f"degenerate kernel boundary problem at gamma={gamma}, "
+                                        f"omega={omega}, t={np.extract(bad, t)[0]}")
         self.Q = (1j * g2 * omega * omega) * (gamma * t ** 3 * self.gdd / 8.0
                                               - self.tau1 * self.tau2) / self.D_e
         self.P = (1.0 + gamma * t * self.g1 / 2.0
                   + gamma * self.u2sq * t ** 3 * self.gdd / 8.0) / self.D_o
-
-    @classmethod
-    def stack(cls, per_horizon: list["_BVPScalars"]) -> "_BVPScalars":
-        """The scalars of several horizons (same gamma, omega) as arrays.
-
-        Everything below is elementwise, so f_coeffs, solve_even and
-        solve_odd of the stacked object serve all those horizons at once.
-        """
-        out = cls.__new__(cls)
-        for name, value in vars(per_horizon[0]).items():
-            if name != "roots":
-                value = np.array([vars(sc)[name] for sc in per_horizon])
-            setattr(out, name, value)
-        return out
 
     def f_coeffs(self) -> tuple[complex, complex, complex, complex]:
         """Basis weights (a, b, c, d) of the homogeneous boundary kernel."""
@@ -339,21 +327,22 @@ def f_exponential(t: float, params: PhysicalParams, gamma: float,
                           kind="F", d_sum=complex(sc.P), d_diff=complex(sc.Q))
 
 
-def f_endpoint_scalars(t: float, params: PhysicalParams, gamma: float) -> tuple[complex, complex]:
+def f_endpoint_scalars(t, params: PhysicalParams, gamma: float):
     """Endpoint derivative sum and difference (f'(0)+f'(t), f'(0)-f'(t)).
 
-    Grid-free: everything the deterministic spread evolution needs, at any
-    horizon, for the cost of a handful of scalar evaluations.
+    Grid-free and elementwise in t (a float or an array of horizons):
+    everything the deterministic spread evolution needs, at any horizon,
+    for the cost of a handful of array evaluations.
     """
     if math.isinf(gamma):
         k = _kappa(params)
-        if abs(k) * t < 1e-250:
-            return (-2.0 / t + 0j, 0.0 + 0j)
-        z = k * t / 2.0
-        return (complex(-2.0 / (t * _tanh_ratio(z))),           # -kappa coth(kappa t / 2)
-                complex(-(k * k) * t / 2.0 * _tanh_ratio(z)))  # -kappa tanh(kappa t / 2)
+        t = np.asarray(t, dtype=float)
+        tiny = abs(k) * t < 1e-250          # straight line: P = -2/t, Q = 0
+        g = _tanh_ratio(np.where(tiny, 0.0, k * t / 2.0))
+        return ((-2.0 / (t * g))[()],                                # -kappa coth(kappa t / 2)
+                np.where(tiny, 0.0j, -(k * k) * t / 2.0 * g)[()])    # -kappa tanh(kappa t / 2)
     sc = _BVPScalars(gamma, params.omega_collapse, t)
-    return complex(sc.P), complex(sc.Q)
+    return sc.P, sc.Q
 
 
 def f_ratio_form(t: float, params: PhysicalParams, gamma: float,
@@ -460,7 +449,7 @@ def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, i_end, j_sta
 
     i_end = (I_1(t), I_2(t)) and j_start = (J_1(0), J_2(0)) are the
     convolution ends of both roots; I_k(0) and J_k(t) vanish.  Elementwise,
-    so sc may also be the stacked scalars of several horizons with i_end,
+    so sc may also hold the scalars of an array of horizons with i_end,
     j_start holding one column per horizon.
     """
     u1, u2 = sc.roots.upsilon1, sc.roots.upsilon2
@@ -571,7 +560,7 @@ def f_markovian(t: float, params: PhysicalParams, grid: TimeGrid) -> KernelSolut
     _check_horizon(t, grid)
     k = _kappa(params)
     s = grid.nodes()
-    p_sum, q_diff = f_endpoint_scalars(t, params, math.inf)
+    p_sum, q_diff = (complex(x) for x in f_endpoint_scalars(t, params, math.inf))
     if abs(k) * t < 1e-250:
         vals = (1.0 - s / t).astype(complex)
         d_start = d_end = -1.0 / t + 0j
@@ -674,8 +663,11 @@ def solve_h_numeric(t: float, params: PhysicalParams, kernel: CorrelationKernel,
 def _collocation_solve(params: PhysicalParams, kernel: CorrelationKernel,
                        grid: TimeGrid, rhs: np.ndarray) -> np.ndarray:
     # without coupling the memory rows vanish and the system is a pure
-    # kinetic band; skip the O(n^3) dense factorization there
+    # kinetic band; skip the O(n^3) dense factorization there.  scipy loads
+    # only here, so importing nmsse does not pay for it.
     if params.lam == 0.0:
+        from scipy.linalg import solve_banded
+
         n = grid.n
         k = 1j * params.m / (2.0 * params.hbar * grid.dt ** 2)
         ab = np.zeros((3, n), dtype=complex)

@@ -8,7 +8,8 @@ with A, B fixed by the endpoint derivatives of the homogeneous boundary
 kernel and C, D, E by the noise-driven kernel plus noise integrals.
 Applying it to exp(-alpha0 x^2 + beta0 x + g0) and completing the square
 gives the exact update implemented once in _gaussian_update, which
-propagate_gaussian, spread_curve and the ensemble's moment pass share.
+propagate_gaussian, spread_curve and the ensemble's moment pass share; the
+last two pass all their horizons through it (and the kernel scalars) at once.
 
 Numerical note: alpha_t is evaluated as (alpha0 A + det)/(alpha0 + A) with
 det = A^2 - B^2/4 carried in cancellation-free form (mu^2 P Q from the
@@ -253,29 +254,46 @@ def asymptotic_spread(params: PhysicalParams, gamma: float) -> float:
     return 1.0 / (2.0 * math.sqrt(ar))
 
 
+def _noise_free_update(state0: GaussianState, params: PhysicalParams, p, q, t):
+    """(A, B, det, alpha_t) of state0 under the noise-free propagator with
+    endpoint slope sum p and difference q, elementwise over the horizons t.
+
+    det = mu^2 P Q is A^2 - B^2/4 in factored form; the naive difference
+    cancels catastrophically at SI scales.  Raises on the first horizon
+    whose state cannot be normalized.
+    """
+    mu, _, _ = _closed_form_constants(params)
+    A = mu * (p + q) / 2.0
+    B = mu * (p - q)
+    det = mu * mu * p * q
+    alpha_t, _, _ = _gaussian_update(state0, A, B, det)
+    bad = ~(np.real(alpha_t) > 0.0)
+    if np.any(bad):
+        raise InvalidParameterError(
+            f"propagated state not normalizable at t={float(np.asarray(t)[bad][0])!r}")
+    return A, B, det, alpha_t
+
+
 def spread_curve(times, params: PhysicalParams, gamma: float,
                  sigma0: float) -> np.ndarray:
     """Deterministic position spread at each horizon, no noise involved.
 
     The width evolution is noise-independent (only the quadratic part of
-    the propagator enters), so each horizon costs a scalar endpoint
-    evaluation: the centred state goes through _gaussian_update with
-    A = mu (P + Q)/2, B = mu (P - Q) and det = mu^2 P Q.  Horizons must be
-    positive.
+    the propagator enters), so all horizons go through one array
+    evaluation of the endpoint scalars P, Q and one _gaussian_update of the
+    centred state with A = mu (P + Q)/2, B = mu (P - Q) and det = mu^2 P Q.
+    Keeps the shape of times (a float for a scalar); horizons must be
+    positive and finite.
     """
     centred = gaussian_from_moments(0.0, 0.0, sigma0, params)
-    mu, _, _ = _closed_form_constants(params)
-    t_arr = np.asarray(times, dtype=float)
-    out = np.empty(t_arr.shape)
-    for i, t in np.ndenumerate(t_arr):
-        if not (t > 0.0 and math.isfinite(t)):
-            raise InvalidParameterError(f"spread_curve horizons must be positive, got {t!r}")
-        p, q = f_endpoint_scalars(float(t), params, gamma)
-        state = GaussianState(*_gaussian_update(centred, mu * (p + q) / 2.0, mu * (p - q),
-                                                mu * mu * p * q))
-        if not state.is_normalizable():
-            raise InvalidParameterError(f"propagated state not normalizable at t={t}")
-        out[i] = spread_position(state)
+    t = np.asarray(times, dtype=float)
+    bad = ~((t > 0.0) & np.isfinite(t))
+    if np.any(bad):
+        raise InvalidParameterError(
+            f"spread_curve horizons must be positive and finite, got {float(t[bad][0])!r}")
+    p, q = f_endpoint_scalars(t, params, gamma)
+    alpha_t = _noise_free_update(centred, params, p, q, t)[3]
+    out = 0.5 / np.sqrt(np.real(alpha_t))
     return out if out.ndim else float(out)
 
 

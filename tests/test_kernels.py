@@ -16,6 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from nmsse.core import make_grid, make_params
 from nmsse.kernels import (
+    _tanh_ratio,
+    _tanh_sqrt_divdiff,
     characteristic_roots,
     f_endpoint_scalars,
     f_exponential,
@@ -140,6 +142,45 @@ def test_endpoint_scalars_markovian_branch():
     p_sum, p_diff = f_endpoint_scalars(1.0, WHITE, math.inf)
     assert _close(p_sum, f.d_start + f.d_end, 1e-14)
     assert _close(p_diff, f.d_start - f.d_end, 1e-14)
+
+
+def _assert_elementwise(fn, *args):
+    """fn on whole arrays equals fn on each element alone, to 2 ulp.
+
+    The branch masks must not leak across elements (that would be an O(1)
+    error); numpy's loops may round differently by array length."""
+    got = np.broadcast_to(fn(*args), np.broadcast(*args).shape)
+    for i in np.ndindex(got.shape):
+        want = fn(*(np.broadcast_to(a, got.shape)[i] for a in args))
+        assert abs(got[i] - want) <= 2.0 * np.finfo(float).eps * abs(want), (fn, i)
+
+
+def test_elementwise_scalars_do_not_leak_across_elements():
+    roots = characteristic_roots(1.0, CRIT.omega_collapse)
+    t = np.array([1e-3, 0.3, 0.9, 2.0, 40.0, 1e3])
+    z1 = roots.upsilon1 * t / 2.0
+    z2 = roots.upsilon2 * t / 2.0
+    series = np.maximum(np.abs(z1 * z1), np.abs(z2 * z2)) < 0.25
+    assert series.any() and not series.all()
+    _assert_elementwise(_tanh_sqrt_divdiff, z1, z2)
+    # lam = 0 puts u2 = 0 next to the coupled pairs
+    _assert_elementwise(_tanh_sqrt_divdiff, np.concatenate([z1, z1]),
+                        np.concatenate([z2, 0.0 * z2]))
+    _assert_elementwise(_tanh_ratio, np.concatenate([z1, [0.0], z2, [0.0]]))
+
+    p_sum = lambda *a: f_endpoint_scalars(*a)[0]
+    p_diff = lambda *a: f_endpoint_scalars(*a)[1]
+    free = make_params(m=1.0, hbar=1.0, lam=0.0)
+    cases = [
+        (WHITE, math.inf, [1e-300, 0.5, 1e-260, 3.0]),   # the |kappa| t < 1e-250 guard
+        (free, math.inf, [1e-300, 0.5, 3.0]),
+        (free, 3.0, [1e-3, 0.5, 3.0]),
+        (CRIT, 1.0, t),
+    ]
+    cases += [(SI, gamma, np.geomspace(1.0, 4e18, 9)) for gamma in (2.0, 10.0, 100.0, math.inf)]
+    for params, gamma, horizons in cases:
+        for fn in (p_sum, p_diff):
+            _assert_elementwise(lambda tt: fn(tt, params, gamma), np.asarray(horizons))
 
 
 def test_f_boundary_values_are_snapped():

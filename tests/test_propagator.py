@@ -97,14 +97,72 @@ def test_free_dispersion_matches_textbook_law():
 
 def test_spread_curve_matches_propagation_route():
     sigma0 = 0.7
-    times = np.array([0.25, 1.0, 3.0])
-    curve = spread_curve(times, CRIT, 1.0, sigma0)
-    state0 = gaussian_from_moments(0.0, 0.0, sigma0, CRIT)
+    for params, gamma, times in [
+        (CRIT, 1.0, [0.25, 1.0, 3.0]),
+        (CRIT, math.inf, [0.25, 1.0, 3.0]),
+        (FREE, 1.0, [0.25, 2.0]),
+        (FREE, math.inf, [0.25, 2.0]),
+        (SI, 10.0, [1.0, 1e6, 4e18]),
+        (SI, math.inf, [1.0, 1e6, 4e18]),
+    ]:
+        curve = spread_curve(np.array(times), params, gamma, sigma0)
+        state0 = gaussian_from_moments(0.0, 0.0, sigma0, params)
+        for t, got in zip(times, curve):
+            coeffs = greens_coefficients(t, params, gamma, grid=make_grid(t, 401))
+            want = spread_position(propagate_gaussian(state0, coeffs))
+            assert got == pytest.approx(want, rel=1e-12), (params.lam, gamma, t)
+
+
+# sigma(t) at sigma0 = 1 from a 250-digit solve of the boundary problem of
+# f: f'''' = gamma^2 f'' - i gamma^2 omega_c^2 f with f(0) = 1, f(t) = 0 and
+# the memory conditions f'''(0) = gamma f''(0), f'''(t) = -gamma f''(t), in
+# the decaying basis e^{-u s}, e^{-u (t - s)} (sinh(kappa (t - s))/sinh(kappa t)
+# at gamma = inf), then the Gaussian update in the same arithmetic.
+# (params label, gamma) -> {t: sigma}
+_SIGMA_PINS = {
+    ("SI", 2.0): {1.0: 0.98883640775441599481, 1e6: 0.0049999387511254457201,
+                  1e12: 4.999999999938749948e-6, 4e18: 7.1631276825106776536e-9},
+    ("SI", 10.0): {1.0: 0.98247177875643070607, 1e6: 0.0049999377511624945762,
+                   1e12: 4.999999999937749948e-6, 4e18: 7.1631276825106776522e-9},
+    ("SI", 100.0): {1.0: 0.9807693033113416847, 1e6: 0.0049999375261709132512,
+                    1e12: 4.999999999937524948e-6, 4e18: 7.1631276825106776518e-9},
+    ("SI", math.inf): {1.0: 0.98058067569092015923, 1e6: 0.0049999375011718505344,
+                       1e12: 4.999999999937499948e-6, 4e18: 7.1631276825106776518e-9},
+    ("CRIT", 1.0): {0.1: 1.0002825384145585517, 1.0: 1.0476915232948221615,
+                    10.0: 1.4317469064239209037},
+    ("WEAK", 1.0): {8.14e3: 3747.1337684017270416},
+}
+_SIGMA_PARAMS = {"SI": SI, "CRIT": CRIT, "WEAK": make_params(m=1.0, hbar=1.0, lam=1e-12)}
+
+
+@pytest.mark.parametrize("key", sorted(_SIGMA_PINS, key=str))
+def test_spread_curve_matches_frozen_values(key):
+    label, gamma = key
+    pins = _SIGMA_PINS[key]
+    times = np.array(sorted(pins))
+    curve = spread_curve(times, _SIGMA_PARAMS[label], gamma, 1.0)
+    # at omega_c/gamma ~ 1e-6 the closed form of f loses digits like
+    # eps/|u2 t|: f has no vanishing-coupling branch
+    rel = 5e-13 if label == "WEAK" else 1e-14
     for t, got in zip(times, curve):
-        grid = make_grid(float(t), 401)
-        coeffs = greens_coefficients(float(t), CRIT, 1.0, grid=grid)
-        want = spread_position(propagate_gaussian(state0, coeffs))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(pins[t], rel=rel), t
+
+
+def test_spread_curve_keeps_the_input_shape():
+    times = np.array([[0.25, 1.0, 3.0], [0.5, 2.0, 4.0]])
+    curve = spread_curve(times, CRIT, 1.0, 0.7)
+    assert curve.shape == (2, 3)
+    np.testing.assert_array_equal(curve.ravel(), spread_curve(times.ravel(), CRIT, 1.0, 0.7))
+    one = spread_curve(2.0, CRIT, 1.0, 0.7)
+    assert type(one) is float
+    assert one == pytest.approx(curve[1, 1], rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0])
+def test_spread_curve_names_the_first_bad_horizon(bad):
+    times = np.array([[0.25, 1.0], [bad, -7.0]])
+    with pytest.raises(InvalidParameterError, match=f"got {bad!r}"):
+        spread_curve(times, CRIT, 1.0, 1.0)
 
 
 def test_spread_curve_validates_inputs():

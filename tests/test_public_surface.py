@@ -1,8 +1,11 @@
-"""The public surface: every exported name resolves, and every binding that
-the benchmark's traced run (bench/workloads.py, Workload.trace) wraps still
-exists in the module where it is wrapped."""
+"""The public surface: every exported name resolves, importing the package
+does not load scipy, and every binding that the benchmark's traced run
+(bench/workloads.py, Workload.trace) wraps still exists in the module where
+it is wrapped."""
 
 import os
+import subprocess
+import sys
 import types
 
 import nmsse
@@ -12,6 +15,16 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_every_exported_name_resolves():
     assert [name for name in nmsse.__all__ if not hasattr(nmsse, name)] == []
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only the lam = 0 collocation solve and loads there
+    code = "import sys, nmsse, nmsse.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(nmsse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class _Recorder:
