@@ -11,7 +11,7 @@ Layer map
     noise       correlated-noise sampling and the correlation kernel
     kernels     boundary-kernel solutions, closed form and collocation
     propagator  Gaussian state propagation, moments, spread curves
-    oracle      brute-force path-sum fit of the propagator coefficients
+    oracle      discretized path-sum reduction to the propagator coefficients
     ensemble    Monte Carlo trajectory statistics (physical measure)
     cli         command-line drivers and file export
 """

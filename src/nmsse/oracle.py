@@ -3,15 +3,12 @@
 Discretizes the path sum over polygonal paths on a uniform grid: kinetic
 increments plus the noise drive plus the quadratic memory term, then
 integrates out the interior nodes exactly (complex Gaussian reduction).
-The resulting log-amplitude is a quadratic polynomial in the endpoints
-(x0, x); fitting it at probe points recovers A..E with no reference to
-the kernel boundary-value machinery, so agreement is a genuine two-route
-check rather than a reshuffling of the same formulas.
-
-The overall measure normalization of the discrete sum is endpoint- and
-noise-independent, so the constant coefficient is only meaningful as a
-difference: extract_e pairs the fit against a zero-noise fit sharing the
-same interior matrix, which cancels the measure exactly.
+A..E are read off the Schur complement of the interior block with no
+reference to the kernel boundary-value machinery, so agreement is a
+genuine two-route check rather than a reshuffling of the same formulas.
+The reduction's measure factor pi^{k/2} / sqrt(det(-Q_ii)) depends on
+neither the endpoints nor the noise and is left out, as the analytic E
+vanishes at zero noise.
 """
 
 from __future__ import annotations
@@ -29,17 +26,10 @@ from .propagator import GreensCoefficients, greens_coefficients
 
 __all__ = [
     "assemble_action",
-    "action_value",
-    "polygonal_log_amplitude",
     "OracleReport",
     "oracle_coefficients",
     "oracle_convergence",
 ]
-
-# probe endpoints: 6 to determine the quadratic, 3 more to expose any
-# failure of the reduction to actually be quadratic
-_PROBES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0),
-           (0.0, 2.0), (2.0, 1.0), (1.0, 2.0), (-1.0, 1.0)]
 
 
 def assemble_action(params: PhysicalParams, kernel: CorrelationKernel,
@@ -76,59 +66,35 @@ def assemble_action(params: PhysicalParams, kernel: CorrelationKernel,
     return Q, L.astype(complex)
 
 
-def action_value(Q: np.ndarray, L: np.ndarray, path: np.ndarray) -> complex:
-    """Exponent of one polygonal path (for spot checks against the sums)."""
-    q = np.asarray(path, dtype=complex)
-    return complex(q @ Q @ q + L @ q)
+def _reduce_interior(Q: np.ndarray, L: np.ndarray):
+    """Endpoint exponent q_b^T S q_b + l^T q_b + c of the interior integral.
 
-
-def polygonal_log_amplitude(Q: np.ndarray, L: np.ndarray):
-    """Reduce the interior Gaussian integral; return log-amplitude(x0, x).
-
-    Integrating exp(q_i^T Qii q_i + v^T q_i) over the interior nodes gives
-    pi^{k/2} / sqrt(det(-Qii)) * exp(-v^T Qii^{-1} v / 4) with
-    v = 2 Qib qb + L_i, so the log-amplitude is quadratic in qb = (x0, x).
-    One factorization serves every probe: three solves against the two
-    boundary columns and the drive vector.
+    With v = 2 Q_ib q_b + L_i the integral of exp(q^T Q q + L^T q) over q_i
+    is exp(q_b^T Q_bb q_b + L_b^T q_b - v^T Q_ii^{-1} v / 4), so
+    S = Q_bb - Q_bi Q_ii^{-1} Q_ib, l = L_b - Q_bi Q_ii^{-1} L_i and
+    c = -L_i^T Q_ii^{-1} L_i / 4, all from one solve.
     """
     n = Q.shape[0]
     if n < 3:
         raise InvalidParameterError("need at least one interior node to reduce")
+    b = [0, n - 1]
     inner = slice(1, n - 1)
-    Qii = Q[inner, inner]
-    col0 = Q[inner, 0]
-    coln = Q[inner, n - 1]
+    Qib = Q[inner][:, b]
     Li = L[inner]
-    rhs = np.stack([col0, coln, Li], axis=1)
     try:
-        ys = np.linalg.solve(Qii, rhs)
+        ys = np.linalg.solve(Q[inner, inner], np.column_stack([Qib, Li]))
     except np.linalg.LinAlgError as exc:
         raise InvalidParameterError(f"interior action matrix is singular: {exc}") from exc
-    y0, yn, yl = ys[:, 0], ys[:, 1], ys[:, 2]
-    sign, logabs = np.linalg.slogdet(-Qii / math.pi)
-    log_measure = -0.5 * (logabs + np.log(sign))
-
-    Qbb = np.array([[Q[0, 0], Q[0, n - 1]], [Q[n - 1, 0], Q[n - 1, n - 1]]])
-    Lb = np.array([L[0], L[n - 1]])
-
-    def log_amp(x0: float, x: float) -> complex:
-        v = 2.0 * (x0 * col0 + x * coln) + Li
-        yv = 2.0 * (x0 * y0 + x * yn) + yl
-        qb = np.array([x0, x], dtype=complex)
-        quad = qb @ Qbb @ qb + Lb @ qb
-        return complex(quad - 0.25 * (v @ yv) + log_measure)
-
-    return log_amp
+    S = Q[np.ix_(b, b)] - Qib.T @ ys[:, :2]
+    return S, L[b] - Qib.T @ ys[:, 2], -0.25 * (Li @ ys[:, 2])
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Fit summary for one grid resolution."""
+    """Reduced coefficients for one grid resolution."""
 
     n_segments: int
     coefficients: GreensCoefficients
-    probe_residual: float
-    condition_estimate: float
     diag_asymmetry: float
 
     def to_json(self) -> str:
@@ -137,55 +103,32 @@ class OracleReport:
             "n_segments": self.n_segments,
             "t": c.t,
             "coefficients": json.loads(c.to_json()),
-            "probe_residual": self.probe_residual,
-            "condition_estimate": self.condition_estimate,
             "diag_asymmetry": self.diag_asymmetry,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _fit_quadratic(log_amp) -> tuple[np.ndarray, float, float]:
-    vals = np.array([log_amp(x0, x) for x0, x in _PROBES])
-    M = np.array([[x0 * x0, x * x, x0 * x, x0, x, 1.0] for x0, x in _PROBES])
-    coef, *_ = np.linalg.lstsq(M, vals, rcond=None)
-    resid = np.abs(M @ coef - vals).max() / max(1.0, np.abs(vals).max())
-    return coef, float(resid), float(np.linalg.cond(M))
-
-
 def oracle_coefficients(t: float, params: PhysicalParams, gamma: float,
                         noise: NoisePath) -> OracleReport:
-    """Fit A..E from the discretized path sum on the noise's grid.
+    """Read A..E from the discretized path sum on the noise's grid.
 
-    The constant coefficient is extracted as fit(noise) - fit(no noise),
-    which removes the endpoint-independent measure normalization; the
-    analytic counterpart vanishes at zero noise, so the difference is
-    directly comparable to E.
+    The endpoint exponent q_b^T S q_b + l^T q_b + c matches
+    -A (x0^2 + x^2) + B x0 x + C x0 + D x + E with A = -(S00 + S11)/2,
+    B = 2 S01, (C, D) = l and E = c.  The propagator form has one A for
+    both endpoints; diag_asymmetry = |S00 - S11| / max(|S00|, |S11|)
+    measures how well the discrete sum respects that.
     """
     grid = noise.grid
     if abs(grid.t_max - t) > 1e-12 * max(abs(t), 1.0):
         raise InvalidParameterError("oracle horizon must match the noise grid")
-    kernel = exponential_kernel(gamma)
-    Q, L = assemble_action(params, kernel, noise)
-    coef_w, resid_w, cond = _fit_quadratic(polygonal_log_amplitude(Q, L))
-    coef_0, resid_0, _ = _fit_quadratic(polygonal_log_amplitude(Q, np.zeros_like(L)))
-
-    a00, a11 = -coef_w[0], -coef_w[1]
-    denom = max(abs(a00), abs(a11), 1e-300)
-    coeffs = GreensCoefficients(
-        t=t,
-        A=(a00 + a11) / 2.0,
-        B=complex(coef_w[2]),
-        C=complex(coef_w[3]),
-        D=complex(coef_w[4]),
-        E=complex(coef_w[5] - coef_0[5]),
-    )
-    return OracleReport(
-        n_segments=grid.n - 1,
-        coefficients=coeffs,
-        probe_residual=max(resid_w, resid_0),
-        condition_estimate=cond,
-        diag_asymmetry=float(abs(a00 - a11) / denom),
-    )
+    Q, L = assemble_action(params, exponential_kernel(gamma), noise)
+    S, l, c = _reduce_interior(Q, L)
+    coeffs = GreensCoefficients(t=t, A=complex(-(S[0, 0] + S[1, 1]) / 2.0),
+                                B=complex(2.0 * S[0, 1]), C=complex(l[0]),
+                                D=complex(l[1]), E=complex(c))
+    asym = abs(S[0, 0] - S[1, 1]) / max(abs(S[0, 0]), abs(S[1, 1]))
+    return OracleReport(n_segments=grid.n - 1, coefficients=coeffs,
+                        diag_asymmetry=float(asym))
 
 
 def _subsample(noise: NoisePath, step: int) -> NoisePath:
@@ -196,30 +139,31 @@ def _subsample(noise: NoisePath, step: int) -> NoisePath:
 
 def oracle_convergence(t: float, params: PhysicalParams, gamma: float,
                        noise: NoisePath, levels: tuple[int, ...] = (64, 128, 256, 512)):
-    """Run the oracle at several resolutions against one analytic reference.
+    """Run the oracle at several resolutions, each against its own closed forms.
 
     The noise path must live on a grid whose segment count is the largest
     level; coarser levels take every 2^k-th node, which is an exact
-    restriction of the Ornstein-Uhlenbeck path.  Returns a list of
-    (report, per-coefficient relative errors, max relative error).
+    restriction of the Ornstein-Uhlenbeck path.  Each level is compared with
+    the closed forms (f_exponential, h_exponential, greens_coefficients) on
+    its own subsampled path, so both routes see the same noise samples.
+    Returns a list of (report, per-coefficient relative errors, max
+    relative error).
     """
     n_fine = noise.grid.n - 1
     if max(levels) != n_fine:
         raise InvalidParameterError(
             f"noise grid has {n_fine} segments but the finest level is {max(levels)}")
-    f = f_exponential(t, params, gamma, noise.grid)
-    h = h_exponential(t, params, gamma, noise)
-    ref = greens_coefficients(t, params, gamma, grid=noise.grid, noise=noise, f=f, h=h)
     out = []
     for n_seg in levels:
         if n_fine % n_seg:
             raise InvalidParameterError(f"level {n_seg} does not divide {n_fine}")
-        report = oracle_coefficients(t, params, gamma, _subsample(noise, n_fine // n_seg))
-        fit = report.coefficients
-        errs = {}
-        for name in "ABCDE":
-            got = getattr(fit, name)
-            want = getattr(ref, name)
-            errs[name] = abs(got - want) / abs(want)
+        path = _subsample(noise, n_fine // n_seg)
+        f = f_exponential(t, params, gamma, path.grid)
+        h = h_exponential(t, params, gamma, path)
+        ref = greens_coefficients(t, params, gamma, grid=path.grid, noise=path, f=f, h=h)
+        report = oracle_coefficients(t, params, gamma, path)
+        got = report.coefficients
+        errs = {k: abs(getattr(got, k) - getattr(ref, k)) / abs(getattr(ref, k))
+                for k in "ABCDE"}
         out.append((report, errs, max(errs.values())))
     return out

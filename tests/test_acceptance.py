@@ -93,20 +93,28 @@ def test_01_free_propagator_reduction():
 
 
 def test_02_path_sum_oracle_equivalence():
+    # every seed, not a pinned one: each halving of the segment width must
+    # cut the max relative error by >= 3.5 (observed order 2)
     t = 1.0
     grid = make_grid(t, 513)
-    noise = sample_exponential_noise(1.0, grid, 7, 0)
+    seeds = list(range(30)) + [42]
 
     t0 = time.perf_counter()
-    rows = oracle_convergence(t, CRIT, 1.0, noise, levels=(64, 128, 256, 512))
+    table = {}
+    for seed in seeds:
+        noise = sample_exponential_noise(1.0, grid, seed, 0)
+        rows = oracle_convergence(t, CRIT, 1.0, noise, levels=(64, 128, 256, 512))
+        table[seed] = [row[2] for row in rows]
     elapsed = time.perf_counter() - t0
 
-    maxes = [row[2] for row in rows]
-    print("criterion 2: max rel errors over segments 64/128/256/512: "
-          + ", ".join(f"{e:.3e}" for e in maxes)
-          + f"; runtime {elapsed:.1f} s")
-    assert maxes[0] > maxes[1] > maxes[2] > maxes[3]
-    assert maxes[-1] <= 1e-3
+    ratios = {s: [a / b for a, b in zip(m, m[1:])] for s, m in table.items()}
+    print("criterion 2: seed 42 max rel errors over segments 64/128/256/512: "
+          + ", ".join(f"{e:.3e}" for e in table[42])
+          + f"; over {len(seeds)} seeds the smallest per-halving ratio is "
+          + f"{min(min(r) for r in ratios.values()):.3f} and the largest final "
+          + f"error {max(m[-1] for m in table.values()):.2e}; runtime {elapsed:.1f} s")
+    assert [s for s, r in ratios.items() if min(r) < 3.5] == []
+    assert max(m[-1] for m in table.values()) <= 1e-3
     assert elapsed < 120.0
 
 

@@ -12,20 +12,14 @@ from nmsse.noise import (
     kernel_eval,
     sample_exponential_noise,
 )
-from nmsse.oracle import (
-    action_value,
-    assemble_action,
-    oracle_coefficients,
-    oracle_convergence,
-    polygonal_log_amplitude,
-)
+from nmsse.oracle import assemble_action, oracle_coefficients, oracle_convergence
 
 CRIT = make_params(m=1.0, hbar=1.0, lam=0.1, unit_mode="scaled")
 FREE = make_params(m=1.0, hbar=1.0, lam=0.0, unit_mode="scaled")
 
 
 def test_free_particle_path_sum_is_exact():
-    # polygonal paths carry the free action exactly, so the fit should hit
+    # polygonal paths carry the free action exactly, so the reduction should hit
     # the analytic coefficients at machine precision even on a coarse grid
     t = 1.0
     grid = make_grid(t, 65)
@@ -39,7 +33,6 @@ def test_free_particle_path_sum_is_exact():
     assert abs(c.C) <= 1e-10 * scale
     assert abs(c.D) <= 1e-10 * scale
     assert abs(c.E) <= 1e-10 * scale
-    assert report.probe_residual <= 1e-10
     assert report.diag_asymmetry <= 1e-10
 
 
@@ -66,7 +59,7 @@ def test_assembled_action_matches_direct_sums():
         * q[j] * q[r]
         for j in range(grid.n) for r in range(grid.n))
     want = kin + drive + mem
-    got = action_value(Q, L, q)
+    got = q @ Q @ q + L @ q
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -96,9 +89,37 @@ def test_oracle_rejects_horizon_mismatch():
 def test_reduction_needs_an_interior_node():
     grid = make_grid(1.0, 2)
     noise = NoisePath(grid, np.zeros(2), 0, 0)
-    Q, L = assemble_action(CRIT, exponential_kernel(1.0), noise)
     with pytest.raises(InvalidParameterError):
-        polygonal_log_amplitude(Q, L)
+        oracle_coefficients(1.0, CRIT, 1.0, noise)
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+def test_reduced_exponent_is_the_schur_quadratic(noisy):
+    # integrate the interior out afresh at each endpoint pair (one solve
+    # per probe) and compare with the quadratic form read off once; six
+    # probes fix a quadratic, the other three test that it is one
+    t = 1.0
+    gamma = 1.3
+    grid = make_grid(t, 65)
+    noise = (sample_exponential_noise(gamma, grid, 5, 0) if noisy
+             else NoisePath(grid, np.zeros(grid.n), 5, 0))
+    c = oracle_coefficients(t, CRIT, gamma, noise).coefficients
+    Q, L = assemble_action(CRIT, exponential_kernel(gamma), noise)
+    inner = slice(1, grid.n - 1)
+    probes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0),
+              (0.0, 2.0), (2.0, 1.0), (1.0, 2.0), (-1.0, 1.0)]
+    brute, schur = [], []
+    for x0, x in probes:
+        qb = np.array([x0, x], dtype=complex)
+        v = 2.0 * (x0 * Q[inner, 0] + x * Q[inner, -1]) + L[inner]
+        y = np.linalg.solve(Q[inner, inner], v)
+        brute.append(qb @ Q[np.ix_([0, -1], [0, -1])] @ qb + L[[0, -1]] @ qb
+                     - 0.25 * (v @ y))
+        schur.append(-c.A * (x0 * x0 + x * x) + c.B * x0 * x + c.C * x0 + c.D * x + c.E)
+    brute, schur = np.array(brute), np.array(schur)
+    assert np.max(np.abs(brute - schur)) <= 1e-10 * np.max(np.abs(brute))
+    if not noisy:
+        assert c.C == 0.0 and c.D == 0.0 and c.E == 0.0
 
 
 def test_convergence_toward_analytic_coefficients():
@@ -111,7 +132,7 @@ def test_convergence_toward_analytic_coefficients():
     assert maxes[-1] <= 2e-2
     for report, errs, _ in out:
         assert set(errs) == set("ABCDE")
-        assert report.probe_residual <= 1e-8
+        assert report.diag_asymmetry <= 1e-10
 
 
 def test_convergence_level_validation():
@@ -132,3 +153,4 @@ def test_report_json_is_well_formed():
     payload = json.loads(report.to_json())
     assert payload["n_segments"] == 32
     assert set(payload["coefficients"]) >= {"A_re", "A_im", "E_re", "E_im", "t"}
+    assert not {"probe_residual", "condition_estimate"} & set(payload)
