@@ -15,7 +15,7 @@ symmetric basis cosh/sinh(u(s - t/2))/cosh(u t/2): the four boundary
 conditions split into even/odd 2x2 systems whose closed-form solutions are
 free of catastrophic cancellation in every parameter regime (verified to
 <= 4e-16 relative against 50-digit arithmetic, including SI scales where
-naive evaluation loses 40 digits).  A dense finite-difference collocation
+naive evaluation loses 40 digits).  An O(n) finite-difference collocation
 solver is provided as an independent arbiter, along with a ratio-form
 evaluator as a second cross-check of the homogeneous kernel.
 """
@@ -609,37 +609,15 @@ def _h_markovian_core(t: float, params: PhysicalParams, grid: TimeGrid,
 
 
 # ---------------------------------------------------------------------------
-# dense numeric arbiter
+# collocation arbiter
 # ---------------------------------------------------------------------------
-
-def _numeric_system(params: PhysicalParams, kernel: CorrelationKernel,
-                    grid: TimeGrid) -> np.ndarray:
-    """Collocation matrix: central second difference + trapezoid memory sum,
-    boundary rows pinned to the endpoint values."""
-    n = grid.n
-    s = grid.nodes()
-    dt = grid.dt
-    mu = 1j * params.m / (2.0 * params.hbar)
-    mat = np.zeros((n, n), dtype=complex)
-    idx = np.arange(1, n - 1)
-    mat[idx, idx - 1] += mu / dt ** 2
-    mat[idx, idx] += -2.0 * mu / dt ** 2
-    mat[idx, idx + 1] += mu / dt ** 2
-    alpha = kernel_eval(kernel, s[1:-1, None], s[None, :])
-    rho = np.full(n, dt)
-    rho[0] = rho[-1] = dt / 2.0
-    mat[1:-1, :] += params.lam * alpha * rho[None, :]
-    mat[0, 0] = 1.0
-    mat[-1, -1] = 1.0
-    return mat
-
 
 def solve_f_numeric(t: float, params: PhysicalParams, kernel: CorrelationKernel,
                     grid: TimeGrid) -> KernelSolution:
     """Arbiter route for the homogeneous kernel: collocation linear solve.
 
-    Second-order accurate in the grid step; raises on a numerically
-    singular discretization.
+    O(n) in the grid size and second-order accurate in the grid step;
+    raises on a numerically singular discretization.
     """
     _check_horizon(t, grid)
     rhs = np.zeros(grid.n, dtype=complex)
@@ -662,37 +640,54 @@ def solve_h_numeric(t: float, params: PhysicalParams, kernel: CorrelationKernel,
 
 def _collocation_solve(params: PhysicalParams, kernel: CorrelationKernel,
                        grid: TimeGrid, rhs: np.ndarray) -> np.ndarray:
-    # without coupling the memory rows vanish and the system is a pure
-    # kinetic band; skip the O(n^3) dense factorization there.  scipy loads
-    # only here, so importing nmsse does not pay for it.
-    if params.lam == 0.0:
-        from scipy.linalg import solve_banded
+    """Solve mu (v_{j-1} - 2 v_j + v_{j+1})/dt^2 + lam sum_r alpha(s_j, s_r)
+    rho_r v_r = rhs_j (trapezoid weights rho) at interior nodes, with both
+    ends pinned to rhs, in O(n) for every lam.
 
-        n = grid.n
-        k = 1j * params.m / (2.0 * params.hbar * grid.dt ** 2)
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 2:] = k
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[1, 1:-1] = -2.0 * k
-        ab[2, :-2] = k
-        try:
-            vals = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidParameterError(
-                f"singular discretized kernel system: {exc}") from exc
-        return _check_solution(vals)
-    mat = _numeric_system(params, kernel, grid)
+    The memory sum is F_j + B_j, with the sweeps F_j = a F_{j-1} + m rho_j v_j
+    and B_j = a (B_{j+1} + m rho_{j+1} v_{j+1}), a = e^{-gamma dt},
+    m = lam gamma/2.  In the unknowns x_j = (v_j, F_j, B_j) the system is
+    block tridiagonal with 3x3 blocks: one block elimination and one back
+    substitution.  m sits in the sweep rows, not the memory row, so that
+    pivoting inside a block picks a sweep row where memory dominates.
+    """
+    n = grid.n
+    dt = grid.dt
+    c = 1j * params.m / (2.0 * params.hbar * dt ** 2)
+    a = math.exp(-kernel.gamma * dt)
+    m_rho = np.full(n, params.lam * kernel.gamma / 2.0 * dt)
+    m_rho[[0, -1]] /= 2.0
+    inner = np.arange(1, n - 1)
+    lo, diag, up = np.zeros((3, n, 3, 3), dtype=complex)
+    lo[inner, 0, 0] = up[inner, 0, 0] = c           # kinetic band
+    diag[inner, 0, 0] = -2.0 * c
+    diag[inner, 0, 1:] = 1.0                        # memory term F_j + B_j
+    diag[[0, -1], 0, 0] = 1.0                       # pinned ends
+    lo[1:, 1, 1] = -a                               # F_j - a F_{j-1} - m rho_j v_j = 0
+    diag[:, 1, 0] = -m_rho
+    diag[:, 1, 1] = 1.0
+    up[:-1, 2, 0] = -a * m_rho[1:]                  # B_j - a B_{j+1} - a m rho_{j+1} v_{j+1} = 0
+    up[:-1, 2, 2] = -a
+    diag[:, 2, 2] = 1.0
+    y = np.zeros((n, 3), dtype=complex)
+    y[:, 0] = rhs
+    inv = np.empty((n, 3, 3), dtype=complex)
     try:
-        vals = np.linalg.solve(mat, rhs)
+        for j in range(n):
+            if j:
+                w = lo[j] @ inv[j - 1]
+                diag[j] -= w @ up[j - 1]
+                y[j] -= w @ y[j - 1]
+            inv[j] = np.linalg.inv(diag[j])
     except np.linalg.LinAlgError as exc:
         raise InvalidParameterError(f"singular discretized kernel system: {exc}") from exc
-    return _check_solution(vals)
-
-
-def _check_solution(vals: np.ndarray) -> np.ndarray:
-    if not np.isfinite(vals).all():
+    x = np.empty((n, 3), dtype=complex)
+    x[-1] = inv[-1] @ y[-1]
+    for j in range(n - 2, -1, -1):
+        x[j] = inv[j] @ (y[j] - up[j] @ x[j + 1])
+    if not np.isfinite(x).all():
         raise InvalidParameterError("discretized kernel solve produced non-finite values")
-    return vals
+    return x[:, 0]
 
 
 def _package_numeric(grid: TimeGrid, vals: np.ndarray, kind: str) -> KernelSolution:

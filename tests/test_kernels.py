@@ -32,6 +32,7 @@ from nmsse.kernels import (
 from nmsse.noise import NoisePath, exponential_kernel, sample_exponential_noise
 
 SCALED = make_params(m=1.0, hbar=1.0, lam=0.5, unit_mode="scaled")   # omega_c^2 = 1
+FREE = make_params(m=1.0, hbar=1.0, lam=0.0, unit_mode="scaled")     # no coupling
 CRIT = make_params(m=1.0, hbar=1.0, lam=0.1, unit_mode="scaled")     # omega_c^2 = 0.2
 SI = make_params(m=1.0, hbar=1.0545718e-34, lam=1e-2, unit_mode="SI")
 WHITE = make_params(m=1.0, hbar=1.0, lam=0.25, unit_mode="scaled")   # omega_c^2 = 0.5
@@ -260,16 +261,120 @@ def test_h_batch_matches_single_paths():
 def test_closed_forms_agree_with_collocation():
     grid = make_grid(1.0, 513)
     kern = exponential_kernel(1.0)
-    f_c = f_exponential(1.0, CRIT, 1.0, grid)
-    f_n = solve_f_numeric(1.0, CRIT, kern, grid)
-    dev_f = np.max(np.abs(f_c.values - f_n.values)) / np.max(np.abs(f_c.values))
-    assert dev_f <= 1e-4
-
     noise = sample_exponential_noise(1.0, grid, 42, 0)
-    h_c = h_exponential(1.0, CRIT, 1.0, noise)
-    h_n = solve_h_numeric(1.0, CRIT, kern, noise)
-    dev_h = np.max(np.abs(h_c.values - h_n.values)) / np.max(np.abs(h_c.values))
-    assert dev_h <= 1e-4
+    # without coupling f is the straight line and h vanishes on both routes
+    for params in (CRIT, FREE):
+        f_c = f_exponential(1.0, params, 1.0, grid)
+        f_n = solve_f_numeric(1.0, params, kern, grid)
+        dev_f = np.max(np.abs(f_c.values - f_n.values)) / np.max(np.abs(f_c.values))
+        assert dev_f <= 1e-4
+
+        h_c = h_exponential(1.0, params, 1.0, noise)
+        h_n = solve_h_numeric(1.0, params, kern, noise)
+        dev_h = np.max(np.abs(h_c.values - h_n.values))
+        assert dev_h <= 1e-4 * np.max(np.abs(h_c.values))
+
+
+# v at _COLLOC_NODES of the collocation system (N = 129, t = 1): f, and h on
+# sample_exponential_noise(gamma, grid, 7, 0), from a 40-digit LU solve of
+# the dense collocation matrix.  Generated with mpmath 1.3 (about 45 s per
+# (lam, gamma)):
+#
+#   mp.mp.dps = 40
+#   grid, dt = make_grid(1.0, 129), mp.mpf(1) / 128
+#   lam_, g = mp.mpf(lam), mp.mpf(gamma)
+#   A = mp.matrix(129, 129)
+#   A[0, 0] = A[128, 128] = 1
+#   for j in range(1, 128):
+#       for r in range(129):
+#           rho = dt / 2 if r in (0, 128) else dt
+#           A[j, r] = lam_ * g / 2 * mp.exp(-g * abs(j - r) * dt) * rho
+#       for r, c in ((j - 1, 1), (j, -2), (j + 1, 1)):
+#           A[j, r] += c * mp.mpc(0, 0.5) / dt ** 2
+#   w = sample_exponential_noise(gamma, grid, 7, 0).values
+#   rhs_f = mp.matrix([1] + [0] * 128)
+#   rhs_h = mp.matrix([0] + [mp.sqrt(lam_) / 2 * mp.mpf(x) for x in w[1:-1]] + [0])
+#   for rhs in (rhs_f, rhs_h):
+#       v = mp.lu_solve(A, rhs)
+#       print([complex(v[j]) for j in _COLLOC_NODES])
+_COLLOC_NODES = (1, 8, 16, 32, 64, 96, 112, 120, 127)
+_COLLOC_REFS = {
+    (0.1, 1.0): dict(
+        f=[0.9921865723442148 - 0.00015133186050790413j,
+           0.937492923716181 - 0.0011464125477534106j,
+           0.8749866667032633 - 0.0021415372942401533j,
+           0.7499768017741453 - 0.0036579009863458895j,
+           0.4999687152864432 - 0.0047589524696899565j,
+           0.2499768707069665 - 0.003420680252603651j,
+           0.12498672225042516 - 0.0019437920642855486j,
+           0.062492956707932965 - 0.0010268245625042697j,
+           0.007811577021519065 - 0.00013413168737225642j],
+        h=[-4.750917725050266e-06 - 0.0007427288005101808j,
+           -3.62660062148319e-05 - 0.005357331587777572j,
+           -6.839617225521801e-05 - 0.009497373885677531j,
+           -0.00011927221029347398 - 0.016040601582447495j,
+           -0.00016180967829953154 - 0.024770630483328466j,
+           -0.00012034155545977748 - 0.02008619340373117j,
+           -6.924561565355391e-05 - 0.011914574990301125j,
+           -3.6767414804947303e-05 - 0.006462823443203811j,
+           -4.821696417787125e-06 - 0.000856033964283363j]),
+    (2.0, 30.0): dict(
+        f=[0.9897883070813733 - 0.008976504718503558j,
+           0.9185399573567471 - 0.06706595362716683j,
+           0.8381267126265727 - 0.12136970340745337j,
+           0.6834734964304805 - 0.19225745817104628j,
+           0.4109789650478767 - 0.2140237105553223j,
+           0.1895975186182418 - 0.13125540323110924j,
+           0.09265484707885854 - 0.06858286015602026j,
+           0.04604289956435889 - 0.034673789507340375j,
+           0.005740051342463589 - 0.004354655948940239j],
+        h=[-0.0010119965860292135 + 0.001501658142429677j,
+           -0.008144342674056565 + 0.01479634113138674j,
+           -0.01650169356412226 + 0.02647959954330516j,
+           -0.033771547353440644 - 0.03748430699564348j,
+           -0.055914602198224896 - 0.16968530623442588j,
+           -0.04103053739991002 - 0.10157393189123635j,
+           -0.02241992202142339 - 0.0649891958661414j,
+           -0.011486510707386379 - 0.03524488927401178j,
+           -0.0014507261342102337 - 0.004119181621171499j]),
+}
+
+
+@pytest.mark.parametrize("lam, gamma", sorted(_COLLOC_REFS))
+def test_collocation_matches_extended_precision_references(lam, gamma):
+    params = make_params(m=1.0, hbar=1.0, lam=lam)
+    grid = make_grid(1.0, 129)
+    kern = exponential_kernel(gamma)
+    noise = sample_exponential_noise(gamma, grid, 7, 0)
+    refs = _COLLOC_REFS[(lam, gamma)]
+    for sol, want in ((solve_f_numeric(1.0, params, kern, grid), refs["f"]),
+                      (solve_h_numeric(1.0, params, kern, noise), refs["h"])):
+        err = np.max(np.abs(sol.values[list(_COLLOC_NODES)] - np.array(want)))
+        assert err <= 1e-13 * np.max(np.abs(sol.values))
+
+
+def test_collocation_converges_in_the_stiff_memory_regime():
+    # up to gamma dt = 1 on the coarsest grid: each halving of dt cuts the
+    # deviation of both collocation kernels from the closed forms about 4x.
+    # The noise is drawn on the finest grid and subsampled, so every level
+    # sees the same path.
+    for gamma in (30.0, 1e3):
+        kern = exponential_kernel(gamma)
+        path = sample_exponential_noise(gamma, make_grid(1.0, 4001), 7, 0).values
+        for lam in (0.1, 2.0):
+            params = make_params(m=1.0, hbar=1.0, lam=lam)
+            devs = []
+            for step in (4, 2, 1):
+                grid = make_grid(1.0, 4000 // step + 1)
+                noise = NoisePath(grid, path[::step], 7, 0)
+                pairs = ((f_exponential(1.0, params, gamma, grid),
+                          solve_f_numeric(1.0, params, kern, grid)),
+                         (h_exponential(1.0, params, gamma, noise),
+                          solve_h_numeric(1.0, params, kern, noise)))
+                devs.append([np.max(np.abs(c.values - n.values)) / np.max(np.abs(c.values))
+                             for c, n in pairs])
+            for coarse, fine in zip(devs, devs[1:]):
+                assert min(dc / df for dc, df in zip(coarse, fine)) >= 3.5, (gamma, lam, devs)
 
 
 def test_driven_equation_residual_of_closed_form():

@@ -1,7 +1,7 @@
-"""The public surface: every exported name resolves, importing the package
-does not load scipy, and every binding that the benchmark's traced run
-(bench/workloads.py, Workload.trace) wraps still exists in the module where
-it is wrapped."""
+"""The public surface: every exported name resolves, neither importing the
+package nor solving the collocation arbiter loads scipy, and every binding
+that the benchmark's traced run (bench/workloads.py, Workload.trace) wraps
+still exists in the module where it is wrapped."""
 
 import os
 import subprocess
@@ -18,8 +18,19 @@ def test_every_exported_name_resolves():
 
 
 def test_import_does_not_load_scipy():
-    # scipy serves only the lam = 0 collocation solve and loads there
-    code = "import sys, nmsse, nmsse.cli; print('scipy' in sys.modules)"
+    # the package depends on numpy only: neither the import nor the
+    # collocation arbiter, with or without coupling, may pull scipy in
+    code = "\n".join([
+        "import sys, numpy as np, nmsse, nmsse.cli",
+        "grid = nmsse.make_grid(1.0, 33)",
+        "noise = nmsse.NoisePath(grid, np.ones(grid.n), 0, 0)",
+        "for lam in (0.0, 0.1):",
+        "    params = nmsse.make_params(m=1.0, hbar=1.0, lam=lam)",
+        "    kern = nmsse.exponential_kernel(1.0)",
+        "    nmsse.solve_f_numeric(1.0, params, kern, grid)",
+        "    nmsse.solve_h_numeric(1.0, params, kern, noise)",
+        "print('scipy' in sys.modules)",
+    ])
     src = os.path.dirname(os.path.dirname(nmsse.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
