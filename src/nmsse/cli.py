@@ -443,7 +443,8 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
     agreement between the two independent solution routes, and the closed
     forms' defect under the discrete operator (quadrature-limited).  The
     collocation route's own residual is reported without a threshold; it
-    reflects linear-solver backward error, which grows on finer grids.
+    reflects linear-solver backward error, which grows on finer grids.  One
+    kernel_residual call scores all four kernels against one dense operator.
     """
     gamma = cfg.single_gamma("kernels")
     params = cfg.build_params()
@@ -462,10 +463,7 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
     h_scale = float(max(np.max(np.abs(h_c.values)), 1e-300))
     dev_f = float(np.max(np.abs(f_c.values - f_n.values))) / f_scale
     dev_h = float(np.max(np.abs(h_c.values - h_n.values))) / h_scale
-    res_fc = kernel_residual(f_c, params, kern)
-    res_hc = kernel_residual(h_c, params, kern, noise)
-    res_fn = kernel_residual(f_n, params, kern)
-    res_hn = kernel_residual(h_n, params, kern, noise)
+    res_fc, res_hc, res_fn, res_hn = kernel_residual([f_c, h_c, f_n, h_n], params, kern, noise)
 
     header = "s,f_re,f_im,h_re,h_im,f_colloc_re,f_colloc_im,h_colloc_re,h_colloc_im"
     lines = [header]

@@ -651,6 +651,9 @@ def _collocation_solve(params: PhysicalParams, kernel: CorrelationKernel,
     substitution.  m sits in the sweep rows, not the memory row, so that
     pivoting inside a block picks a sweep row where memory dominates.
     """
+    if grid.n < 3:
+        raise InvalidParameterError(
+            f"the discrete kernel equation needs at least 3 grid nodes, got {grid.n}")
     n = grid.n
     dt = grid.dt
     c = 1j * params.m / (2.0 * params.hbar * dt ** 2)
@@ -698,34 +701,42 @@ def _package_numeric(grid: TimeGrid, vals: np.ndarray, kind: str) -> KernelSolut
                           d_end=complex(d_end), kind=kind)
 
 
-def kernel_residual(solution: KernelSolution, params: PhysicalParams,
-                    kernel: CorrelationKernel, noise: NoisePath | None = None) -> float:
-    """Max interior defect of the discrete kernel equation, normalized.
+# Interior rows of the memory operator that kernel_residual evaluates at a time.
+_CHUNK_ROWS = 128
 
-    Applies the same discrete operator the numeric solver uses (central
-    difference + trapezoid memory quadrature) to the stored values and
-    normalizes by the largest term magnitude, so exact discrete solutions
-    score near machine precision and analytic solutions score at the
-    truncation level O(dt^2).
+
+def kernel_residual(solutions: list[KernelSolution], params: PhysicalParams,
+                    kernel: CorrelationKernel, noise: NoisePath | None = None) -> list[float]:
+    """Normalized max interior defect of the discrete kernel equation, per
+    solution of a batch on one grid; kind "H" needs the driving noise.
+
+    Applies the discrete operator of the numeric solver (central difference
+    + trapezoid memory quadrature) and normalizes by the largest term, so
+    exact discrete solutions score near machine precision and analytic ones
+    at the truncation level O(dt^2).  The memory sum stays a dense product
+    with alpha from kernel_eval, so it shares no algebra with the collocation
+    sweeps it checks; it streams _CHUNK_ROWS rows of alpha at a time, each
+    block evaluated once for the whole batch.
     """
-    grid = solution.grid
-    n = grid.n
-    s = grid.nodes()
-    dt = grid.dt
-    v = solution.values
+    if noise is None and any(sol.kind == "H" for sol in solutions):
+        raise InvalidParameterError("kind 'H' residual needs the driving noise")
+    grids = {sol.grid for sol in solutions} | ({noise.grid} if noise is not None else set())
+    grid = next(iter(grids)) if solutions and len(grids) == 1 else None
+    if grid is None or grid.n < 3:
+        raise InvalidParameterError(
+            f"kernel residual needs a batch on one grid of at least 3 grid nodes, got {grids}")
+    n, s, dt = grid.n, grid.nodes(), grid.dt
+    v = np.array([sol.values for sol in solutions])
+    weighted = np.r_[dt / 2.0, np.full(n - 2, dt), dt / 2.0] * v
+    mem = np.empty((len(solutions), n - 2), dtype=complex)
+    inner = s[1:-1, None]
+    for lo in range(0, n - 2, _CHUNK_ROWS):
+        alpha = kernel_eval(kernel, inner[lo:lo + _CHUNK_ROWS], s).astype(complex)
+        for row, w in zip(mem, weighted):
+            row[lo:lo + _CHUNK_ROWS] = params.lam * (alpha @ w)
     mu = 1j * params.m / (2.0 * params.hbar)
-    lapl = mu * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dt ** 2
-    alpha = kernel_eval(kernel, s[1:-1, None], s[None, :])
-    rho = np.full(n, dt)
-    rho[0] = rho[-1] = dt / 2.0
-    mem = params.lam * (alpha @ (rho * v))
-    if solution.kind == "H":
-        if noise is None:
-            raise InvalidParameterError("kind 'H' residual needs the driving noise")
-        rhs = (math.sqrt(params.lam) / 2.0) * noise.values[1:-1]
-    else:
-        rhs = np.zeros(n - 2)
-    res = lapl + mem - rhs
-    scale = max(np.max(np.abs(lapl)), np.max(np.abs(mem)),
-                np.max(np.abs(rhs)) if n > 2 else 0.0, 1e-300)
-    return float(np.max(np.abs(res)) / scale)
+    lapl = mu * (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]) / dt ** 2
+    drive = 0.0 if noise is None else (math.sqrt(params.lam) / 2.0) * noise.values[1:-1]
+    rhs = np.where([[sol.kind == "H"] for sol in solutions], drive, 0.0)
+    scale = np.max([np.max(np.abs(x), axis=1) for x in (lapl, mem, rhs)], axis=0)
+    return (np.max(np.abs(lapl + mem - rhs), axis=1) / np.maximum(scale, 1e-300)).tolist()

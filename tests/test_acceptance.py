@@ -131,9 +131,7 @@ def test_03_kernel_cross_validation():
     h_n = solve_h_numeric(t, CRIT, kern, noise)
     dev_f = np.max(np.abs(f_c.values - f_n.values)) / np.max(np.abs(f_c.values))
     dev_h = np.max(np.abs(h_c.values - h_n.values)) / np.max(np.abs(h_c.values))
-    res_h_closed = kernel_residual(h_c, CRIT, kern, noise)
-    res_h_colloc = kernel_residual(h_n, CRIT, kern, noise)
-    res_f_closed = kernel_residual(f_c, CRIT, kern)
+    res_h_closed, res_h_colloc, res_f_closed = kernel_residual([h_c, h_n, f_c], CRIT, kern, noise)
     elapsed = time.perf_counter() - t0
 
     print(f"criterion 3: route deviations f={dev_f:.3e} h={dev_h:.3e}; "

@@ -207,6 +207,17 @@ def test_kernels_end_to_end(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_kernels_on_a_two_node_grid_exits_2(tmp_path, capsys):
+    # the discrete kernel equation has no interior node to check on N = 2
+    cfg = _cfg_file(tmp_path, BASE.replace("N = 257", "N = 2"))
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3 grid nodes" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [7, None, 1, 4])
 def test_oracle_check_end_to_end(tmp_path, capsys, seed):
     # None keeps the config's default seed, 42

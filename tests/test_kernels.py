@@ -9,12 +9,13 @@ stiff SI-scale one.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nmsse.core import make_grid, make_params
+from nmsse.core import InvalidParameterError, make_grid, make_params
 from nmsse.kernels import (
     _tanh_ratio,
     _tanh_sqrt_divdiff,
@@ -29,7 +30,7 @@ from nmsse.kernels import (
     solve_f_numeric,
     solve_h_numeric,
 )
-from nmsse.noise import NoisePath, exponential_kernel, sample_exponential_noise
+from nmsse.noise import NoisePath, exponential_kernel, kernel_eval, sample_exponential_noise
 
 SCALED = make_params(m=1.0, hbar=1.0, lam=0.5, unit_mode="scaled")   # omega_c^2 = 1
 FREE = make_params(m=1.0, hbar=1.0, lam=0.0, unit_mode="scaled")     # no coupling
@@ -382,7 +383,82 @@ def test_driven_equation_residual_of_closed_form():
     kern = exponential_kernel(1.0)
     noise = sample_exponential_noise(1.0, grid, 42, 0)
     h_c = h_exponential(1.0, CRIT, 1.0, noise)
-    assert kernel_residual(h_c, CRIT, kern, noise) <= 1e-7
+    assert kernel_residual([h_c], CRIT, kern, noise)[0] <= 1e-7
+
+
+def _kernel_batch(params, gamma, n):
+    """Closed-form and collocation f and h on [0, 1] with n nodes, and the noise."""
+    grid = make_grid(1.0, n)
+    kern = exponential_kernel(gamma)
+    noise = sample_exponential_noise(gamma, grid, 42, 0)
+    batch = [f_exponential(1.0, params, gamma, grid), h_exponential(1.0, params, gamma, noise),
+             solve_f_numeric(1.0, params, kern, grid), solve_h_numeric(1.0, params, kern, noise)]
+    return batch, kern, noise
+
+
+def _dense_residual(sol, params, kern, noise):
+    """The residual with the whole (n-2) x n memory matrix held at once."""
+    grid = sol.grid
+    s = grid.nodes()
+    dt = grid.dt
+    v = sol.values
+    rho = np.full(grid.n, dt)
+    rho[[0, -1]] = dt / 2.0
+    alpha = kernel_eval(kern, s[1:-1, None], s[None, :])
+    lapl = 1j * params.m / (2.0 * params.hbar) * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dt ** 2
+    mem = params.lam * (alpha @ (rho * v))
+    rhs = (math.sqrt(params.lam) / 2.0 * noise.values[1:-1] if sol.kind == "H"
+           else np.zeros(grid.n - 2))
+    scale = max(np.max(np.abs(lapl)), np.max(np.abs(mem)), np.max(np.abs(rhs)), 1e-300)
+    return np.max(np.abs(lapl + mem - rhs)) / scale
+
+
+# interior rows below, on and just past the edges of the 128-row blocks
+@pytest.mark.parametrize("n", [3, 4, 129, 130, 131, 258, 2001])
+def test_streamed_residual_matches_the_dense_product(n):
+    for params in (CRIT, FREE):
+        for gamma in (1.0, 30.0):
+            batch, kern, noise = _kernel_batch(params, gamma, n)
+            streamed = kernel_residual(batch, params, kern, noise)
+            dense = [_dense_residual(sol, params, kern, noise) for sol in batch]
+            assert np.max(np.abs(np.subtract(streamed, dense))) <= 1e-15, (params.lam, gamma)
+
+
+def test_residual_rejects_malformed_batches():
+    batch, kern, noise = _kernel_batch(CRIT, 1.0, 17)
+    other, _, other_noise = _kernel_batch(CRIT, 1.0, 33)
+    with pytest.raises(InvalidParameterError, match="one grid"):
+        kernel_residual([], CRIT, kern, noise)
+    with pytest.raises(InvalidParameterError, match="one grid"):
+        kernel_residual([batch[0], other[0]], CRIT, kern)
+    with pytest.raises(InvalidParameterError, match="needs the driving noise"):
+        kernel_residual(batch, CRIT, kern)
+    with pytest.raises(InvalidParameterError, match="one grid"):
+        kernel_residual(batch, CRIT, kern, other_noise)
+
+
+def test_discrete_kernel_equation_needs_an_interior_node():
+    grid = make_grid(1.0, 2)
+    kern = exponential_kernel(1.0)
+    noise = sample_exponential_noise(1.0, grid, 42, 0)
+    f_c = f_exponential(1.0, CRIT, 1.0, grid)
+    for call in (lambda: solve_f_numeric(1.0, CRIT, kern, grid),
+                 lambda: solve_h_numeric(1.0, CRIT, kern, noise),
+                 lambda: kernel_residual([f_c], CRIT, kern)):
+        with pytest.raises(InvalidParameterError, match="at least 3 grid nodes"):
+            call()
+
+
+def test_residual_batch_streams_the_memory_operator():
+    # the whole (n-2) x n operator is 32 MB as float and 64 MB as complex
+    batch, kern, noise = _kernel_batch(CRIT, 1.0, 2001)
+    tracemalloc.start()
+    try:
+        kernel_residual(batch, CRIT, kern, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak / 1e6
 
 
 def test_markovian_kernel_is_the_large_gamma_limit():
