@@ -5,7 +5,8 @@ Subcommands
     ensemble      Monte Carlo trajectory statistics (physical measure)
     kernels       boundary-kernel dump with closed-form vs collocation check
     oracle-check  discretized-propagator comparison and convergence table
-    figure1       preset SI-units spread run over gamma in {2, 10, 100, inf}
+    figure1       spread on a preset SI config, gamma in {2, 10, 100, inf},
+                  writing figure1.* files; --n-times sets its n_times
 
 Config files are INI-style ``key = value`` lines with ``#`` comments.
 Recognized keys (others are rejected):
@@ -26,6 +27,10 @@ Recognized keys (others are rejected):
 ``gamma`` accepts a comma list for spread (one curve per value) and the
 literal ``inf``, which routes to the white-noise closed forms.  The other
 subcommands require a single finite gamma.
+
+Flags override keys of the config (or of figure1's preset) and are validated
+like them: --seed sets master_seed, --out out_dir, --format format and
+--n-times n_times.
 
 Exit status is 0 iff every requested output was written and every embedded
 check passed; config and parameter errors exit 2, check failures exit 1.
@@ -54,7 +59,7 @@ from .core import (
     make_grid,
     make_params,
 )
-from .ensemble import _sample_node_indices, run_ensemble
+from .ensemble import run_ensemble
 from .kernels import (
     characteristic_roots,
     f_exponential,
@@ -119,17 +124,84 @@ class RunConfig:
         return g
 
 
-_KNOWN_KEYS = {
-    "m", "hbar", "lambda", "gamma", "unit_mode", "sigma0", "x0", "p0",
-    "t_max", "t_min", "n_times", "N", "log_times", "n_traj", "master_seed",
-    "out_dir", "format",
+def _float(key: str, value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"malformed number for {key!r}: {value!r}") from None
+
+
+def _int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"malformed integer for {key!r}: {value!r}") from None
+
+
+def _bool(key: str, value: str) -> bool:
+    low = value.lower()
+    if low in ("true", "yes", "1"):
+        return True
+    if low in ("false", "no", "0"):
+        return False
+    raise ConfigError(f"malformed boolean for {key!r}: {value!r}")
+
+
+def _gammas(key: str, value: str) -> tuple[float, ...]:
+    gammas = []
+    for tok in value.split(","):
+        tok = tok.strip()
+        try:
+            g = float(tok)  # reads "inf", the white-noise limit, too
+        except ValueError:
+            raise ConfigError(f"malformed gamma value {tok!r}") from None
+        if not g > 0:
+            raise ConfigError(f"gamma values must be positive, got {tok!r}")
+        gammas.append(g)
+    return tuple(gammas)
+
+
+def _unit_mode(key: str, value: str) -> str:
+    mode = {"scaled": "scaled", "si": "SI"}.get(value.lower())
+    if mode is None:
+        raise ConfigError(f"unit_mode must be 'scaled' or 'si', got {value!r}")
+    return mode
+
+
+def _fmt(key: str, value: str) -> str:
+    fmt = value.lower()
+    if fmt not in ("csv", "json", "both"):
+        raise ConfigError(f"format must be csv, json or both, got {fmt!r}")
+    return fmt
+
+
+_REQUIRED = object()
+# config key -> (RunConfig field, reader, default); a hbar of None follows
+# unit_mode: HBAR_SI in SI units, 1 in scaled units
+_KEYS = {
+    "m": ("m", _float, _REQUIRED),
+    "hbar": ("hbar", _float, None),
+    "lambda": ("lam", _float, _REQUIRED),
+    "gamma": ("gammas", _gammas, _REQUIRED),
+    "unit_mode": ("unit_mode", _unit_mode, "scaled"),
+    "sigma0": ("sigma0", _float, _REQUIRED),
+    "x0": ("x0", _float, 0.0),
+    "p0": ("p0", _float, 0.0),
+    "t_max": ("t_max", _float, _REQUIRED),
+    "t_min": ("t_min", _float, None),
+    "n_times": ("n_times", _int, 50),
+    "N": ("n_nodes", _int, 2001),
+    "log_times": ("log_times", _bool, False),
+    "n_traj": ("n_traj", _int, 1),
+    "master_seed": ("master_seed", _int, 42),
+    "out_dir": ("out_dir", lambda key, value: value, "."),
+    "format": ("fmt", _fmt, "both"),
 }
-_REQUIRED_KEYS = ("m", "lambda", "gamma", "t_max", "sigma0")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate an INI-style config, rejecting anything unknown."""
-    raw: dict[str, tuple[int, str]] = {}
+    fields = {}
     for ln, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -139,108 +211,29 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
-        if key in raw:
+        field, read, _ = _KEYS[key]
+        if field in fields:
             raise ConfigError(f"line {ln}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"line {ln}: empty value for {key!r}")
-        raw[key] = (ln, value)
+        try:
+            fields[field] = read(key, value)
+        except ConfigError as e:
+            raise ConfigError(f"line {ln}: {e}") from None
 
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
+    for key, (field, _, default) in _KEYS.items():
+        if field not in fields and default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
+        fields.setdefault(field, default)
+    if fields["hbar"] is None:
+        fields["hbar"] = HBAR_SI if fields["unit_mode"] == "SI" else 1.0
+    return _validated(RunConfig(**fields))
 
-    def _float(key: str, default: float | None = None) -> float | None:
-        if key not in raw:
-            return default
-        ln, value = raw[key]
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(
-                f"line {ln}: malformed number for {key!r}: {value!r}"
-            ) from None
 
-    def _int(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        ln, value = raw[key]
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(
-                f"line {ln}: malformed integer for {key!r}: {value!r}"
-            ) from None
-
-    def _bool(key: str, default: bool) -> bool:
-        if key not in raw:
-            return default
-        ln, value = raw[key]
-        low = value.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"line {ln}: malformed boolean for {key!r}: {value!r}")
-
-    unit_raw = raw.get("unit_mode", (0, "scaled"))[1].strip()
-    if unit_raw.lower() == "scaled":
-        unit_mode = "scaled"
-    elif unit_raw.lower() == "si":
-        unit_mode = "SI"
-    else:
-        raise ConfigError(
-            f"unit_mode must be 'scaled' or 'si', got {unit_raw!r}"
-        )
-
-    hbar = _float("hbar", HBAR_SI if unit_mode == "SI" else 1.0)
-
-    ln_g, gamma_raw = raw["gamma"]
-    gammas = []
-    for tok in gamma_raw.split(","):
-        tok = tok.strip()
-        if tok.lower() in ("inf", "infinity"):
-            gammas.append(math.inf)
-            continue
-        try:
-            g = float(tok)
-        except ValueError:
-            raise ConfigError(
-                f"line {ln_g}: malformed gamma value {tok!r}"
-            ) from None
-        if not (math.isfinite(g) and g > 0):
-            raise ConfigError(
-                f"line {ln_g}: gamma values must be positive, got {tok!r}"
-            )
-        gammas.append(g)
-    if not gammas:
-        raise ConfigError(f"line {ln_g}: gamma list is empty")
-
-    fmt = raw.get("format", (0, "both"))[1].strip().lower()
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"format must be csv, json or both, got {fmt!r}")
-
-    cfg = RunConfig(
-        m=_float("m"),
-        hbar=hbar,
-        lam=_float("lambda"),
-        gammas=tuple(gammas),
-        unit_mode=unit_mode,
-        sigma0=_float("sigma0"),
-        x0=_float("x0", 0.0),
-        p0=_float("p0", 0.0),
-        t_max=_float("t_max"),
-        t_min=_float("t_min", None),
-        n_times=_int("n_times", 50),
-        n_nodes=_int("N", 2001),
-        log_times=_bool("log_times", False),
-        n_traj=_int("n_traj", 1),
-        master_seed=_int("master_seed", 42),
-        out_dir=raw.get("out_dir", (0, "."))[1],
-        fmt=fmt,
-    )
-
+def _validated(cfg: RunConfig) -> RunConfig:
+    """Return cfg if every value is in range, else raise ConfigError."""
     try:
         cfg.build_params()
         cfg.build_grid()
@@ -277,13 +270,28 @@ class _Checks:
             self.failed.append(name)
 
 
-def _write_text(out_dir: str, filename: str, text: str) -> str:
+def _write_text(out_dir: str, filename: str, text: str):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
     print(f"wrote {path}")
-    return path
+
+
+def _write_data(cfg: RunConfig, csv_name: str, csv_text: str,
+                json_name: str, json_text: str):
+    """Write the CSV and JSON tables that cfg.fmt asks for."""
+    if cfg.fmt in ("csv", "both"):
+        _write_text(cfg.out_dir, csv_name, csv_text)
+    if cfg.fmt in ("json", "both"):
+        _write_text(cfg.out_dir, json_name, json_text)
+
+
+def _write_svg(cfg: RunConfig, plot: str, name: str, csv_text: str, series, **plot_kw):
+    """Write the series as an SVG plot carrying the CSV table, unless plot is none."""
+    if plot == "svg":
+        svg = line_plot(series, data_comment=csv_text.rstrip("\n"), **plot_kw)
+        _write_text(cfg.out_dir, name, svg)
 
 
 def _gamma_label(g: float) -> str:
@@ -298,8 +306,28 @@ def _sample_times(cfg: RunConfig) -> np.ndarray:
     return np.linspace(lo, cfg.t_max, cfg.n_times)
 
 
-def _row(values) -> str:
-    return ",".join("%.17g" % v for v in values)
+def _sample_node_indices(grid: TimeGrid, n_times: int, log_times: bool) -> np.ndarray:
+    """Pick n_times node indices in (0, t_max], linearly or log spaced.
+
+    Indices are snapped to the grid and deduplicated, so the result may be
+    shorter than requested on coarse grids.
+    """
+    if not 1 <= n_times <= grid.n - 1:
+        raise InvalidGridError(
+            f"n_times {n_times} outside [1, {grid.n - 1}] for this grid"
+        )
+    if log_times:
+        targets = np.geomspace(grid.dt, grid.t_max, n_times)
+    else:
+        targets = np.linspace(grid.dt, grid.t_max, n_times)
+    idx = np.rint(targets / grid.dt).astype(int)
+    return np.unique(np.clip(idx, 1, grid.n - 1))
+
+
+def _csv(header: str, rows) -> str:
+    """A CSV table: the header line, then each row at full float precision."""
+    lines = [header] + [",".join("%.17g" % v for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_spread(cfg: RunConfig, checks: _Checks, plot: str, stem: str = "spread"):
@@ -323,19 +351,14 @@ def cmd_spread(cfg: RunConfig, checks: _Checks, plot: str, stem: str = "spread")
     labels = [_gamma_label(g) for g in cfg.gammas]
     if len(cfg.gammas) == 1:
         header = "t,sigma,sigma_inf"
-        cols = [curves[cfg.gammas[0]], np.full_like(times, asymptotes[cfg.gammas[0]])]
     else:
         header = "t," + ",".join(
             f"sigma[g={lab}],sigma_inf[g={lab}]" for lab in labels
         )
-        cols = []
-        for g in cfg.gammas:
-            cols.append(curves[g])
-            cols.append(np.full_like(times, asymptotes[g]))
-    lines = [header]
-    for i, t in enumerate(times):
-        lines.append(_row([t] + [c[i] for c in cols]))
-    csv_text = "\n".join(lines) + "\n"
+    cols = [times]
+    for g in cfg.gammas:
+        cols += [curves[g], np.full_like(times, asymptotes[g])]
+    csv_text = _csv(header, zip(*cols))
 
     payload = {
         "t": times.tolist(),
@@ -351,10 +374,7 @@ def cmd_spread(cfg: RunConfig, checks: _Checks, plot: str, stem: str = "spread")
     }
     json_text = json.dumps(payload, sort_keys=True) + "\n"
 
-    if cfg.fmt in ("csv", "both"):
-        _write_text(cfg.out_dir, f"{stem}.csv", csv_text)
-    if cfg.fmt in ("json", "both"):
-        _write_text(cfg.out_dir, f"{stem}.json", json_text)
+    _write_data(cfg, f"{stem}.csv", csv_text, f"{stem}.json", json_text)
 
     for g, lab in zip(cfg.gammas, labels):
         vals = curves[g]
@@ -374,66 +394,55 @@ def cmd_spread(cfg: RunConfig, checks: _Checks, plot: str, stem: str = "spread")
             f"max excess {worst:.3g}",
         )
 
-    if plot == "svg":
-        series = [
-            (f"gamma = {lab}", times, curves[g], "solid")
-            for g, lab in zip(cfg.gammas, labels)
-        ]
-        hlines = [
-            (f"asymptote g={lab}", asymptotes[g])
-            for g, lab in zip(cfg.gammas, labels)
-            if math.isfinite(asymptotes[g])
-        ]
-        log_y = bool(
-            all(np.all(c > 0) for c in curves.values())
-            and max(float(c.max()) for c in curves.values())
-            > 100 * min(float(c.min()) for c in curves.values())
-        )
-        svg = line_plot(
-            series,
-            title="Position spread under collapse dynamics",
-            xlabel=f"t [{ 's' if cfg.unit_mode == 'SI' else 'scaled units'}]",
-            ylabel=f"sigma(t) [{'m' if cfg.unit_mode == 'SI' else 'scaled units'}]",
-            log_x=cfg.log_times,
-            log_y=log_y,
-            hlines=hlines,
-            data_comment=csv_text.rstrip("\n"),
-        )
-        _write_text(cfg.out_dir, f"{stem}.svg", svg)
-
-
-def cmd_figure1(args, checks: _Checks):
-    """Preset SI-units spread reconstruction over gamma in {2, 10, 100, inf}.
-
-    The per-curve memory rates of the figure this run mirrors are not all
-    unambiguous, so the set here is a documented representative choice, not
-    a pixel match.  Time window 1 s to 4e18 s, log spaced, chosen to show
-    the full drop from sigma(0) = 1 m to the common finite asymptote.
-    """
-    cfg = RunConfig(
-        m=1.0,
-        hbar=HBAR_SI,
-        lam=1e-2,
-        gammas=(2.0, 10.0, 100.0, math.inf),
-        unit_mode="SI",
-        sigma0=1.0,
-        x0=0.0,
-        p0=0.0,
-        t_max=4e18,
-        t_min=1.0,
-        n_times=args.n_times if args.n_times is not None else 50,
-        n_nodes=2001,
-        log_times=True,
-        n_traj=1,
-        master_seed=args.seed if args.seed is not None else 42,
-        out_dir=args.out if args.out is not None else ".",
-        fmt=args.format if args.format is not None else "both",
+    series = [
+        (f"gamma = {lab}", times, curves[g], "solid")
+        for g, lab in zip(cfg.gammas, labels)
+    ]
+    hlines = [
+        (f"asymptote g={lab}", asymptotes[g])
+        for g, lab in zip(cfg.gammas, labels)
+        if math.isfinite(asymptotes[g])
+    ]
+    log_y = bool(
+        all(np.all(c > 0) for c in curves.values())
+        and max(float(c.max()) for c in curves.values())
+        > 100 * min(float(c.min()) for c in curves.values())
     )
+    _write_svg(
+        cfg, plot, f"{stem}.svg", csv_text, series,
+        title="Position spread under collapse dynamics",
+        xlabel=f"t [{ 's' if cfg.unit_mode == 'SI' else 'scaled units'}]",
+        ylabel=f"sigma(t) [{'m' if cfg.unit_mode == 'SI' else 'scaled units'}]",
+        log_x=cfg.log_times,
+        log_y=log_y,
+        hlines=hlines,
+    )
+
+
+# figure1's preset.  The per-curve memory rates of the figure this run
+# mirrors are not all unambiguous, so the gammas are a documented
+# representative choice, not a pixel match.  The window, 1 s to 4e18 s log
+# spaced, shows the full drop from sigma(0) = 1 m to the common finite
+# asymptote.
+_FIGURE1_CONFIG = """\
+m = 1
+lambda = 1e-2
+gamma = 2, 10, 100, inf
+unit_mode = si
+sigma0 = 1
+t_min = 1
+t_max = 4e18
+log_times = true
+"""
+
+
+def cmd_figure1(cfg: RunConfig, checks: _Checks, plot: str):
+    """The spread command on the figure1 preset, writing figure1.* files."""
     print(
         "figure1 preset: SI units, m=1, lambda=0.01, sigma0=1, "
         "gamma in {2, 10, 100, inf} (representative reconstruction)"
     )
-    cmd_spread(cfg, checks, args.plot, stem="figure1")
+    cmd_spread(cfg, checks, plot, stem="figure1")
 
 
 def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
@@ -465,17 +474,11 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
     dev_h = float(np.max(np.abs(h_c.values - h_n.values))) / h_scale
     res_fc, res_hc, res_fn, res_hn = kernel_residual([f_c, h_c, f_n, h_n], params, kern, noise)
 
-    header = "s,f_re,f_im,h_re,h_im,f_colloc_re,f_colloc_im,h_colloc_re,h_colloc_im"
-    lines = [header]
-    for i in range(grid.n):
-        lines.append(_row([
-            s[i],
-            f_c.values[i].real, f_c.values[i].imag,
-            h_c.values[i].real, h_c.values[i].imag,
-            f_n.values[i].real, f_n.values[i].imag,
-            h_n.values[i].real, h_n.values[i].imag,
-        ]))
-    csv_text = "\n".join(lines) + "\n"
+    cols = [s]
+    for kernel in (f_c, h_c, f_n, h_n):
+        cols += [kernel.values.real, kernel.values.imag]
+    csv_text = _csv("s,f_re,f_im,h_re,h_im,f_colloc_re,f_colloc_im,h_colloc_re,h_colloc_im",
+                    zip(*cols))
 
     roots = characteristic_roots(gamma, params.omega_collapse)
     report = {
@@ -504,10 +507,7 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
     }
     json_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
 
-    if cfg.fmt in ("csv", "both"):
-        _write_text(cfg.out_dir, "kernels.csv", csv_text)
-    if cfg.fmt in ("json", "both"):
-        _write_text(cfg.out_dir, "kernels_report.json", json_text)
+    _write_data(cfg, "kernels.csv", csv_text, "kernels_report.json", json_text)
 
     checks.record("f-boundary", abs(f_c.values[0] - 1.0) <= 1e-10
                   and abs(f_c.values[-1]) <= 1e-10)
@@ -535,21 +535,15 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
     checks.record("closed-form-residual", max(res_fc, res_hc) <= res_cap,
                   f"max {max(res_fc, res_hc):.3g}, cap {res_cap:.3g}")
 
-    if plot == "svg":
-        series = [
-            ("Re f", s, f_c.values.real, "solid"),
-            ("Im f", s, f_c.values.imag, "solid"),
-            ("Re h", s, h_c.values.real, "dashed"),
-            ("Im h", s, h_c.values.imag, "dashed"),
-        ]
-        svg = line_plot(
-            series,
-            title=f"Boundary kernels, gamma = {_gamma_label(gamma)}",
-            xlabel="s",
-            ylabel="kernel value",
-            data_comment=csv_text.rstrip("\n"),
-        )
-        _write_text(cfg.out_dir, "kernels.svg", svg)
+    series = [
+        ("Re f", s, f_c.values.real, "solid"),
+        ("Im f", s, f_c.values.imag, "solid"),
+        ("Re h", s, h_c.values.real, "dashed"),
+        ("Im h", s, h_c.values.imag, "dashed"),
+    ]
+    _write_svg(cfg, plot, "kernels.svg", csv_text, series,
+               title=f"Boundary kernels, gamma = {_gamma_label(gamma)}",
+               xlabel="s", ylabel="kernel value")
 
 
 def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
@@ -567,13 +561,10 @@ def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
     table = oracle_convergence(cfg.t_max, params, gamma, noise,
                                levels=_ORACLE_LEVELS)
 
-    lines = ["n_segments,err_A,err_B,err_C,err_D,err_E,err_max"]
-    for report, errs, err_max in table:
-        lines.append(_row([
-            report.n_segments,
-            errs["A"], errs["B"], errs["C"], errs["D"], errs["E"], err_max,
-        ]))
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv("n_segments,err_A,err_B,err_C,err_D,err_E,err_max", (
+        [report.n_segments] + [errs[k] for k in "ABCDE"] + [err_max]
+        for report, errs, err_max in table
+    ))
 
     payload = {
         "levels": [
@@ -592,10 +583,7 @@ def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
     }
     json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    if cfg.fmt in ("csv", "both"):
-        _write_text(cfg.out_dir, "oracle.csv", csv_text)
-    if cfg.fmt in ("json", "both"):
-        _write_text(cfg.out_dir, "oracle.json", json_text)
+    _write_data(cfg, "oracle.csv", csv_text, "oracle.json", json_text)
 
     maxes = [err_max for _, _, err_max in table]
     checks.record(
@@ -606,18 +594,10 @@ def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
     checks.record("oracle-final-error", maxes[-1] <= 1e-3,
                   f"{maxes[-1]:.3g} at N={_ORACLE_LEVELS[-1]}")
 
-    if plot == "svg":
-        ns = [float(r.n_segments) for r, _, _ in table]
-        svg = line_plot(
-            [("max rel error", ns, maxes, "solid")],
-            title="Path-sum oracle convergence",
-            xlabel="segments",
-            ylabel="max relative error",
-            log_x=True,
-            log_y=True,
-            data_comment=csv_text.rstrip("\n"),
-        )
-        _write_text(cfg.out_dir, "oracle.svg", svg)
+    ns = [float(r.n_segments) for r, _, _ in table]
+    _write_svg(cfg, plot, "oracle.svg", csv_text, [("max rel error", ns, maxes, "solid")],
+               title="Path-sum oracle convergence", xlabel="segments",
+               ylabel="max relative error", log_x=True, log_y=True)
 
 
 def _check_classical_means(checks: _Checks, stats, cfg: RunConfig):
@@ -661,10 +641,8 @@ def cmd_ensemble(cfg: RunConfig, checks: _Checks, plot: str):
     stats = run_ensemble(params, gamma, state0, t_samples, cfg.n_traj,
                          cfg.master_seed, grid=grid)
 
-    if cfg.fmt in ("csv", "both"):
-        _write_text(cfg.out_dir, "ensemble.csv", stats.to_csv())
-    if cfg.fmt in ("json", "both"):
-        _write_text(cfg.out_dir, "ensemble.json", stats.to_json() + "\n")
+    csv_text = stats.to_csv()
+    _write_data(cfg, "ensemble.csv", csv_text, "ensemble.json", stats.to_json() + "\n")
 
     classical = cfg.x0 + cfg.p0 * stats.times / cfg.m
     if cfg.n_traj >= 2:
@@ -673,21 +651,24 @@ def cmd_ensemble(cfg: RunConfig, checks: _Checks, plot: str):
     else:
         print("check classical-mean: SKIP (n_traj = 1 has no standard errors)")
 
-    if plot == "svg":
-        series = [
-            ("mean position", stats.times, stats.mean_q, "solid"),
-            ("classical x0 + p0 t / m", stats.times, classical, "dashed"),
-            ("spread sigma(t)", stats.times, stats.sigma_q, "solid"),
-        ]
-        svg = line_plot(
-            series,
-            title=f"Ensemble statistics, n = {cfg.n_traj}",
-            xlabel="t",
-            ylabel="position",
-            log_x=cfg.log_times,
-            data_comment=stats.to_csv().rstrip("\n"),
-        )
-        _write_text(cfg.out_dir, "ensemble.svg", svg)
+    series = [
+        ("mean position", stats.times, stats.mean_q, "solid"),
+        ("classical x0 + p0 t / m", stats.times, classical, "dashed"),
+        ("spread sigma(t)", stats.times, stats.sigma_q, "solid"),
+    ]
+    _write_svg(cfg, plot, "ensemble.svg", csv_text, series,
+               title=f"Ensemble statistics, n = {cfg.n_traj}",
+               xlabel="t", ylabel="position", log_x=cfg.log_times)
+
+
+# subcommand -> (its function, its help line)
+_COMMANDS = {
+    "spread": (cmd_spread, "noise-free spread curves sigma(t) per gamma"),
+    "ensemble": (cmd_ensemble, "Monte Carlo trajectory statistics"),
+    "kernels": (cmd_kernels, "kernel dump with cross-route validation"),
+    "oracle-check": (cmd_oracle_check, "path-sum oracle comparison and convergence"),
+    "figure1": (cmd_figure1, "preset SI spread run, gamma in {2, 10, 100, inf}"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -697,9 +678,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "memory-carrying collapse noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_required=True):
-        if config_required:
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == "figure1":
+            p.add_argument("--n-times", type=int, default=None, dest="n_times",
+                           help="sample count for the preset window (default 50)")
+        else:
             p.add_argument("--config", required=True, metavar="PATH",
                            help="INI-style config file")
         p.add_argument("--out", metavar="DIR", default=None,
@@ -710,56 +694,34 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None, help="output formats (overrides config)")
         p.add_argument("--plot", choices=("svg", "none"), default="svg",
                        help="emit static SVG plots (default svg)")
-
-    common(sub.add_parser(
-        "spread", help="noise-free spread curves sigma(t) per gamma"))
-    common(sub.add_parser(
-        "ensemble", help="Monte Carlo trajectory statistics"))
-    common(sub.add_parser(
-        "kernels", help="kernel dump with cross-route validation"))
-    common(sub.add_parser(
-        "oracle-check", help="path-sum oracle comparison and convergence"))
-    fig = sub.add_parser(
-        "figure1",
-        help="preset SI spread run, gamma in {2, 10, 100, inf}")
-    fig.add_argument("--n-times", type=int, default=None, dest="n_times",
-                     help="sample count for the preset window (default 50)")
-    common(fig, config_required=False)
     return parser
+
+
+# flag (argparse dest) -> the RunConfig field it overrides
+_FLAG_FIELDS = {"seed": "master_seed", "out": "out_dir", "format": "fmt",
+                "n_times": "n_times"}
+
+
+def _resolve(args) -> RunConfig:
+    """The config file, or figure1's preset, with the flags applied and validated."""
+    if args.command == "figure1":
+        text = _FIGURE1_CONFIG
+    else:
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ConfigError(str(e)) from None
+    flags = {field: getattr(args, dest) for dest, field in _FLAG_FIELDS.items()
+             if getattr(args, dest, None) is not None}
+    return _validated(dataclasses.replace(parse_config(text), **flags))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     checks = _Checks()
     try:
-        if args.command == "figure1":
-            cmd_figure1(args, checks)
-        else:
-            try:
-                with open(args.config) as fh:
-                    text = fh.read()
-            except OSError as e:
-                print(f"config error: {e}", file=sys.stderr)
-                return 2
-            cfg = parse_config(text)
-            if args.seed is not None:
-                if not 0 <= args.seed < 2 ** 64:
-                    print("config error: --seed must fit in 64 bits",
-                          file=sys.stderr)
-                    return 2
-                cfg = dataclasses.replace(cfg, master_seed=args.seed)
-            if args.out is not None:
-                cfg = dataclasses.replace(cfg, out_dir=args.out)
-            if args.format is not None:
-                cfg = dataclasses.replace(cfg, fmt=args.format)
-            if args.command == "spread":
-                cmd_spread(cfg, checks, args.plot)
-            elif args.command == "ensemble":
-                cmd_ensemble(cfg, checks, args.plot)
-            elif args.command == "kernels":
-                cmd_kernels(cfg, checks, args.plot)
-            elif args.command == "oracle-check":
-                cmd_oracle_check(cfg, checks, args.plot)
+        _COMMANDS[args.command][0](_resolve(args), checks, args.plot)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -172,24 +172,6 @@ class EnsembleStats:
         return json.dumps(payload, sort_keys=True)
 
 
-def _sample_node_indices(grid: TimeGrid, n_times: int, log_times: bool) -> np.ndarray:
-    """Pick n_times node indices in (0, t_max], linearly or log spaced.
-
-    Indices are snapped to the grid and deduplicated, so the result may be
-    shorter than requested on coarse grids.
-    """
-    if not 1 <= n_times <= grid.n - 1:
-        raise InvalidGridError(
-            f"n_times {n_times} outside [1, {grid.n - 1}] for this grid"
-        )
-    if log_times:
-        targets = np.geomspace(grid.dt, grid.t_max, n_times)
-    else:
-        targets = np.linspace(grid.dt, grid.t_max, n_times)
-    idx = np.rint(targets / grid.dt).astype(int)
-    return np.unique(np.clip(idx, 1, grid.n - 1))
-
-
 def _snap_indices(grid: TimeGrid, t_samples) -> np.ndarray:
     """Map requested sample times to grid node indices, strictly validated."""
     ts = np.asarray(t_samples, dtype=float)

@@ -9,9 +9,10 @@ from statistics import NormalDist
 
 import pytest
 
-from nmsse.cli import ConfigError, _check_classical_means, _Checks, main, parse_config
+from nmsse.cli import (ConfigError, _check_classical_means, _Checks, _sample_node_indices,
+                       main, parse_config)
 from nmsse.core import HBAR_SI
-from nmsse.ensemble import _sample_node_indices, run_ensemble
+from nmsse.ensemble import run_ensemble
 from nmsse.propagator import gaussian_from_moments
 
 BASE = """\
@@ -102,15 +103,28 @@ def test_spread_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_format_and_plot_flags_limit_outputs(tmp_path):
-    cfg = _cfg_file(tmp_path)
-    out = tmp_path / "out"
-    rc = main(["spread", "--config", cfg, "--out", str(out),
-               "--format", "csv", "--plot", "none"])
-    assert rc == 0
-    assert (out / "spread.csv").exists()
-    assert not (out / "spread.json").exists()
-    assert not (out / "spread.svg").exists()
+# command -> (argv before --out, CSV, JSON and SVG file names)
+OUTPUT_FILES = {
+    "spread": ([], "spread.csv", "spread.json", "spread.svg"),
+    "ensemble": ([], "ensemble.csv", "ensemble.json", "ensemble.svg"),
+    "kernels": ([], "kernels.csv", "kernels_report.json", "kernels.svg"),
+    "oracle-check": ([], "oracle.csv", "oracle.json", "oracle.svg"),
+    "figure1": (["--n-times", "12"], "figure1.csv", "figure1.json", "figure1.svg"),
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_FILES))
+def test_format_and_plot_flags_limit_outputs(tmp_path, capsys, command):
+    extra, csv_name, json_name, svg_name = OUTPUT_FILES[command]
+    argv = [command] + extra
+    if command != "figure1":
+        argv += ["--config", _cfg_file(tmp_path)]
+    only_json, csv_svg = tmp_path / "json", tmp_path / "csv"
+    assert main(argv + ["--out", str(only_json), "--format", "json", "--plot", "none"]) == 0
+    assert sorted(p.name for p in only_json.iterdir()) == [json_name]
+    assert main(argv + ["--out", str(csv_svg), "--format", "csv"]) == 0
+    assert sorted(p.name for p in csv_svg.iterdir()) == sorted([csv_name, svg_name])
+    capsys.readouterr()
 
 
 def test_multi_gamma_spread_orders_curves(tmp_path, capsys):
@@ -246,6 +260,41 @@ def test_figure1_preset(tmp_path):
     assert header.split(",")[0] == "t"
     for lab in ("2", "10", "100", "inf"):
         assert f"sigma[g={lab}]" in header
+
+
+# figure1's preset written out as a config file, at 12 sample times
+FIGURE1_AS_CONFIG = """\
+m = 1.0
+lambda = 0.01
+gamma = 2, 10, 100, inf
+unit_mode = si
+sigma0 = 1.0
+t_min = 1.0
+t_max = 4e18
+log_times = true
+n_times = 12
+"""
+
+
+def test_figure1_is_spread_on_its_preset(tmp_path, capsys):
+    fig, spread = tmp_path / "fig", tmp_path / "spread"
+    assert main(["figure1", "--n-times", "12", "--out", str(fig)]) == 0
+    cfg = _cfg_file(tmp_path, FIGURE1_AS_CONFIG)
+    assert main(["spread", "--config", cfg, "--out", str(spread)]) == 0
+    for ext in ("csv", "json", "svg"):
+        assert (fig / f"figure1.{ext}").read_bytes() == (spread / f"spread.{ext}").read_bytes(), ext
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-times", "0"], ["--n-times", "-3"], ["--seed", "-1"], ["--seed", str(2 ** 64)],
+], ids=["n-times-0", "n-times-negative", "seed-negative", "seed-2**64"])
+def test_figure1_validates_its_flags(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["figure1", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(capsys):

@@ -1,14 +1,18 @@
 """The public surface: every exported name resolves, neither importing the
-package nor solving the collocation arbiter loads scipy, and every binding
-that the benchmark's traced run (bench/workloads.py, Workload.trace) wraps
-still exists in the module where it is wrapped."""
+package nor solving the collocation arbiter loads scipy, the CLI drives the
+library through public names only, and every binding that the benchmark's
+traced run (bench/workloads.py, Workload.trace) wraps still exists in the
+module where it is wrapped."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
 import types
 
 import nmsse
+import nmsse.cli
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -36,6 +40,15 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse(inspect.getsource(nmsse.cli))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("nmsse"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 class _Recorder:
