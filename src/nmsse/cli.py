@@ -1,5 +1,8 @@
 """Command-line drivers: config parsing, named experiments, data export.
 
+This module owns every output format: the library returns records of
+arrays, and only the writers here turn them into CSV, JSON and SVG.
+
 Subcommands
     spread        noise-free position spread sigma(t), one curve per gamma
     ensemble      Monte Carlo trajectory statistics (physical measure)
@@ -35,14 +38,16 @@ like them: --seed sets master_seed, --out out_dir, --format format and
 Exit status is 0 iff every requested output was written and every embedded
 check passed; config and parameter errors exit 2, check failures exit 1.
 Identical config and seed produce byte-identical CSV/JSON/SVG outputs.
+The JSON files are strict JSON: a value with no finite form (the spread
+asymptote at lambda = 0) is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import json
+import math
 import os
 import sys
 from statistics import NormalDist
@@ -279,12 +284,13 @@ def _write_text(out_dir: str, filename: str, text: str):
 
 
 def _write_data(cfg: RunConfig, csv_name: str, csv_text: str,
-                json_name: str, json_text: str):
-    """Write the CSV and JSON tables that cfg.fmt asks for."""
+                json_name: str, payload: dict, indent: int | None = None):
+    """Write the CSV table and the JSON payload that cfg.fmt asks for."""
     if cfg.fmt in ("csv", "both"):
         _write_text(cfg.out_dir, csv_name, csv_text)
     if cfg.fmt in ("json", "both"):
-        _write_text(cfg.out_dir, json_name, json_text)
+        _write_text(cfg.out_dir, json_name,
+                    json.dumps(payload, sort_keys=True, indent=indent) + "\n")
 
 
 def _write_svg(cfg: RunConfig, plot: str, name: str, csv_text: str, series, **plot_kw):
@@ -365,16 +371,14 @@ def cmd_spread(cfg: RunConfig, checks: _Checks, plot: str, stem: str = "spread")
         "curves": {
             lab: {
                 "sigma": curves[g].tolist(),
-                "sigma_inf": asymptotes[g],
+                "sigma_inf": asymptotes[g] if math.isfinite(asymptotes[g]) else None,
             }
             for g, lab in zip(cfg.gammas, labels)
         },
         "unit_mode": cfg.unit_mode,
         "sigma0": cfg.sigma0,
     }
-    json_text = json.dumps(payload, sort_keys=True) + "\n"
-
-    _write_data(cfg, f"{stem}.csv", csv_text, f"{stem}.json", json_text)
+    _write_data(cfg, f"{stem}.csv", csv_text, f"{stem}.json", payload)
 
     for g, lab in zip(cfg.gammas, labels):
         vals = curves[g]
@@ -505,9 +509,7 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
         "collocation_residual": {"f": res_fn, "h": res_hn},
         "master_seed": cfg.master_seed,
     }
-    json_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-    _write_data(cfg, "kernels.csv", csv_text, "kernels_report.json", json_text)
+    _write_data(cfg, "kernels.csv", csv_text, "kernels_report.json", report, indent=2)
 
     checks.record("f-boundary", abs(f_c.values[0] - 1.0) <= 1e-10
                   and abs(f_c.values[-1]) <= 1e-10)
@@ -546,6 +548,15 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
                xlabel="s", ylabel="kernel value")
 
 
+def _coefficients(c) -> dict:
+    """The horizon and the real and imaginary parts of A..E of GreensCoefficients c."""
+    out = {"t": c.t}
+    for name in "ABCDE":
+        z = getattr(c, name)
+        out[f"{name}_re"], out[f"{name}_im"] = z.real, z.imag
+    return out
+
+
 def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
     """Compare the analytic endpoint coefficients to the path-sum oracle.
 
@@ -570,7 +581,7 @@ def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
         "levels": [
             {
                 "n_segments": report.n_segments,
-                "coefficients": json.loads(report.coefficients.to_json()),
+                "coefficients": _coefficients(report.coefficients),
                 "errors": errs,
                 "err_max": err_max,
                 "diag_asymmetry": report.diag_asymmetry,
@@ -581,9 +592,7 @@ def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
         "t": cfg.t_max,
         "master_seed": cfg.master_seed,
     }
-    json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    _write_data(cfg, "oracle.csv", csv_text, "oracle.json", json_text)
+    _write_data(cfg, "oracle.csv", csv_text, "oracle.json", payload, indent=2)
 
     maxes = [err_max for _, _, err_max in table]
     checks.record(
@@ -626,6 +635,13 @@ def _check_classical_means(checks: _Checks, stats, cfg: RunConfig):
     checks.record("classical-mean-p", dp <= bound, f"max dev {dp:.2f} SE, bound {bound:.2f}")
 
 
+# ensemble.csv column -> the EnsembleStats field it holds; ensemble.json keys
+# each field by its column name, except t, which it calls "times"
+_ENSEMBLE_COLUMNS = {"t": "times", "mean_q": "mean_q", "se_q": "se_q", "mean_p": "mean_p",
+                     "se_p": "se_p", "Vq": "v_q", "sigma": "sigma_q", "se_vq": "se_vq",
+                     "ess": "ess"}
+
+
 def cmd_ensemble(cfg: RunConfig, checks: _Checks, plot: str):
     """Run a trajectory ensemble and test the classical-mean property.
 
@@ -641,8 +657,11 @@ def cmd_ensemble(cfg: RunConfig, checks: _Checks, plot: str):
     stats = run_ensemble(params, gamma, state0, t_samples, cfg.n_traj,
                          cfg.master_seed, grid=grid)
 
-    csv_text = stats.to_csv()
-    _write_data(cfg, "ensemble.csv", csv_text, "ensemble.json", stats.to_json() + "\n")
+    cols = {col: getattr(stats, field) for col, field in _ENSEMBLE_COLUMNS.items()}
+    csv_text = _csv(",".join(cols), zip(*cols.values()))
+    payload = {("times" if col == "t" else col): v.tolist() for col, v in cols.items()}
+    payload.update(n_traj=stats.n_traj, master_seed=stats.master_seed, measure=stats.measure)
+    _write_data(cfg, "ensemble.csv", csv_text, "ensemble.json", payload)
 
     classical = cfg.x0 + cfg.p0 * stats.times / cfg.m
     if cfg.n_traj >= 2:

@@ -35,7 +35,6 @@ quadratic part of the Gaussian update) is done once per run.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -96,21 +95,6 @@ class TrajectoryRecord:
     sigma_position: np.ndarray
     log_norm_sq: np.ndarray
 
-    def to_csv(self) -> str:
-        lines = ["t,mean_q,mean_p,sigma,log_norm_sq"]
-        for k in range(self.times.size):
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g,%.17g"
-                % (
-                    self.times[k],
-                    self.mean_position[k],
-                    self.mean_momentum[k],
-                    self.sigma_position[k],
-                    self.log_norm_sq[k],
-                )
-            )
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class EnsembleStats:
@@ -134,42 +118,6 @@ class EnsembleStats:
     n_traj: int
     master_seed: int
     measure: str
-
-    def to_csv(self) -> str:
-        lines = ["t,mean_q,se_q,mean_p,se_p,Vq,sigma,se_vq,ess"]
-        for k in range(self.times.size):
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-                % (
-                    self.times[k],
-                    self.mean_q[k],
-                    self.se_q[k],
-                    self.mean_p[k],
-                    self.se_p[k],
-                    self.v_q[k],
-                    self.sigma_q[k],
-                    self.se_vq[k],
-                    self.ess[k],
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "times": self.times.tolist(),
-            "mean_q": self.mean_q.tolist(),
-            "se_q": self.se_q.tolist(),
-            "mean_p": self.mean_p.tolist(),
-            "se_p": self.se_p.tolist(),
-            "Vq": self.v_q.tolist(),
-            "se_vq": self.se_vq.tolist(),
-            "sigma": self.sigma_q.tolist(),
-            "ess": self.ess.tolist(),
-            "n_traj": self.n_traj,
-            "master_seed": self.master_seed,
-            "measure": self.measure,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _snap_indices(grid: TimeGrid, t_samples) -> np.ndarray:

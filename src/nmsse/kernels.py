@@ -201,10 +201,9 @@ class KernelSolution:
     """Sampled kernel with exact endpoint derivatives.
 
     kind "F" carries boundary values (1, 0); kind "H" carries (0, 0).
-    d_sum and d_diff are the cancellation-free combinations
-    d_start + d_end and d_start - d_end when the producing route can supply
-    them exactly (the closed forms can; numeric routes leave them None and
-    consumers fall back to the naive sum/difference).
+    d_sum and d_diff are d_start + d_end and d_start - d_end, cancellation
+    free where the producing route has them exactly (the closed forms of f);
+    the other routes form the plain sum and difference.
     """
 
     grid: TimeGrid
@@ -212,14 +211,8 @@ class KernelSolution:
     d_start: complex
     d_end: complex
     kind: str
-    d_sum: complex | None = None
-    d_diff: complex | None = None
-
-    def endpoint_sum(self) -> complex:
-        return self.d_sum if self.d_sum is not None else self.d_start + self.d_end
-
-    def endpoint_diff(self) -> complex:
-        return self.d_diff if self.d_diff is not None else self.d_start - self.d_end
+    d_sum: complex
+    d_diff: complex
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +391,9 @@ def h_exponential(t: float, params: PhysicalParams, gamma: float,
     grid = noise.grid
     _check_horizon(t, grid)
     vals, d_start, d_end = h_exponential_batch(t, params, gamma, grid, noise.values)
-    return KernelSolution(grid=grid, values=vals, d_start=complex(d_start),
-                          d_end=complex(d_end), kind="H")
+    d_start, d_end = complex(d_start), complex(d_end)
+    return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end, kind="H",
+                          d_sum=d_start + d_end, d_diff=d_start - d_end)
 
 
 def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
@@ -695,10 +689,10 @@ def _collocation_solve(params: PhysicalParams, kernel: CorrelationKernel,
 
 def _package_numeric(grid: TimeGrid, vals: np.ndarray, kind: str) -> KernelSolution:
     dt = grid.dt
-    d_start = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dt)
-    d_end = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dt)
-    return KernelSolution(grid=grid, values=vals, d_start=complex(d_start),
-                          d_end=complex(d_end), kind=kind)
+    d_start = complex((-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dt))
+    d_end = complex((3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dt))
+    return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end, kind=kind,
+                          d_sum=d_start + d_end, d_diff=d_start - d_end)
 
 
 # Interior rows of the memory operator that kernel_residual evaluates at a time.

@@ -13,14 +13,13 @@ vanishes at zero noise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import InvalidParameterError, PhysicalParams, TimeGrid
-from .kernels import f_exponential, h_exponential
+from .kernels import _check_horizon, f_exponential, h_exponential
 from .noise import CorrelationKernel, NoisePath, exponential_kernel, kernel_eval
 from .propagator import GreensCoefficients, greens_coefficients
 
@@ -97,16 +96,6 @@ class OracleReport:
     coefficients: GreensCoefficients
     diag_asymmetry: float
 
-    def to_json(self) -> str:
-        c = self.coefficients
-        payload = {
-            "n_segments": self.n_segments,
-            "t": c.t,
-            "coefficients": json.loads(c.to_json()),
-            "diag_asymmetry": self.diag_asymmetry,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
 
 def oracle_coefficients(t: float, params: PhysicalParams, gamma: float,
                         noise: NoisePath) -> OracleReport:
@@ -119,13 +108,12 @@ def oracle_coefficients(t: float, params: PhysicalParams, gamma: float,
     measures how well the discrete sum respects that.
     """
     grid = noise.grid
-    if abs(grid.t_max - t) > 1e-12 * max(abs(t), 1.0):
-        raise InvalidParameterError("oracle horizon must match the noise grid")
+    _check_horizon(t, grid)
     Q, L = assemble_action(params, exponential_kernel(gamma), noise)
     S, l, c = _reduce_interior(Q, L)
-    coeffs = GreensCoefficients(t=t, A=complex(-(S[0, 0] + S[1, 1]) / 2.0),
-                                B=complex(2.0 * S[0, 1]), C=complex(l[0]),
-                                D=complex(l[1]), E=complex(c))
+    A, B = complex(-(S[0, 0] + S[1, 1]) / 2.0), complex(2.0 * S[0, 1])
+    coeffs = GreensCoefficients(t=t, A=A, B=B, C=complex(l[0]), D=complex(l[1]),
+                                E=complex(c), det=A * A - B * B / 4.0)
     asym = abs(S[0, 0] - S[1, 1]) / max(abs(S[0, 0]), abs(S[1, 1]))
     return OracleReport(n_segments=grid.n - 1, coefficients=coeffs,
                         diag_asymmetry=float(asym))

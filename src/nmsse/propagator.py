@@ -21,7 +21,6 @@ det form loses none.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -70,9 +69,9 @@ class GaussianState:
 class GreensCoefficients:
     """Quadratic-form coefficients of the propagator at horizon t.
 
-    form_det, when present, is the determinant A^2 - B^2/4 of the
-    quadratic form computed without cancellation; propagate_gaussian
-    prefers it over recomputing from A and B.
+    det is the determinant A^2 - B^2/4 of the quadratic form, which
+    propagate_gaussian uses; greens_coefficients forms it without
+    cancellation.
     """
 
     t: float
@@ -81,20 +80,7 @@ class GreensCoefficients:
     C: complex
     D: complex
     E: complex
-    form_det: complex | None = None
-
-    def det(self) -> complex:
-        if self.form_det is not None:
-            return self.form_det
-        return self.A * self.A - self.B * self.B / 4.0
-
-    def to_json(self) -> str:
-        payload = {"t": self.t}
-        for name in "ABCDE":
-            z = getattr(self, name)
-            payload[f"{name}_re"] = z.real
-            payload[f"{name}_im"] = z.imag
-        return json.dumps(payload, sort_keys=True)
+    det: complex
 
 
 @dataclass(frozen=True)
@@ -152,7 +138,7 @@ def greens_coefficients(
     mu, _, half_sl = _closed_form_constants(params)
     A = mu * f.d_start
     B = 2.0 * mu * f.d_end
-    form_det = mu * mu * f.endpoint_sum() * f.endpoint_diff()
+    det = mu * mu * f.d_sum * f.d_diff
     C = D = E = 0.0 + 0.0j
     if noise is not None:
         if h is None:
@@ -162,7 +148,7 @@ def greens_coefficients(
         D = mu * h.d_end + half_sl * _trapz(w * f.values[::-1], grid.dt)
         E = half_sl * _trapz(w * h.values, grid.dt)
     return GreensCoefficients(t=t, A=complex(A), B=complex(B), C=complex(C),
-                              D=complex(D), E=complex(E), form_det=complex(form_det))
+                              D=complex(D), E=complex(E), det=complex(det))
 
 
 def _gaussian_update(state0: GaussianState, A, B, det, C=0.0, D=0.0, E=0.0):
@@ -193,7 +179,7 @@ def propagate_gaussian(state0: GaussianState, coeffs: GreensCoefficients,
     """
     if state0.alpha + coeffs.A == 0:
         raise InvalidParameterError("degenerate propagation: alpha0 + A = 0")
-    alpha_t, beta_t, g_t = _gaussian_update(state0, coeffs.A, coeffs.B, coeffs.det(),
+    alpha_t, beta_t, g_t = _gaussian_update(state0, coeffs.A, coeffs.B, coeffs.det,
                                             coeffs.C, coeffs.D, coeffs.E)
     out = GaussianState(alpha=complex(alpha_t), beta=complex(beta_t), g=complex(g_t))
     return normalize(out) if renormalize else out

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 
 from nmsse.cli import (ConfigError, _check_classical_means, _Checks, _sample_node_indices,
@@ -127,6 +128,47 @@ def test_format_and_plot_flags_limit_outputs(tmp_path, capsys, command):
     capsys.readouterr()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+FREE = BASE.replace("lambda = 0.1", "lambda = 0.0").replace("gamma = 1.0", "gamma = 1, inf")
+
+# run -> (argv before --config, config text or None for figure1's preset)
+JSON_RUNS = {
+    "spread": (["spread"], BASE),
+    "spread-lambda-0": (["spread"], FREE),
+    "ensemble": (["ensemble"], BASE + "n_traj = 8\n"),
+    "kernels": (["kernels"], BASE),
+    "oracle-check": (["oracle-check"], BASE),
+    "figure1": (["figure1", "--n-times", "12"], None),
+}
+
+
+@pytest.mark.parametrize("run", list(JSON_RUNS))
+def test_json_outputs_are_strict_json(tmp_path, capsys, run):
+    # strict parsers reject Infinity and NaN, so parse_constant must never run
+    argv, text = JSON_RUNS[run]
+    if text is not None:
+        argv = argv + ["--config", _cfg_file(tmp_path, text)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--format", "json", "--plot", "none"]) == 0
+    (path,) = out.iterdir()
+    json.loads(path.read_text(), parse_constant=_reject_constant)
+    capsys.readouterr()
+
+
+def test_zero_coupling_asymptote_is_null_in_json_and_inf_in_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spread", "--config", _cfg_file(tmp_path, FREE), "--out", str(out),
+                 "--plot", "none"]) == 0
+    curves = json.loads((out / "spread.json").read_text())["curves"]
+    assert [c["sigma_inf"] for c in curves.values()] == [None, None]
+    row = (out / "spread.csv").read_text().splitlines()[1].split(",")
+    assert (row[2], row[4]) == ("inf", "inf")
+    capsys.readouterr()
+
+
 def test_multi_gamma_spread_orders_curves(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, BASE.replace("gamma = 1.0", "gamma = 1, 4"))
     out = tmp_path / "out"
@@ -147,6 +189,38 @@ def test_ensemble_end_to_end(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "check classical-mean-q: PASS" in stdout
     assert "check classical-mean-p: PASS" in stdout
+
+
+# ensemble.csv columns, the EnsembleStats fields they hold, and their JSON keys
+ENSEMBLE_COLUMNS = ["t", "mean_q", "se_q", "mean_p", "se_p", "Vq", "sigma", "se_vq", "ess"]
+ENSEMBLE_FIELDS = ["times", "mean_q", "se_q", "mean_p", "se_p", "v_q", "sigma_q", "se_vq",
+                   "ess"]
+ENSEMBLE_KEYS = ["times"] + ENSEMBLE_COLUMNS[1:]
+
+
+def test_ensemble_files_hold_the_run_ensemble_arrays(tmp_path, capsys):
+    text = BASE + "n_traj = 16\nx0 = 1.0\np0 = 0.5\n"
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", _cfg_file(tmp_path, text), "--out", str(out),
+                 "--plot", "none"]) == 0
+    cfg = parse_config(text)
+    params, grid = cfg.build_params(), cfg.build_grid()
+    state0 = gaussian_from_moments(cfg.x0, cfg.p0, cfg.sigma0, params)
+    t_samples = grid.nodes()[_sample_node_indices(grid, cfg.n_times, cfg.log_times)]
+    stats = run_ensemble(params, 1.0, state0, t_samples, cfg.n_traj, cfg.master_seed, grid=grid)
+
+    header, *rows = (out / "ensemble.csv").read_text().splitlines()
+    assert header == ",".join(ENSEMBLE_COLUMNS)
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    for col, field in zip(table.T, ENSEMBLE_FIELDS):
+        assert np.array_equal(col, getattr(stats, field)), field
+
+    payload = json.loads((out / "ensemble.json").read_text())
+    assert set(payload) == set(ENSEMBLE_KEYS) | {"n_traj", "master_seed", "measure"}
+    for key, field in zip(ENSEMBLE_KEYS, ENSEMBLE_FIELDS):
+        assert payload[key] == getattr(stats, field).tolist(), key
+    assert (payload["n_traj"], payload["master_seed"], payload["measure"]) == (16, 42, "physical")
+    capsys.readouterr()
 
 
 # CLI defaults N = 2001 and n_times = 50: 2 x 50 z-scores per run
@@ -246,6 +320,8 @@ def test_oracle_check_end_to_end(tmp_path, capsys, seed):
     assert len(levels) == 4
     for level in levels:
         assert not {"probe_residual", "condition_estimate"} & set(level)
+        assert set(level["coefficients"]) == {"t"} | {f"{k}_{part}" for k in "ABCDE"
+                                                       for part in ("re", "im")}
     stdout = capsys.readouterr().out
     assert "check oracle-error-decreasing: PASS" in stdout
     assert "check oracle-final-error: PASS" in stdout

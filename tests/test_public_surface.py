@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, neither importing the
 package nor solving the collocation arbiter loads scipy, the CLI drives the
-library through public names only, and every binding that the benchmark's
+library through public names only and alone writes file formats, and every
+binding that the benchmark's
 traced run (bench/workloads.py, Workload.trace) wraps still exists in the
 module where it is wrapped."""
 
@@ -49,6 +50,28 @@ def test_cli_imports_no_private_names():
                and (node.level > 0 or (node.module or "").startswith("nmsse"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_only_the_cli_writes_file_formats():
+    # the library returns records of arrays; cli.py alone turns them into
+    # CSV and JSON, so no other module imports json and no class serializes
+    pkg = os.path.dirname(nmsse.__file__)
+    json_importers, serializers = set(), []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                json_importers.add(name)
+            if isinstance(node, ast.ClassDef):
+                serializers += [f"{name}:{node.name}.{f.name}" for f in node.body
+                                if isinstance(f, ast.FunctionDef)
+                                and f.name in ("to_csv", "to_json")]
+    assert json_importers == {"cli.py"}
+    assert serializers == []
 
 
 class _Recorder:
