@@ -563,7 +563,8 @@ def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
     Runs the oracle at segment counts 64..512 on one fixed noise path,
     comparing each level with the closed forms on its own subsampled path,
     and requires the maximum relative coefficient error to decrease at
-    every refinement and to end at or below 1e-3.
+    every refinement and to end at or below 1e-3.  At lambda = 0 the
+    comparison is refused (exit 2): C, D and E vanish there.
     """
     gamma = cfg.single_gamma("oracle-check")
     params = cfg.build_params()

@@ -139,6 +139,42 @@ def _closed_form_constants(params: PhysicalParams) -> tuple[complex, complex, fl
             sqrt_lam / 2.0)
 
 
+# Largest growth |e^{z m}| a block of _decay_scan may reach (e^40 ~ 2e17).
+_SCAN_GROWTH = 40.0
+
+
+def _decay_scan(z, y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """y_j <- e^{-z} y_{j-1} + y_j along the last axis, in place (Re z >= 0).
+
+    Each block of the recursion is one cumulative sum:
+    y_{b+m} = e^{-z m} (e^{-z} y_{b-1} + sum_{i<=m} e^{z i} x_{b+i}) for the
+    sources x.  The block length keeps |e^{z i}| <= e^_SCAN_GROWTH, so
+    nothing overflows and the rounding stays that of a cumulative sum; the
+    powers come from exp directly rather than from repeated products.  Real
+    z on a real y scans in real arithmetic.  scratch, one block wide or
+    wider with y's leading shape and dtype, holds the carry between blocks
+    and is allocated once per call when not given.  Every row is scanned by
+    the same operations, so a row's result does not depend on the others.
+    """
+    n = y.shape[-1]
+    rate = z.real
+    block = n if rate * n <= _SCAN_GROWTH else max(1, int(_SCAN_GROWTH / rate))
+    m = np.arange(block + 1)
+    grow = np.exp(z * m[:-1])
+    decay = np.exp(-z * m)
+    if block < n and scratch is None:
+        scratch = np.empty(y.shape[:-1] + (block,), dtype=y.dtype)
+    for b in range(0, n, block):
+        ln = min(block, n - b)
+        part = y[..., b:b + ln]
+        part *= grow[:ln]
+        np.cumsum(part, axis=-1, out=part)
+        part *= decay[:ln]
+        if b:
+            part += np.multiply(y[..., b - 1:b], decay[1:ln + 1], out=scratch[..., :ln])
+    return y
+
+
 def make_grid(t_max: float, n: int) -> TimeGrid:
     """Build a uniform time grid with n nodes covering [0, t_max]."""
     if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max > 0):

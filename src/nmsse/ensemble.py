@@ -30,7 +30,10 @@ trajectories and per characteristic root, a single forward convolution
 over the grid up to the last horizon, from which each horizon reads its
 kernel integrals in O(1) per trajectory (see _chunk_moments).  The
 noise-free per-horizon work (boundary-problem scalars, f weights, the
-quadratic part of the Gaussian update) is done once per run.
+quadratic part of the Gaussian update) is done once per run, and so is the
+workspace: one set of (rows, nodes) buffers that every block samples its
+noise into, builds and scans its convolutions in, and forms its noise
+products in, so the memory a run touches does not grow with its size.
 """
 
 from __future__ import annotations
@@ -197,8 +200,24 @@ def _trapz_at(y: np.ndarray, idx: np.ndarray, dt: float) -> np.ndarray:
     return dt * (np.cumsum(seg, axis=-1) - 0.5 * (y[..., :1] + y[..., idx]))
 
 
+class _Workspace:
+    """The (rows, nodes) buffers of one run, reused by every block.
+
+    ``noise`` holds a block's paths on the whole grid; ``conv`` a forward
+    convolution up to the last horizon; ``prod`` the products of the noise
+    with node weights or with that convolution; ``scratch`` the carry of a
+    multi-block scan.  A block of m rows uses the first m rows of each.
+    """
+
+    def __init__(self, rows: int, n: int, n_conv: int):
+        self.noise = np.empty((rows, n))
+        self.conv = np.empty((rows, n_conv), dtype=complex)
+        self.prod = np.empty_like(self.conv)
+        self.scratch = np.empty_like(self.conv)
+
+
 def _chunk_moments(params: PhysicalParams, hz: _Horizons, w: np.ndarray,
-                   state0: GaussianState):
+                   state0: GaussianState, ws: _Workspace):
     """(q, p, log_norm_sq) at every horizon for a block of noise rows w.
 
     One forward convolution per root over the whole grid serves every
@@ -211,28 +230,37 @@ def _chunk_moments(params: PhysicalParams, hz: _Horizons, w: np.ndarray,
     one, (I - V) / (u (1 + e^{-u t_k})), would cancel to eps / |u t_k|, so
     it comes from int w sinh(us)/u - tanh(u t_k/2)/u int w cosh(us) instead.
     Only the sample columns of the cumulative sums are formed.
+
+    The convolution and the noise products are written into the run's
+    workspace ws (in-place source build and scan, products with out=), so a
+    block allocates nothing of its own size outside the vanishing-coupling
+    branch, and the values are those of the allocating forms bit for bit.
     """
     k = hz.idx
     dt = hz.dt
     t = hz.t
-    w = w[:, : k[-1] + 1]
+    m, n_conv = w.shape[0], k[-1] + 1
+    w = w[:, :n_conv]
+    conv, prod, scratch = ws.conv[:m], ws.prod[:m], ws.scratch[:m]
     mu, pref, half_sl = _closed_form_constants(params)
 
     i_k, v_k, wi_k, even, odd = [], [], [], [], []
     for r, u in enumerate(hz.u):
-        conv = _conv_forward(u, w, dt)
+        _conv_forward(u, w, dt, out=conv, scratch=scratch)
         ik = conv[:, k]
-        vk = _trapz_at(w * hz.decay[r], k, dt)
+        vk = _trapz_at(np.multiply(w, hz.decay[r], out=prod), k, dt)
         ev = (ik + vk) / (1.0 + hz.e_t[r])
         od = np.empty_like(ev)
         ns = hz.n_small[r]
         if ns:
             head = w[:, : k[ns - 1] + 1]
-            od[:, :ns] = (_trapz_at(head * hz.sinh_w[r], k[:ns], dt)
-                          - hz.tau[r][:ns] * _trapz_at(head * hz.cosh_w[r], k[:ns], dt))
+            part = prod[:, : head.shape[1]]
+            od[:, :ns] = _trapz_at(np.multiply(head, hz.sinh_w[r], out=part), k[:ns], dt)
+            od[:, :ns] -= hz.tau[r][:ns] * _trapz_at(np.multiply(head, hz.cosh_w[r], out=part),
+                                                     k[:ns], dt)
         od[:, ns:] = (ik - vk)[:, ns:] / (u * (1.0 + hz.e_t[r][ns:]))
         if not hz.degenerate:
-            wi_k.append(_trapz_at(w * conv, k, dt))
+            wi_k.append(_trapz_at(np.multiply(w, conv, out=prod), k, dt))
         i_k.append(ik)
         v_k.append(vk)
         even.append(ev)
@@ -277,20 +305,23 @@ def _moment_curves(
 ):
     """Normalized-state moments and log norms at the given node indices.
 
-    Trajectories are sampled and processed in blocks of _CHUNK_ROWS rows.
+    Trajectories are sampled and processed in blocks of _CHUNK_ROWS rows,
+    every block in the same workspace, which lives for this call only.
     Returns (q, p, sigma, log_norm_sq) where q, p, log_norm_sq have shape
     (n_traj, len(idx)) and sigma has shape (len(idx),); sigma is noise
     independent.
     """
     rows = list(trajectory_indices)
     hz = _Horizons(params, gamma, grid, idx, state0)
+    ws = _Workspace(min(len(rows), _CHUNK_ROWS), grid.n, idx[-1] + 1)
     q = np.empty((len(rows), idx.size))
     p = np.empty_like(q)
     log_norm_sq = np.empty_like(q)
     for lo in range(0, len(rows), _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
-        w = sample_exponential_noise_batch(gamma, grid, master_seed, rows[lo:hi])
-        q[lo:hi], p[lo:hi], log_norm_sq[lo:hi] = _chunk_moments(params, hz, w, state0)
+        hi = min(lo + _CHUNK_ROWS, len(rows))
+        w = sample_exponential_noise_batch(gamma, grid, master_seed, rows[lo:hi],
+                                           out=ws.noise[: hi - lo])
+        q[lo:hi], p[lo:hi], log_norm_sq[lo:hi] = _chunk_moments(params, hz, w, state0, ws)
     return q, p, hz.sigma, log_norm_sq
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
-                   _closed_form_constants)
+                   _closed_form_constants, _decay_scan)
 from .noise import CorrelationKernel, NoisePath, kernel_eval
 
 __all__ = [
@@ -390,8 +390,10 @@ def h_exponential(t: float, params: PhysicalParams, gamma: float,
     """
     grid = noise.grid
     _check_horizon(t, grid)
-    vals, d_start, d_end = h_exponential_batch(t, params, gamma, grid, noise.values)
-    d_start, d_end = complex(d_start), complex(d_end)
+    # a one-row batch: with 0-d operands numpy switches to scalar arithmetic,
+    # which rounds differently, and the path would not be its batch row
+    vals, d_start, d_end = h_exponential_batch(t, params, gamma, grid, noise.values[None])
+    vals, d_start, d_end = vals[0], complex(d_start[0]), complex(d_end[0])
     return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end, kind="H",
                           d_sum=d_start + d_end, d_diff=d_start - d_end)
 
@@ -469,47 +471,26 @@ def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, i_end, j_sta
     return a, b, c, d, d_start, d_end
 
 
-def _conv_forward(u: complex, w: np.ndarray, dt: float) -> np.ndarray:
-    """I(s_j) = int_0^{s_j} e^{-u (s_j - r)} w(r) dr, trapezoid per cell."""
+def _conv_forward(u: complex, w: np.ndarray, dt: float, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """I(s_j) = int_0^{s_j} e^{-u (s_j - r)} w(r) dr, trapezoid per cell.
+
+    The cell sources are built in out (complex, w's shape, fresh if None)
+    and scanned in place; scratch is passed on to _decay_scan.
+    """
     e = np.exp(-u * dt)
-    src = np.zeros(w.shape, dtype=complex)
-    src[..., 1:] = dt / 2.0 * (e * w[..., :-1] + w[..., 1:])
-    return _decay_scan(u * dt, src)
+    src = np.empty(w.shape, dtype=complex) if out is None else out
+    src[..., 0] = 0.0
+    cells = src[..., 1:]
+    np.multiply(w[..., :-1], e, out=cells)
+    cells += w[..., 1:]
+    cells *= dt / 2.0
+    return _decay_scan(u * dt, src, scratch)
 
 
 def _conv_backward(u: complex, w: np.ndarray, dt: float) -> np.ndarray:
     """J(s_j) = int_{s_j}^t e^{-u (r - s_j)} w(r) dr, trapezoid per cell."""
     return _conv_forward(u, w[..., ::-1], dt)[..., ::-1]
-
-
-# Largest growth |e^{z m}| a block of _decay_scan may reach (e^40 ~ 2e17).
-_SCAN_GROWTH = 40.0
-
-
-def _decay_scan(z: complex, x: np.ndarray) -> np.ndarray:
-    """y_j = e^{-z} y_{j-1} + x_j along the last axis, y_0 = x_0 (Re z >= 0).
-
-    Each block of the recursion is one cumulative sum:
-    y_{b+m} = e^{-z m} (e^{-z} y_{b-1} + sum_{i<=m} e^{z i} x_{b+i}).  The
-    block length keeps |e^{z i}| <= e^_SCAN_GROWTH, so nothing overflows and
-    the rounding matches the step-by-step recursion; the powers come from
-    exp directly rather than from repeated products.
-    """
-    n = x.shape[-1]
-    rate = z.real
-    block = n if rate * n <= _SCAN_GROWTH else max(1, int(_SCAN_GROWTH / rate))
-    m = np.arange(block + 1)
-    grow = np.exp(z * m[:-1])
-    decay = np.exp(-z * m)
-    out = np.empty(x.shape, dtype=complex)
-    for b in range(0, n, block):
-        ln = min(block, n - b)
-        y = np.cumsum(x[..., b:b + ln] * grow[:ln], axis=-1)
-        y *= decay[:ln]
-        if b:
-            y += out[..., b - 1:b] * decay[1:ln + 1]
-        out[..., b:b + ln] = y
-    return out
 
 
 def _h_degenerate_core(t: float, grid: TimeGrid, w: np.ndarray, pref: complex):

@@ -3,7 +3,10 @@
 The driving process is stationary Ornstein-Uhlenbeck with covariance
 ``alpha(t, s) = (gamma/2) * exp(-gamma |t - s|)``, which the sampler
 discretizes exactly (the one-step transition is Gaussian with known mean
-and variance, so no integrator error enters at any step size).  Streams are
+and variance, so no integrator error enters at any step size).  The
+recursion is evaluated as a blocked scan over a batch of paths, which
+rounds differently from stepping it node by node but discretizes the same
+process.  Streams are
 counter-based (Philox) and keyed by (master_seed, trajectory_index): paths
 are reproducible across runs and independent of sampling order.
 """
@@ -16,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import InvalidParameterError, TimeGrid
+from .core import InvalidParameterError, TimeGrid, _decay_scan
 
 __all__ = [
     "CorrelationKernel",
@@ -81,7 +84,8 @@ def sample_exponential_noise(
     with rho = exp(-gamma dt).  These are the exact marginals/transitions of
     the stationary process, so subsampling a path to a coarser node set
     yields a path with the law of the coarser-grid sampler.  The path is the
-    one-row case of sample_exponential_noise_batch.
+    one-row case of sample_exponential_noise_batch, which evaluates this
+    recursion as a blocked scan.
     """
     w = sample_exponential_noise_batch(gamma, grid, master_seed, [trajectory_index])[0]
     return NoisePath(grid=grid, values=w, master_seed=master_seed,
@@ -93,26 +97,32 @@ def sample_exponential_noise_batch(
     grid: TimeGrid,
     master_seed: int,
     trajectory_indices: Iterable[int],
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows of independent OU paths, row i keyed by trajectory_indices[i].
 
-    Each row depends on its key only, whatever the other rows of the batch.
+    The recursion of sample_exponential_noise runs as one blocked scan over
+    all rows (_decay_scan), in place on the drawn normals: the same exact
+    discretization, whose rounding differs from the step-by-step recursion
+    by less than N ulps of the path's scale (mostly the recursion's own
+    drift from raising a rounded rho to the k-th power one product at a
+    time).  Each row depends on its key only,
+    whatever the other rows of the batch.  The rows are written into out
+    (C-contiguous float, one row per key, grid.n columns) when it is given,
+    else into a new array; either is returned.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
     idx = list(trajectory_indices)
     n = grid.n
-    xi = np.empty((len(idx), n))
+    w = np.empty((len(idx), n)) if out is None else out
     for r, i in enumerate(idx):
-        xi[r] = _generator(master_seed, i).standard_normal(n)
+        _generator(master_seed, i).standard_normal(n, out=w[r])
     rho = math.exp(-gamma * grid.dt)
-    scale0 = math.sqrt(gamma / 2.0)
-    step_sd = math.sqrt((gamma / 2.0) * (1.0 - rho * rho))
-    w = np.empty_like(xi)
-    w[:, 0] = scale0 * xi[:, 0]
-    for k in range(1, n):
-        w[:, k] = rho * w[:, k - 1] + step_sd * xi[:, k]
-    return w
+    w[:, 0] *= math.sqrt(gamma / 2.0)
+    w[:, 1:] *= math.sqrt((gamma / 2.0) * (1.0 - rho * rho))
+    return _decay_scan(gamma * grid.dt, w)
 
 
 def empirical_covariance(

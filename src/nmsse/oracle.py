@@ -135,8 +135,13 @@ def oracle_convergence(t: float, params: PhysicalParams, gamma: float,
     the closed forms (f_exponential, h_exponential, greens_coefficients) on
     its own subsampled path, so both routes see the same noise samples.
     Returns a list of (report, per-coefficient relative errors, max
-    relative error).
+    relative error).  At lambda = 0 the noise coefficients C, D and E
+    vanish identically and have no relative error, so that is refused.
     """
+    if params.lam == 0.0:
+        raise InvalidParameterError(
+            "the oracle check needs lambda > 0: at lambda = 0 the noise "
+            "coefficients C, D, E vanish and have no relative error")
     n_fine = noise.grid.n - 1
     if max(levels) != n_fine:
         raise InvalidParameterError(

@@ -327,6 +327,17 @@ def test_oracle_check_end_to_end(tmp_path, capsys, seed):
     assert "check oracle-final-error: PASS" in stdout
 
 
+def test_oracle_check_refuses_zero_coupling(tmp_path, capsys):
+    # C, D and E vanish at lambda = 0, so their relative errors would divide by 0
+    cfg = _cfg_file(tmp_path, BASE.replace("lambda = 0.1", "lambda = 0.0"))
+    out = tmp_path / "out"
+    assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda > 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_figure1_preset(tmp_path):
     out = tmp_path / "out"
     rc = main(["figure1", "--n-times", "12", "--out", str(out),

@@ -1,6 +1,7 @@
 """Trajectory statistics: measures, determinism, aggregation identities."""
 
 import math
+import sys
 from statistics import NormalDist
 
 import numpy as np
@@ -288,3 +289,58 @@ def test_reference_mean_of_the_squared_norm_is_one():
         norm_sq = np.exp(lns)
         se = norm_sq.std(axis=0, ddof=1) / math.sqrt(n_traj)
         assert np.all(np.abs(norm_sq.mean(axis=0) - 1.0) <= z * se), (norm_sq.mean(axis=0), se)
+
+
+@pytest.mark.parametrize("n_traj", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+def test_block_rows_equal_single_trajectories(n_traj):
+    # every block, the partial last one too, reuses one workspace; a row
+    # must come out as it does alone, bit for bit
+    grid = make_grid(1.0, 257)
+    idx = np.array([3, 128, 192])
+    state0 = _fixture_state(CRIT)
+    q, p, _, lns = _moment_curves(CRIT, 1.0, grid, idx, state0, 9, range(n_traj))
+    for i in {0, _CHUNK_ROWS - 1, _CHUNK_ROWS, n_traj - 1} & set(range(n_traj)):
+        rec = run_trajectory(CRIT, 1.0, state0, grid.nodes()[idx], 9, grid=grid,
+                             trajectory_index=i)
+        assert np.array_equal(rec.mean_position, q[i])
+        assert np.array_equal(rec.mean_momentum, p[i])
+        assert np.array_equal(rec.log_norm_sq, lns[i])
+
+
+def test_runs_share_no_state():
+    # different row counts, grids and horizons in one process, in both
+    # orders: each run's stats are those of the run alone
+    state0 = _fixture_state(CRIT)
+    runs = {
+        "a": lambda: run_ensemble(CRIT, 1.0, state0, [0.5, 1.0], 130, 7,
+                                  grid=make_grid(1.0, 257)),
+        "b": lambda: run_ensemble(CRIT, 1e3, state0, [0.01, 0.2, 0.3], 5, 8,
+                                  grid=make_grid(0.4, 401)),
+    }
+    first = {name: run() for name, run in runs.items()}
+    again = {name: run() for name, run in reversed(runs.items())}
+    for name in runs:
+        for field in ("times", "mean_q", "se_q", "mean_p", "se_p", "v_q", "se_vq",
+                      "sigma_q", "ess"):
+            assert np.array_equal(getattr(first[name], field),
+                                  getattr(again[name], field)), (name, field)
+
+
+def test_memory_touched_does_not_grow_with_the_ensemble():
+    # a run's buffers are one workspace, so from 256 to 2048 trajectories
+    # the minor page faults of a warm run_ensemble stay flat; allocating
+    # (rows, N) temporaries per block costs about 90k more
+    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("minor page fault counts are read on Linux")
+    grid = make_grid(1.0, 2001)
+    state0 = _fixture_state(CRIT)
+
+    def faults(n_traj):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_ensemble(CRIT, 1.0, state0, [0.5, 1.0], n_traj, 3, grid=grid)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(256)
+    growth = faults(2048) - faults(256)
+    assert growth < 1000, growth

@@ -39,6 +39,53 @@ def test_batch_rows_match_single_draws():
         assert np.array_equal(row, single.values)
 
 
+def _step_recursion(gamma, grid, master_seed, keys):
+    """The sampler's recursion w_k = rho w_{k-1} + sd xi_k stepped node by
+    node on the Philox streams keyed (master_seed, key): an independent
+    reference for the blocked scan."""
+    xi = np.array([np.random.Generator(np.random.Philox(key=[master_seed, k]))
+                   .standard_normal(grid.n) for k in keys])
+    rho = math.exp(-gamma * grid.dt)
+    sd = math.sqrt((gamma / 2.0) * (1.0 - rho * rho))
+    w = np.empty_like(xi)
+    w[:, 0] = math.sqrt(gamma / 2.0) * xi[:, 0]
+    for k in range(1, grid.n):
+        w[:, k] = rho * w[:, k - 1] + sd * xi[:, k]
+    return w
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3, 1e5])
+def test_scan_matches_the_step_recursion(gamma):
+    # gamma dt = 5e-4 gamma: one block up to gamma = 1, blocks of 80 nodes at
+    # 1e3, blocks of one node at 1e5.  The reference multiplies by the
+    # rounded rho once per step, so where rho^k stays near 1 (gamma t << 1)
+    # it drifts by up to k eps/2 of the path (1.1e-13 at gamma = 1e-3 here);
+    # the scan takes e^{-gamma dt m} from exp.  Bound: N eps of the path.
+    grid = make_grid(1.0, 2001)
+    keys = [0, 7, 2**40]
+    got = sample_exponential_noise_batch(gamma, grid, 3, keys)
+    want = _step_recursion(gamma, grid, 3, keys)
+    bound = grid.n * np.finfo(float).eps * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e3, 1e5])
+@pytest.mark.parametrize("size", [3, 128, 129])
+def test_a_row_does_not_depend_on_its_batch(gamma, size):
+    grid = make_grid(1.0, 2001)
+    keys = [11] + list(range(100, 100 + size - 2)) + [12]
+    batch = sample_exponential_noise_batch(gamma, grid, 5, keys)
+    # into a workspace-like buffer: the first rows of a larger one
+    buf = np.full((size + 4, grid.n), np.nan)
+    into = sample_exponential_noise_batch(gamma, grid, 5, keys, out=buf[:size])
+    assert into.base is buf
+    for pos in (0, size - 1):
+        alone = sample_exponential_noise_batch(gamma, grid, 5, [keys[pos]])[0]
+        assert np.array_equal(batch[pos], alone)
+        assert np.array_equal(buf[pos], alone)
+    assert np.all(np.isnan(buf[size:]))
+
+
 def test_restrict_is_a_prefix_view():
     grid = make_grid(2.0, 65)
     path = sample_exponential_noise(1.0, grid, 11, 0)
