@@ -25,7 +25,7 @@ from .core import (
     make_grid,
     make_params,
 )
-from .ensemble import EnsembleStats, TrajectoryRecord, run_ensemble, run_trajectory
+from .ensemble import EnsembleStats, run_ensemble
 from .kernels import (
     CharacteristicRoots,
     KernelSolution,
@@ -41,9 +41,7 @@ from .kernels import (
 from .noise import (
     CorrelationKernel,
     NoisePath,
-    empirical_covariance,
     exponential_kernel,
-    kernel_eval,
     sample_exponential_noise,
     sample_exponential_noise_batch,
 )
@@ -77,9 +75,7 @@ __all__ = [
     "make_params",
     "CorrelationKernel",
     "NoisePath",
-    "empirical_covariance",
     "exponential_kernel",
-    "kernel_eval",
     "sample_exponential_noise",
     "sample_exponential_noise_batch",
     "CharacteristicRoots",
@@ -110,8 +106,6 @@ __all__ = [
     "oracle_coefficients",
     "oracle_convergence",
     "EnsembleStats",
-    "TrajectoryRecord",
     "run_ensemble",
-    "run_trajectory",
     "__version__",
 ]

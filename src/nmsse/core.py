@@ -14,16 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "HBAR_SI",
-    "InvalidParameterError",
-    "InvalidGridError",
-    "PhysicalParams",
-    "TimeGrid",
-    "make_params",
-    "make_grid",
-]
-
 # Reduced Planck constant in J*s, the default hbar for SI-mode configs.
 HBAR_SI = 1.0545718e-34
 

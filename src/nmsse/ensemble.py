@@ -79,27 +79,6 @@ _CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    """Moment curves of one noise realization.
-
-    ``log_norm_sq`` is log ||psi_t||^2 of the raw (unnormalized) state that
-    the linear equation propagates from the normalized initial state along
-    this noise path, with every factor included: the Gaussian integral over
-    x0 and the propagator normalization |B|/(2 pi).  Its exponential
-    weights the trajectory in physical-measure averages, and its mean under
-    the reference measure is 1.
-    """
-
-    master_seed: int
-    trajectory_index: int
-    times: np.ndarray
-    mean_position: np.ndarray
-    mean_momentum: np.ndarray
-    sigma_position: np.ndarray
-    log_norm_sq: np.ndarray
-
-
-@dataclass(frozen=True)
 class EnsembleStats:
     """Per-sample-time aggregates over an ensemble of trajectories.
 
@@ -309,7 +288,10 @@ def _moment_curves(
     every block in the same workspace, which lives for this call only.
     Returns (q, p, sigma, log_norm_sq) where q, p, log_norm_sq have shape
     (n_traj, len(idx)) and sigma has shape (len(idx),); sigma is noise
-    independent.
+    independent.  Row i depends on the key (master_seed,
+    trajectory_indices[i]) only.  log_norm_sq is log ||psi_t||^2 of the raw
+    state with every factor included (the x0 integral and |B|/(2 pi)), so
+    its exponential is the physical weight and has reference mean 1.
     """
     rows = list(trajectory_indices)
     hz = _Horizons(params, gamma, grid, idx, state0)
@@ -332,39 +314,6 @@ def _normalized_weights(log_norm_sq_col: np.ndarray, measure: str) -> np.ndarray
     shifted = log_norm_sq_col - log_norm_sq_col.max()
     wts = np.exp(shifted)
     return wts / wts.sum()
-
-
-def run_trajectory(
-    params: PhysicalParams,
-    gamma: float,
-    state0: GaussianState,
-    t_samples,
-    seed: int,
-    *,
-    grid: TimeGrid | None = None,
-    trajectory_index: int = 0,
-) -> TrajectoryRecord:
-    """Propagate a single noise realization and record its moment curves.
-
-    The realization is the one an ensemble with the same master seed would
-    assign to ``trajectory_index``; the record reproduces that ensemble row
-    up to elementwise rounding.  Sample times are snapped to the master
-    grid so every horizon sees a prefix of one fixed noise path.
-    """
-    if grid is None:
-        grid = make_grid(float(np.max(np.asarray(t_samples, dtype=float))), _DEFAULT_NODES)
-    idx = _snap_indices(grid, t_samples)
-    q, p, sigma, log_norm_sq = _moment_curves(params, gamma, grid, idx, state0, seed,
-                                              [trajectory_index])
-    return TrajectoryRecord(
-        master_seed=seed,
-        trajectory_index=trajectory_index,
-        times=grid.nodes()[idx],
-        mean_position=q[0],
-        mean_momentum=p[0],
-        sigma_position=sigma,
-        log_norm_sq=log_norm_sq[0],
-    )
 
 
 def run_ensemble(

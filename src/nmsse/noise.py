@@ -1,4 +1,4 @@
-"""Colored noise: correlation kernels, exact path sampling, covariance checks.
+"""Colored noise: the correlation kernel and exact path sampling.
 
 The driving process is stationary Ornstein-Uhlenbeck with covariance
 ``alpha(t, s) = (gamma/2) * exp(-gamma |t - s|)``, which the sampler
@@ -8,7 +8,8 @@ recursion is evaluated as a blocked scan over a batch of paths, which
 rounds differently from stepping it node by node but discretizes the same
 process.  Streams are
 counter-based (Philox) and keyed by (master_seed, trajectory_index): paths
-are reproducible across runs and independent of sampling order.
+are reproducible across runs and independent of sampling order, and every
+master seed in [0, 2**64) keys its own streams.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ from typing import Iterable
 import numpy as np
 
 from .core import InvalidParameterError, TimeGrid, _decay_scan
-
-__all__ = [
-    "CorrelationKernel",
-    "NoisePath",
-    "kernel_eval",
-    "sample_exponential_noise",
-    "empirical_covariance",
-]
 
 
 @dataclass(frozen=True)
@@ -46,11 +39,9 @@ def exponential_kernel(gamma: float) -> CorrelationKernel:
     return CorrelationKernel(gamma=float(gamma))
 
 
-def kernel_eval(kernel: CorrelationKernel, t: np.ndarray | float, s: np.ndarray | float):
-    """Evaluate alpha(t, s); arrays broadcast."""
-    lag = np.abs(np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
-    out = 0.5 * kernel.gamma * np.exp(-kernel.gamma * lag)
-    return out if out.ndim else float(out)
+def _ou_covariance(gamma: float, t, s) -> np.ndarray:
+    """alpha(t, s) = gamma/2 e^{-gamma|t-s|}; arrays broadcast."""
+    return 0.5 * gamma * np.exp(-gamma * np.abs(np.subtract(t, s, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -61,15 +52,6 @@ class NoisePath:
     values: np.ndarray
     master_seed: int
     trajectory_index: int
-
-    def restrict(self, k: int) -> "NoisePath":
-        """First k nodes of this path (consistent shorter-horizon view)."""
-        return NoisePath(grid=self.grid.prefix(k), values=self.values[:k],
-                         master_seed=self.master_seed, trajectory_index=self.trajectory_index)
-
-
-def _generator(master_seed: int, trajectory_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[master_seed, trajectory_index]))
 
 
 def sample_exponential_noise(
@@ -117,30 +99,17 @@ def sample_exponential_noise_batch(
     idx = list(trajectory_indices)
     n = grid.n
     w = np.empty((len(idx), n)) if out is None else out
+    # One Philox, reset to the fresh state of key (master_seed, i) per row.
+    # The key is built as uint64: a list of Python ints above 2**63 would
+    # pass through float64 and collide with other seeds.
+    bits = np.random.Philox(counter=0, key=np.zeros(2, dtype=np.uint64))
+    normals = np.random.Generator(bits)
+    fresh = bits.state
     for r, i in enumerate(idx):
-        _generator(master_seed, i).standard_normal(n, out=w[r])
+        fresh["state"]["key"] = np.array([master_seed, i], dtype=np.uint64)
+        bits.state = fresh
+        normals.standard_normal(n, out=w[r])
     rho = math.exp(-gamma * grid.dt)
     w[:, 0] *= math.sqrt(gamma / 2.0)
     w[:, 1:] *= math.sqrt((gamma / 2.0) * (1.0 - rho * rho))
     return _decay_scan(gamma * grid.dt, w)
-
-
-def empirical_covariance(
-    paths: np.ndarray,
-    grid: TimeGrid,
-    lags: Iterable[int] = (0, 1, 2, 4, 8),
-) -> dict[int, float]:
-    """Average of w_i(s) w_i(s+lag dt) over trajectories and s, per lag.
-
-    Output maps lag (in steps) to the estimated covariance; compare against
-    kernel_eval at the same lag.  Uses every admissible start node, so the
-    estimator variance shrinks with both n_traj and grid length.
-    """
-    paths = np.atleast_2d(np.asarray(paths))
-    out: dict[int, float] = {}
-    for lag in lags:
-        if lag >= grid.n:
-            raise InvalidParameterError(f"lag {lag} too large for grid of {grid.n} nodes")
-        prod = paths[:, : grid.n - lag] * paths[:, lag: grid.n]
-        out[int(lag)] = float(prod.mean())
-    return out

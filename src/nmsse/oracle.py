@@ -20,15 +20,8 @@ import numpy as np
 
 from .core import InvalidParameterError, PhysicalParams, TimeGrid
 from .kernels import _check_horizon, f_exponential, h_exponential
-from .noise import CorrelationKernel, NoisePath, exponential_kernel, kernel_eval
+from .noise import CorrelationKernel, NoisePath, _ou_covariance, exponential_kernel
 from .propagator import GreensCoefficients, greens_coefficients
-
-__all__ = [
-    "assemble_action",
-    "OracleReport",
-    "oracle_coefficients",
-    "oracle_convergence",
-]
 
 
 def assemble_action(params: PhysicalParams, kernel: CorrelationKernel,
@@ -58,7 +51,7 @@ def assemble_action(params: PhysicalParams, kernel: CorrelationKernel,
     Q[idx[:-1], idx[1:]] -= kin
     Q[idx[1:], idx[:-1]] -= kin
 
-    alpha = kernel_eval(kernel, s[:, None], s[None, :])
+    alpha = _ou_covariance(kernel.gamma, s[:, None], s[None, :])
     Q = Q - params.lam * eps * eps * np.outer(rho, rho) * alpha
 
     L = eps * rho * math.sqrt(params.lam) * noise.values

@@ -31,24 +31,6 @@ from .kernels import (KernelSolution, characteristic_roots, f_endpoint_scalars,
                       f_exponential, h_exponential, _kappa)
 from .noise import NoisePath
 
-__all__ = [
-    "GaussianState",
-    "GreensCoefficients",
-    "FunctionalDerivativeCoeffs",
-    "gaussian_from_moments",
-    "greens_coefficients",
-    "propagate_gaussian",
-    "normalize",
-    "mean_position",
-    "spread_position",
-    "mean_momentum",
-    "spread_momentum",
-    "asymptotic_alpha",
-    "asymptotic_spread",
-    "spread_curve",
-    "functional_derivative_coeffs",
-]
-
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -288,8 +270,6 @@ def functional_derivative_coeffs(
     params: PhysicalParams,
     gamma: float,
     noise: NoisePath,
-    f: KernelSolution | None = None,
-    h: KernelSolution | None = None,
 ) -> FunctionalDerivativeCoeffs:
     """Coefficient profiles of the noise-response identity.
 
@@ -302,10 +282,8 @@ def functional_derivative_coeffs(
     quadratic update leaves exactly that combination state-independent.
     """
     grid = noise.grid
-    if f is None:
-        f = f_exponential(t, params, gamma, grid)
-    if h is None:
-        h = h_exponential(t, params, gamma, noise)
+    f = f_exponential(t, params, gamma, grid)
+    h = h_exponential(t, params, gamma, noise)
     fv = f.values
     rev = fv[::-1]
     a = rev + (f.d_start / f.d_end) * fv

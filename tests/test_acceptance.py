@@ -23,7 +23,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from nmsse.core import make_grid, make_params
 from nmsse.ensemble import run_ensemble
@@ -37,7 +36,6 @@ from nmsse.kernels import (
 )
 from nmsse.noise import (
     NoisePath,
-    empirical_covariance,
     exponential_kernel,
     sample_exponential_noise,
     sample_exponential_noise_batch,
@@ -338,16 +336,13 @@ def test_12_noise_sampler_covariance():
     grid = make_grid(2.0, 33)
     n_paths = 100_000
     rows = sample_exponential_noise_batch(gamma, grid, 2026, range(n_paths))
-    lags = (0, 1, 2, 4, 8)
-    emp = empirical_covariance(rows, grid, lags=lags)
     details = []
-    for lag in lags:
+    for lag in (0, 1, 2, 4, 8):
         prods = rows[:, : grid.n - lag] * rows[:, lag:]
         per_path = prods.mean(axis=1)
         se = float(per_path.std(ddof=1)) / math.sqrt(n_paths)
         want = 0.5 * gamma * math.exp(-gamma * lag * grid.dt)
-        got = emp[lag]
-        assert got == pytest.approx(float(per_path.mean()), rel=1e-12)
+        got = float(per_path.mean())
         details.append(f"lag {lag}: {(got - want) / se:+.2f} SE")
         assert abs(got - want) <= 5.0 * se
     print("criterion 12: covariance at 5 lags within 5 SE ("

@@ -407,6 +407,18 @@ def test_seed_flag_overrides_and_validates(tmp_path):
     assert main(["ensemble", "--config", cfg, "--seed", str(2 ** 64)]) == 2
 
 
+def test_top_seeds_have_their_own_streams(tmp_path):
+    # through a float64 key, seed 2**64 - 1 drew the noise of seed 0
+    cfg = _cfg_file(tmp_path, BASE + "n_traj = 8\n")
+    csv = {}
+    for seed in (0, 2 ** 64 - 1):
+        out = tmp_path / str(seed)
+        assert main(["ensemble", "--config", cfg, "--out", str(out), "--seed", str(seed),
+                     "--format", "csv", "--plot", "none"]) == 0
+        csv[seed] = (out / "ensemble.csv").read_text()
+    assert csv[0] != csv[2 ** 64 - 1]
+
+
 def test_module_entrypoint_runs(tmp_path):
     cfg = _cfg_file(tmp_path)
     out = tmp_path / "out"

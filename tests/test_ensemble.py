@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nmsse.core import InvalidGridError, InvalidParameterError, make_grid, make_params
-from nmsse.ensemble import _CHUNK_ROWS, _moment_curves, run_ensemble, run_trajectory
+from nmsse.ensemble import _CHUNK_ROWS, _moment_curves, run_ensemble
 from nmsse.kernels import characteristic_roots, f_exponential, h_exponential_batch
 from nmsse.noise import sample_exponential_noise_batch
 from nmsse.propagator import gaussian_from_moments, greens_coefficients
@@ -40,21 +40,17 @@ def test_free_particle_is_exactly_ballistic():
 def test_trajectory_reproduces_ensemble_rows():
     grid = make_grid(1.0, 257)
     ts = [0.25, 0.5, 1.0]
+    idx = np.array([64, 128, 256])
     state0 = _fixture_state(CRIT)
     stats = run_ensemble(CRIT, 1.0, state0, ts, 3, 42, grid=grid)
-    recs = [
-        run_trajectory(CRIT, 1.0, state0, ts, 42, grid=grid, trajectory_index=i)
-        for i in range(3)
-    ]
-    assert np.array_equal(recs[0].times, stats.times)
+    rows = [_moment_curves(CRIT, 1.0, grid, idx, state0, 42, [i]) for i in range(3)]
+    assert np.array_equal(grid.nodes()[idx], stats.times)
     # the deterministic width channel is shared verbatim
-    np.testing.assert_allclose(recs[1].sigma_position, stats.sigma_q, rtol=5e-14)
+    assert np.array_equal(rows[1][2], stats.sigma_q)
 
-    # re-aggregate the single-trajectory records and compare; batch and
-    # single evaluation may differ by an ulp, hence allclose not equality
-    q = np.stack([r.mean_position for r in recs])
-    p = np.stack([r.mean_momentum for r in recs])
-    lns = np.stack([r.log_norm_sq for r in recs])
+    # re-aggregate the rows, each computed alone, and compare with the
+    # ensemble's statistics
+    q, p, _, lns = (np.concatenate([r[k] for r in rows]) for k in range(4))
     for j in range(len(ts)):
         wts = np.exp(lns[:, j] - lns[:, j].max())
         wts /= wts.sum()
@@ -108,11 +104,11 @@ def test_single_trajectory_ensemble_degenerates_cleanly():
     grid = make_grid(1.0, 257)
     state0 = _fixture_state(CRIT)
     stats = run_ensemble(CRIT, 1.0, state0, [0.5, 1.0], 1, 42, grid=grid)
-    rec = run_trajectory(CRIT, 1.0, state0, [0.5, 1.0], 42, grid=grid)
+    q = _moment_curves(CRIT, 1.0, grid, np.array([128, 256]), state0, 42, [0])[0]
     assert np.all(stats.se_q == 0.0)
     assert np.all(stats.v_q == 0.0)
     assert np.all(stats.ess == 1.0)
-    np.testing.assert_allclose(stats.mean_q, rec.mean_position, rtol=5e-14)
+    np.testing.assert_allclose(stats.mean_q, q[0], rtol=5e-14)
 
 
 def test_effective_sample_size_bounds():
@@ -153,15 +149,16 @@ def test_infinite_memory_rate_has_no_sampler():
     state0 = _fixture_state(CRIT)
     with pytest.raises(InvalidParameterError, match="finite"):
         run_ensemble(CRIT, math.inf, state0, [1.0], 2, 42, grid=grid)
-    with pytest.raises(InvalidParameterError, match="finite"):
-        run_trajectory(CRIT, math.inf, state0, [1.0], 42, grid=grid)
 
 
 def test_default_grid_is_built_from_the_last_sample():
     state0 = _fixture_state(CRIT)
-    rec = run_trajectory(CRIT, 1.0, state0, [0.5, 1.0], 42)
-    assert rec.times[-1] == pytest.approx(1.0)
-    assert rec.times.size == 2
+    stats = run_ensemble(CRIT, 1.0, state0, [0.5, 1.0], 2, 42)
+    assert stats.times[-1] == pytest.approx(1.0)
+    assert stats.times.size == 2
+    # the default grid has 513 nodes, so t = 0.5 is node 256 of it
+    at_half = run_ensemble(CRIT, 1.0, state0, [0.5], 2, 42, grid=make_grid(0.5, 257))
+    assert stats.mean_q[0] == pytest.approx(at_half.mean_q[0], rel=1e-12)
 
 
 def _per_horizon_route(params, gamma, grid, w, idx, state0):
@@ -250,21 +247,6 @@ def test_single_pass_matches_at_the_benchmark_point():
     _assert_routes_agree(CRIT, 1.0, grid, idx, _fixture_state(CRIT), 6, 3, 1e-12)
 
 
-def test_trajectory_reproduces_ensemble_rows_across_chunks():
-    grid = make_grid(1.0, 129)
-    ts = [0.125, 0.5, 1.0]
-    idx = np.array([16, 64, 128])
-    state0 = _fixture_state(CRIT)
-    n_traj = _CHUNK_ROWS + 2
-    q, p, sigma, lns = _moment_curves(CRIT, 1.0, grid, idx, state0, 9, range(n_traj))
-    for i in (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, n_traj - 1):
-        rec = run_trajectory(CRIT, 1.0, state0, ts, 9, grid=grid, trajectory_index=i)
-        np.testing.assert_allclose(rec.mean_position, q[i], rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(rec.mean_momentum, p[i], rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(rec.log_norm_sq, lns[i], rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(rec.sigma_position, sigma, rtol=1e-15)
-
-
 def test_free_particle_keeps_unit_norm():
     # without coupling the evolution is unitary: every raw norm is 1
     grid = make_grid(2.0, 129)
@@ -300,11 +282,10 @@ def test_block_rows_equal_single_trajectories(n_traj):
     state0 = _fixture_state(CRIT)
     q, p, _, lns = _moment_curves(CRIT, 1.0, grid, idx, state0, 9, range(n_traj))
     for i in {0, _CHUNK_ROWS - 1, _CHUNK_ROWS, n_traj - 1} & set(range(n_traj)):
-        rec = run_trajectory(CRIT, 1.0, state0, grid.nodes()[idx], 9, grid=grid,
-                             trajectory_index=i)
-        assert np.array_equal(rec.mean_position, q[i])
-        assert np.array_equal(rec.mean_momentum, p[i])
-        assert np.array_equal(rec.log_norm_sq, lns[i])
+        q1, p1, _, lns1 = _moment_curves(CRIT, 1.0, grid, idx, state0, 9, [i])
+        assert np.array_equal(q1[0], q[i])
+        assert np.array_equal(p1[0], p[i])
+        assert np.array_equal(lns1[0], lns[i])
 
 
 def test_runs_share_no_state():

@@ -17,6 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from nmsse.core import InvalidParameterError, make_grid, make_params
 from nmsse.kernels import (
+    _RESIDUAL_ULPS,
+    KernelSolution,
     _tanh_ratio,
     _tanh_sqrt_divdiff,
     characteristic_roots,
@@ -30,7 +32,7 @@ from nmsse.kernels import (
     solve_f_numeric,
     solve_h_numeric,
 )
-from nmsse.noise import NoisePath, exponential_kernel, kernel_eval, sample_exponential_noise
+from nmsse.noise import NoisePath, _ou_covariance, exponential_kernel, sample_exponential_noise
 
 SCALED = make_params(m=1.0, hbar=1.0, lam=0.5, unit_mode="scaled")   # omega_c^2 = 1
 FREE = make_params(m=1.0, hbar=1.0, lam=0.0, unit_mode="scaled")     # no coupling
@@ -404,13 +406,62 @@ def _dense_residual(sol, params, kern, noise):
     v = sol.values
     rho = np.full(grid.n, dt)
     rho[[0, -1]] = dt / 2.0
-    alpha = kernel_eval(kern, s[1:-1, None], s[None, :])
-    lapl = 1j * params.m / (2.0 * params.hbar) * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dt ** 2
+    alpha = _ou_covariance(kern.gamma, s[1:-1, None], s[None, :])
+    mu = 1j * params.m / (2.0 * params.hbar)
+    lapl = mu * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dt ** 2
     mem = params.lam * (alpha @ (rho * v))
     rhs = (math.sqrt(params.lam) / 2.0 * noise.values[1:-1] if sol.kind == "H"
            else np.zeros(grid.n - 2))
+    av = np.abs(v)
+    size = abs(mu) * (av[:-2] + 2.0 * av[1:-1] + av[2:]) / dt ** 2 + np.abs(mem) + np.abs(rhs)
+    floor = _RESIDUAL_ULPS * np.finfo(float).eps * np.max(size)
     scale = max(np.max(np.abs(lapl)), np.max(np.abs(mem)), np.max(np.abs(rhs)), 1e-300)
-    return np.max(np.abs(lapl + mem - rhs)) / scale
+    return max(np.max(np.abs(lapl + mem - rhs)) - floor, 0.0) / scale
+
+
+def _line(grid):
+    """The free chord f = 1 - s/t, which solves the discrete equation at lambda = 0."""
+    t = grid.t_max
+    return KernelSolution(grid=grid, values=(1.0 - grid.nodes() / t).astype(complex),
+                          d_start=-1.0 / t + 0j, d_end=-1.0 / t + 0j, kind="F",
+                          d_sum=-2.0 / t + 0j, d_diff=0j)
+
+
+@pytest.mark.parametrize("t_max", [1e-6, 1.0, 100.0])
+def test_residual_of_the_free_chord_is_zero_to_rounding(t_max):
+    # its second difference is pure rounding, about eps/dt^2 of f, which is
+    # no defect of the discrete equation
+    grid = make_grid(t_max, 2001)
+    kern = exponential_kernel(1.0)
+    f_c = f_exponential(t_max, FREE, 1.0, grid)
+    tiny = make_params(m=1.0, hbar=1.0, lam=1e-30)
+    assert kernel_residual([_line(grid), f_c], FREE, kern) == [0.0, 0.0]
+    assert max(kernel_residual([_line(grid), f_exponential(t_max, tiny, 1.0, grid)],
+                               tiny, kern)) <= 1e-12
+
+
+def test_residual_sees_a_kernel_of_the_wrong_coupling():
+    # the rounding floor is taken off the defect, not divided into it: f at
+    # twice the coupling still scores O(1) against the results, where
+    # dividing by the size of the terms scored it 2.6e-9
+    grid = make_grid(1.0, 2001)
+    right = f_exponential(1.0, CRIT, 1.0, grid)
+    wrong = f_exponential(1.0, make_params(m=1.0, hbar=1.0, lam=0.2), 1.0, grid)
+    res_right, res_wrong = kernel_residual([right, wrong], CRIT, exponential_kernel(1.0))
+    assert res_right <= 1e-8
+    assert res_wrong >= 0.1
+
+
+def test_residual_of_the_closed_forms_is_truncation_on_a_coarse_grid():
+    # at 33 nodes the O(dt^2) truncation clears the rounding floor; it
+    # falls about fourfold per halving of dt
+    res = []
+    for n in (33, 65, 129):
+        grid = make_grid(1.0, n)
+        res.append(kernel_residual([f_exponential(1.0, CRIT, 1.0, grid)], CRIT,
+                                   exponential_kernel(1.0))[0])
+    assert 1e-8 < res[-1] < res[1] < res[0] <= 1e-3
+    assert 3.5 <= res[0] / res[1] <= 4.5 and 3.5 <= res[1] / res[2] <= 4.5
 
 
 # interior rows below, on and just past the edges of the 128-row blocks
@@ -533,6 +584,27 @@ def test_root_invariants(gamma, omega):
     assert abs(u1 * u2 - want) <= tol
     assert u1.real >= 0.0
     assert u2.real >= 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_roots_match_50_digit_roots(scale):
+    # error model of the kernels CLI check root-sum-invariant: roots good to
+    # a few ulps leave u1^2 + u2^2 - gamma^2 a few eps of |u1|^2 + |u2|^2,
+    # which exceeds gamma^2 about 2 omega/gamma times where omega >> gamma
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for ratio in np.geomspace(1e-8, 1e8, 33):
+            gamma, omega = scale, scale / ratio
+            roots = characteristic_roots(gamma, omega)
+            g2 = mpmath.mpf(gamma) ** 2
+            zeta = mpmath.sqrt(g2 * g2 - 4j * g2 * mpmath.mpf(omega) ** 2)
+            for got, want in ((roots.upsilon1, mpmath.sqrt((g2 + zeta) / 2)),
+                              (roots.upsilon2, mpmath.sqrt((g2 - zeta) / 2))):
+                assert float(abs(mpmath.mpc(got) - want) / abs(want)) <= 4.0 * eps, ratio
+            u1, u2 = roots.upsilon1, roots.upsilon2
+            dev = abs(u1 * u1 + u2 * u2 - gamma * gamma)
+            assert dev <= 8.0 * eps * (abs(u1) ** 2 + abs(u2) ** 2), ratio
 
 
 @settings(max_examples=25, deadline=None)

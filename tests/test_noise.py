@@ -4,16 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from nmsse.core import InvalidParameterError, make_grid
-from nmsse.noise import (
-    empirical_covariance,
-    exponential_kernel,
-    kernel_eval,
-    sample_exponential_noise,
-    sample_exponential_noise_batch,
-)
+from nmsse.noise import _ou_covariance, sample_exponential_noise, sample_exponential_noise_batch
 
 
 def test_same_key_is_bit_identical():
@@ -86,13 +79,30 @@ def test_a_row_does_not_depend_on_its_batch(gamma, size):
     assert np.all(np.isnan(buf[size:]))
 
 
-def test_restrict_is_a_prefix_view():
-    grid = make_grid(2.0, 65)
-    path = sample_exponential_noise(1.0, grid, 11, 0)
-    sub = path.restrict(33)
-    assert sub.grid.n == 33
-    assert np.array_equal(sub.values, path.values[:33])
-    assert np.array_equal(sub.grid.nodes(), grid.nodes()[:33])
+def test_master_seeds_keep_their_64_bits():
+    # the key is built as uint64: through float64, 2**64 - 1 and 2**64 - 2
+    # became key 0 and 2**63 + 1 became 2**63
+    grid = make_grid(1.0, 65)
+    draw = lambda seed: sample_exponential_noise_batch(1.0, grid, seed, [0, 1])
+    seeds = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+    paths = [draw(seed) for seed in seeds]
+    for i in range(len(seeds)):
+        for j in range(i):
+            assert not np.array_equal(paths[i], paths[j]), (seeds[i], seeds[j])
+
+
+def test_rows_are_the_keyed_philox_streams():
+    # gamma dt = 2500: rho = 0 and both scales are 1, so each row is its
+    # standard normals.  One bit generator reset per key draws what a fresh
+    # one per key draws, and below 2**63 what a list key always drew.
+    grid = make_grid(1e4, 9)
+    for seed, key in ((0, 0), (7, 3), (42, 3000), (2**63 + 1, 2), (2**64 - 1, 2**40)):
+        row = sample_exponential_noise_batch(2.0, grid, seed, [5, key])[1]
+        bits = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
+        assert np.array_equal(row, np.random.Generator(bits).standard_normal(grid.n))
+        if seed < 2**63:
+            bits = np.random.Philox(key=[seed, key])
+            assert np.array_equal(row, np.random.Generator(bits).standard_normal(grid.n))
 
 
 def test_rejects_nonfinite_gamma():
@@ -103,26 +113,17 @@ def test_rejects_nonfinite_gamma():
         sample_exponential_noise(0.0, grid, 0, 0)
 
 
-def test_kernel_eval_symmetric_and_decaying():
-    kern = exponential_kernel(2.0)
+def test_ou_covariance_symmetric_and_decaying():
     t = np.array([0.0, 0.3, 1.0])
     s = np.array([0.5, 0.5, 0.5])
-    fwd = kernel_eval(kern, t, s)
-    rev = kernel_eval(kern, s, t)
-    assert np.array_equal(fwd, rev)
-    assert kernel_eval(kern, 0.7, 0.7) == pytest.approx(1.0)  # gamma/2 at lag 0
-    assert kernel_eval(kern, 0.0, 1.0) == pytest.approx(math.exp(-2.0))
-
-
-@given(
-    gamma=st.floats(min_value=0.01, max_value=100.0),
-    t=st.floats(min_value=0.0, max_value=10.0),
-    s=st.floats(min_value=0.0, max_value=10.0),
-)
-def test_kernel_eval_matches_closed_form(gamma, t, s):
-    kern = exponential_kernel(gamma)
-    want = 0.5 * gamma * math.exp(-gamma * abs(t - s))
-    assert kernel_eval(kern, t, s) == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(_ou_covariance(2.0, t, s), _ou_covariance(2.0, s, t))
+    assert _ou_covariance(2.0, 0.7, 0.7) == 1.0  # gamma/2 at lag 0
+    assert _ou_covariance(2.0, 0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    nodes = np.linspace(0.0, 1.0, 7)
+    mat = _ou_covariance(2.0, nodes[:, None], nodes[None, :])
+    assert mat.shape == (7, 7)
+    assert np.array_equal(mat, mat.T)
+    assert np.all(np.diff(mat[0]) < 0.0)
 
 
 def test_empirical_covariance_tracks_the_kernel():
@@ -130,8 +131,8 @@ def test_empirical_covariance_tracks_the_kernel():
     gamma = 1.5
     grid = make_grid(2.0, 65)
     w = sample_exponential_noise_batch(gamma, grid, 123, range(4000))
-    cov = empirical_covariance(w, grid, lags=(0, 1, 4, 16))
-    for lag, got in cov.items():
+    for lag in (0, 1, 4, 16):
+        got = float(np.mean(w[:, : grid.n - lag] * w[:, lag:]))
         want = 0.5 * gamma * math.exp(-gamma * lag * grid.dt)
         assert got == pytest.approx(want, rel=0.05)
 
@@ -142,9 +143,3 @@ def test_stationary_start_variance():
     w = sample_exponential_noise_batch(gamma, grid, 99, range(20000))
     assert float(np.mean(w[:, 0] ** 2)) == pytest.approx(gamma / 2.0, rel=0.05)
 
-
-def test_empirical_covariance_rejects_oversized_lag():
-    grid = make_grid(1.0, 9)
-    w = sample_exponential_noise_batch(1.0, grid, 0, range(3))
-    with pytest.raises(InvalidParameterError):
-        empirical_covariance(w, grid, lags=(9,))

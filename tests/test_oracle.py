@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from nmsse.core import InvalidParameterError, make_grid, make_params
-from nmsse.noise import (
-    NoisePath,
-    exponential_kernel,
-    kernel_eval,
-    sample_exponential_noise,
-)
+from nmsse.noise import NoisePath, exponential_kernel, sample_exponential_noise
 from nmsse.oracle import assemble_action, oracle_coefficients, oracle_convergence
 
 CRIT = make_params(m=1.0, hbar=1.0, lam=0.1, unit_mode="scaled")
@@ -68,15 +63,6 @@ def test_action_matrix_is_symmetric():
     noise = sample_exponential_noise(2.0, grid, 3, 0)
     Q, _ = assemble_action(CRIT, exponential_kernel(2.0), noise)
     assert np.array_equal(Q, Q.T)
-
-
-def test_kernel_eval_broadcasts():
-    kern = exponential_kernel(2.0)
-    s = np.linspace(0.0, 1.0, 7)
-    mat = kernel_eval(kern, s[:, None], s[None, :])
-    assert mat.shape == (7, 7)
-    assert np.array_equal(mat, mat.T)
-    assert mat[0, 0] == pytest.approx(1.0)  # gamma / 2 at zero lag
 
 
 @pytest.mark.parametrize("t,t_max", [(2.0, 1.0), (math.nan, 1.0), (-1e-13, 5e-13),

@@ -1,4 +1,5 @@
-"""The public surface: every exported name resolves, neither importing the
+"""The public surface: nmsse.__all__ is pinned and is the only __all__ of the
+package, every exported name resolves, neither importing the
 package nor solving the collocation arbiter loads scipy, the CLI drives the
 library through public names only and alone writes file formats, and every
 binding that the benchmark's
@@ -16,6 +17,51 @@ import nmsse
 import nmsse.cli
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+# The whole public surface; a new public name needs a deliberate edit here.
+PUBLIC = {
+    "__version__",
+    # core
+    "HBAR_SI", "InvalidGridError", "InvalidParameterError", "PhysicalParams", "TimeGrid",
+    "make_grid", "make_params",
+    # noise
+    "CorrelationKernel", "NoisePath", "exponential_kernel", "sample_exponential_noise",
+    "sample_exponential_noise_batch",
+    # kernels
+    "CharacteristicRoots", "KernelSolution", "characteristic_roots", "f_exponential",
+    "f_markovian", "f_ratio_form", "h_exponential", "kernel_residual", "solve_f_numeric",
+    "solve_h_numeric",
+    # propagator
+    "FunctionalDerivativeCoeffs", "GaussianState", "GreensCoefficients", "asymptotic_spread",
+    "functional_derivative_coeffs", "gaussian_from_moments", "greens_coefficients",
+    "mean_momentum", "mean_position", "normalize", "propagate_gaussian", "spread_curve",
+    "spread_momentum", "spread_position",
+    # oracle
+    "OracleReport", "oracle_coefficients", "oracle_convergence",
+    # ensemble
+    "EnsembleStats", "run_ensemble",
+}
+
+
+def test_the_public_surface_is_pinned():
+    assert len(nmsse.__all__) == len(set(nmsse.__all__))
+    assert set(nmsse.__all__) == PUBLIC
+
+
+def test_only_the_package_declares_all():
+    pkg = os.path.dirname(nmsse.__file__)
+    declaring = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            declaring += [name for node in ast.walk(tree)
+                          if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                          for target in (node.targets if isinstance(node, ast.Assign)
+                                         else [node.target])
+                          if isinstance(target, ast.Name) and target.id == "__all__"]
+    assert declaring == []
 
 
 def test_every_exported_name_resolves():
