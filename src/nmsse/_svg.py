@@ -12,6 +12,8 @@ import math
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 
+_WIDTH = 760
+_HEIGHT = 500
 _MARGIN_L = 78
 _MARGIN_R = 18
 _MARGIN_T = 36
@@ -71,8 +73,6 @@ def line_plot(
     log_x: bool = False,
     log_y: bool = False,
     hlines=(),
-    width: int = 760,
-    height: int = 500,
     data_comment: str = "",
 ) -> str:
     """Render line series to an SVG string.
@@ -82,8 +82,8 @@ def line_plot(
     dashed horizontal reference lines.  Log axes silently drop points
     that are not strictly positive on that axis.
     """
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def keep(x, y):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -135,13 +135,13 @@ def line_plot(
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
             f'{_FONT} font-size="15" fill="#000000">{_esc(title)}</text>'
         )
 
@@ -176,7 +176,7 @@ def line_plot(
     )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 12}" '
+            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
             f'text-anchor="middle" {_FONT} font-size="13" '
             f'fill="#000000">{_esc(xlabel)}</text>'
         )

@@ -77,7 +77,6 @@ from .noise import exponential_kernel, sample_exponential_noise
 from .oracle import oracle_convergence
 from .propagator import asymptotic_spread, gaussian_from_moments, spread_curve
 
-_ORACLE_LEVELS = (64, 128, 256, 512)
 # False-alarm rate of the whole classical-mean check of one ensemble run.
 _MEAN_FALSE_ALARM = 1e-6
 
@@ -454,7 +453,8 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
 
     Embedded checks: boundary values, characteristic-root invariants,
     agreement between the two independent solution routes, and the closed
-    forms' defect under the discrete operator (quadrature-limited).  The
+    forms' defect under the discrete operator (truncation-limited, see
+    res_cap).  The
     collocation route's own residual is reported without a threshold; it
     reflects linear-solver backward error, which grows on finer grids.  One
     kernel_residual call scores all four kernels against one dense operator.
@@ -535,8 +535,9 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
     checks.record("route-agreement-f", dev_f <= 1e-4, f"sup rel dev {dev_f:.3g}")
     checks.record("route-agreement-h", dev_h <= 1e-4, f"sup rel dev {dev_h:.3g}")
     # The closed forms are exact, so their residual under the discrete
-    # operator beyond rounding is pure quadrature truncation, O((gamma dt)^2).
-    res_cap = max(1e-8, 5.0 * (gamma * grid.dt) ** 2)
+    # operator beyond rounding is pure truncation, O((|upsilon| dt)^2) for
+    # the modes e^{-upsilon s}; |upsilon1| >= gamma, as Re zeta >= gamma^2.
+    res_cap = max(1e-8, 5.0 * (max(abs(roots.upsilon1), abs(roots.upsilon2)) * grid.dt) ** 2)
     checks.record("closed-form-residual", max(res_fc, res_hc) <= res_cap,
                   f"max {max(res_fc, res_hc):.3g}, cap {res_cap:.3g}")
 
@@ -571,10 +572,9 @@ def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
     """
     gamma = cfg.single_gamma("oracle-check")
     params = cfg.build_params()
-    grid = make_grid(cfg.t_max, _ORACLE_LEVELS[-1] + 1)
+    grid = make_grid(cfg.t_max, 513)  # the oracle's finest level, 512 segments
     noise = sample_exponential_noise(gamma, grid, cfg.master_seed, 0)
-    table = oracle_convergence(cfg.t_max, params, gamma, noise,
-                               levels=_ORACLE_LEVELS)
+    table = oracle_convergence(cfg.t_max, params, gamma, noise)
 
     csv_text = _csv("n_segments,err_A,err_B,err_C,err_D,err_E,err_max", (
         [report.n_segments] + [errs[k] for k in "ABCDE"] + [err_max]
@@ -605,7 +605,7 @@ def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
         " -> ".join("%.3g" % v for v in maxes),
     )
     checks.record("oracle-final-error", maxes[-1] <= 1e-3,
-                  f"{maxes[-1]:.3g} at N={_ORACLE_LEVELS[-1]}")
+                  f"{maxes[-1]:.3g} at N={table[-1][0].n_segments}")
 
     ns = [float(r.n_segments) for r, _, _ in table]
     _write_svg(cfg, plot, "oracle.svg", csv_text, [("max rel error", ns, maxes, "solid")],
@@ -664,7 +664,7 @@ def cmd_ensemble(cfg: RunConfig, checks: _Checks, plot: str):
     cols = {col: getattr(stats, field) for col, field in _ENSEMBLE_COLUMNS.items()}
     csv_text = _csv(",".join(cols), zip(*cols.values()))
     payload = {("times" if col == "t" else col): v.tolist() for col, v in cols.items()}
-    payload.update(n_traj=stats.n_traj, master_seed=stats.master_seed, measure=stats.measure)
+    payload.update(n_traj=stats.n_traj, master_seed=cfg.master_seed, measure="physical")
     _write_data(cfg, "ensemble.csv", csv_text, "ensemble.json", payload)
 
     classical = cfg.x0 + cfg.p0 * stats.times / cfg.m

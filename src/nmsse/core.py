@@ -37,11 +37,8 @@ class PhysicalParams:
     hbar : float
         Reduced Planck constant in the same unit system.
     lam : float
-        Collapse coupling strength (the ``lambda`` config key).
-    omega : float
-        Derived frequency scale ``2*sqrt(hbar*lam/m)``.  Stored for
-        reporting.  The kernel equations themselves are driven by
-        ``omega_collapse``, see below.
+        Collapse coupling strength (the ``lambda`` config key).  The kernel
+        equations see it through ``omega_collapse``, see below.
     unit_mode : str
         Either ``"scaled"`` or ``"SI"``; documentation only.
     """
@@ -49,7 +46,6 @@ class PhysicalParams:
     m: float
     hbar: float
     lam: float
-    omega: float
     unit_mode: str
 
     @property
@@ -57,7 +53,7 @@ class PhysicalParams:
         """Square of the frequency that enters the kernel quartic.
 
         The quartic reduction of the memory boundary-value problem carries
-        ``2*hbar*lam/m`` (half of ``omega**2``); both the analytic kernels
+        ``2*hbar*lam/m``; both the analytic kernels
         and the independent numeric solver agree on this value, so it is
         the one used everywhere computations happen.
         """
@@ -114,9 +110,7 @@ def make_params(
         raise InvalidParameterError(f"lambda must be non-negative and finite, got {lam!r}")
     if unit_mode not in ("scaled", "SI"):
         raise InvalidParameterError(f"unit_mode must be 'scaled' or 'SI', got {unit_mode!r}")
-    omega = 2.0 * math.sqrt(hbar * lam / m)
-    return PhysicalParams(m=float(m), hbar=float(hbar), lam=float(lam),
-                          omega=omega, unit_mode=unit_mode)
+    return PhysicalParams(m=float(m), hbar=float(hbar), lam=float(lam), unit_mode=unit_mode)
 
 
 def _closed_form_constants(params: PhysicalParams) -> tuple[complex, complex, float]:

@@ -2,19 +2,14 @@
 
 Trajectories are sampled under the reference measure of the driving noise
 (independent Gaussian paths), propagated in raw form, and normalized only
-when moments are read off.  Ensemble averages come in two flavours:
-
-``measure="physical"``
-    Each trajectory is weighted by the squared norm of its raw state, the
-    Born weight that a measuring device sees.  Classical laws (ballistic
-    mean position, inverse-square-root mass scaling of the spread of the
-    trajectory means) hold under this measure and only under it.
-
-``measure="reference"``
-    Flat weights over the sampled paths.  Kept for diagnostics; the mean
-    position under this measure provably lags the classical value because
-    high-norm trajectories are exactly the ones dragged furthest along the
-    initial momentum.
+when moments are read off.  Ensemble averages are taken under the physical
+measure: each trajectory is weighted by the squared norm of its raw state,
+the Born weight that a measuring device sees.  Classical laws (ballistic
+mean position, inverse-square-root mass scaling of the spread of the
+trajectory means) hold under this measure and only under it; the flat
+average over the sampled paths provably lags the classical mean position,
+because high-norm trajectories are exactly the ones dragged furthest along
+the initial momentum.
 
 Weights are formed per sample time with a log-sum-exp shift, so long
 horizons degrade gracefully into a small effective sample size instead of
@@ -49,7 +44,6 @@ from .core import (
     PhysicalParams,
     TimeGrid,
     _closed_form_constants,
-    make_grid,
 )
 # f_exponential and h_exponential_batch are not called here; the benchmark's
 # traced run wraps them here by name (guarded by tests/test_public_surface.py).
@@ -67,12 +61,6 @@ from .noise import sample_exponential_noise_batch
 from .propagator import (GaussianState, _gaussian_update, _noise_free_update,
                          mean_momentum, mean_position)
 
-_MEASURES = ("physical", "reference")
-
-# Default node count when no grid is passed.  The single pass could afford
-# a finer one; 513 keeps the default outputs where they have always been.
-_DEFAULT_NODES = 513
-
 # Trajectories per block of the single pass, so the working set is a few
 # (_CHUNK_ROWS, N) arrays whatever the ensemble size.
 _CHUNK_ROWS = 128
@@ -84,8 +72,7 @@ class EnsembleStats:
 
     ``v_q`` is the dispersion of the per-trajectory mean positions,
     sqrt(weighted mean of squared deviations), population convention.
-    ``ess`` is the effective sample size implied by the weights; under the
-    reference measure it equals ``n_traj`` up to rounding.
+    ``ess`` is the effective sample size implied by the physical weights.
     """
 
     times: np.ndarray
@@ -98,8 +85,6 @@ class EnsembleStats:
     sigma_q: np.ndarray
     ess: np.ndarray
     n_traj: int
-    master_seed: int
-    measure: str
 
 
 def _snap_indices(grid: TimeGrid, t_samples) -> np.ndarray:
@@ -212,8 +197,8 @@ def _chunk_moments(params: PhysicalParams, hz: _Horizons, w: np.ndarray,
 
     The convolution and the noise products are written into the run's
     workspace ws (in-place source build and scan, products with out=), so a
-    block allocates nothing of its own size outside the vanishing-coupling
-    branch, and the values are those of the allocating forms bit for bit.
+    block allocates nothing of its own size, and the values are those of
+    the allocating forms bit for bit.
     """
     k = hz.idx
     dt = hz.dt
@@ -250,13 +235,16 @@ def _chunk_moments(params: PhysicalParams, hz: _Horizons, w: np.ndarray,
     int_f_rev = af * even[0] - bf * odd[0] + cf * even[1] - df * odd[1]
 
     if hz.degenerate:
-        # vanishing coupling: h'' = pref w with zero boundary values
-        s = np.arange(w.shape[1]) * dt
-        cw = _cumtrapz(w, dt)
-        crw = _cumtrapz(s * w, dt)
+        # vanishing coupling: h'' = pref w with zero boundary values, formed
+        # in the real halves of conv and prod, which the roots are done with
+        s = np.arange(n_conv) * dt
+        lin = prod.view(float)[:, :n_conv]
+        cw = _cumtrapz(w, dt, out=conv.view(float)[:, :n_conv])
+        crw = _cumtrapz(np.multiply(w, s, out=lin), dt, out=conv.view(float)[:, n_conv:])
         total = t * cw[:, k] - crw[:, k]
         h_d0, h_dt = _degenerate_slopes(pref, t, cw[:, k], total)
-        int_h = pref * (_trapz_at(w * (s * cw - crw), k, dt) - total / t * crw[:, k])
+        np.subtract(np.multiply(cw, s, out=lin), crw, out=lin)
+        int_h = pref * (_trapz_at(np.multiply(w, lin, out=lin), k, dt) - total / t * crw[:, k])
     else:
         a, b, c, d, h_d0, h_dt = _h_boundary_solve(hz.sc, hz.gamma, pref, i_k, v_k)
         c1, c2 = _h_particular_weights(hz.sc)
@@ -307,15 +295,6 @@ def _moment_curves(
     return q, p, hz.sigma, log_norm_sq
 
 
-def _normalized_weights(log_norm_sq_col: np.ndarray, measure: str) -> np.ndarray:
-    if measure == "reference":
-        n = log_norm_sq_col.size
-        return np.full(n, 1.0 / n)
-    shifted = log_norm_sq_col - log_norm_sq_col.max()
-    wts = np.exp(shifted)
-    return wts / wts.sum()
-
-
 def run_ensemble(
     params: PhysicalParams,
     gamma: float,
@@ -324,26 +303,20 @@ def run_ensemble(
     n_traj: int,
     master_seed: int,
     *,
-    grid: TimeGrid | None = None,
-    measure: str = "physical",
+    grid: TimeGrid,
 ) -> EnsembleStats:
-    """Aggregate moment statistics over ``n_traj`` independent realizations.
+    """Physical-measure moment statistics over ``n_traj`` independent realizations.
 
-    Trajectory i draws its path from the counter-based stream
+    Trajectory i draws its path on ``grid`` from the counter-based stream
     (master_seed, i), so results are independent of evaluation order and
-    identical across batch sizes up to elementwise rounding.  A state that
+    identical across batch sizes up to elementwise rounding.  The sample
+    times snap to nodes of ``grid``.  A state that
     fails to normalize does so for every trajectory at once (the quadratic
     coefficient is noise independent), so that error aborts the run rather
     than producing a partial report.
     """
-    if measure not in _MEASURES:
-        raise InvalidParameterError(
-            f"measure must be one of {_MEASURES}, got {measure!r}"
-        )
     if n_traj < 1:
         raise InvalidParameterError(f"n_traj must be >= 1, got {n_traj}")
-    if grid is None:
-        grid = make_grid(float(np.max(np.asarray(t_samples, dtype=float))), _DEFAULT_NODES)
     idx = _snap_indices(grid, t_samples)
     q, p, sigma, log_norm_sq = _moment_curves(params, gamma, grid, idx, state0,
                                               master_seed, range(n_traj))
@@ -358,7 +331,8 @@ def run_ensemble(
     ess = np.empty(n_out)
 
     for j in range(n_out):
-        wts = _normalized_weights(log_norm_sq[:, j], measure)
+        wts = np.exp(log_norm_sq[:, j] - log_norm_sq[:, j].max())
+        wts /= wts.sum()
         ess[j] = 1.0 / np.sum(wts * wts)
 
         mean_q[j] = wts @ q[:, j]
@@ -388,6 +362,4 @@ def run_ensemble(
         sigma_q=sigma,
         ess=ess,
         n_traj=n_traj,
-        master_seed=master_seed,
-        measure=measure,
     )

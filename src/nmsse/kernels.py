@@ -150,8 +150,6 @@ class CharacteristicRoots:
     Re >= 0 (principal branches); zeta = upsilon1^2 - upsilon2^2.
     """
 
-    gamma: float
-    omega: float
     zeta: complex
     upsilon1: complex
     upsilon2: complex
@@ -178,9 +176,7 @@ def characteristic_roots(gamma: float, omega: float) -> CharacteristicRoots:
     zeta = np.sqrt(complex(g2 * g2, 0.0) - 4j * g2 * omega * omega)
     u1 = np.sqrt((g2 + zeta) / 2.0)
     u2 = gamma * omega * np.sqrt(2j) / np.sqrt(g2 + zeta)
-    return CharacteristicRoots(gamma=float(gamma), omega=float(omega),
-                               zeta=complex(zeta), upsilon1=complex(u1),
-                               upsilon2=complex(u2))
+    return CharacteristicRoots(zeta=complex(zeta), upsilon1=complex(u1), upsilon2=complex(u2))
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +502,14 @@ def _degenerate_slopes(pref: complex, t, cw_t, total):
     return pref * (-total / t), pref * (cw_t - total / t)
 
 
-def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
-    out = np.zeros_like(np.asarray(y, dtype=y.dtype if np.iscomplexobj(y) else float))
-    out[..., 1:] = np.cumsum((y[..., 1:] + y[..., :-1]) / 2.0, axis=-1) * dt
+def _cumtrapz(y: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative trapezoid of y along the last axis, into out when given."""
+    if out is None:
+        out = np.empty_like(y, dtype=y.dtype if np.iscomplexobj(y) else float)
+    out[..., 0] = 0.0
+    body = np.add(y[..., 1:], y[..., :-1], out=out[..., 1:])
+    np.cumsum(np.divide(body, 2.0, out=body), axis=-1, out=body)
+    body *= dt
     return out
 
 

@@ -8,13 +8,15 @@ recursion is evaluated as a blocked scan over a batch of paths, which
 rounds differently from stepping it node by node but discretizes the same
 process.  Streams are
 counter-based (Philox) and keyed by (master_seed, trajectory_index): paths
-are reproducible across runs and independent of sampling order, and every
-master seed in [0, 2**64) keys its own streams.
+are reproducible across runs and independent of sampling order.  Both parts
+of a key are integers in [0, 2**64), and every master seed keys its own
+streams.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -46,12 +48,10 @@ def _ou_covariance(gamma: float, t, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoisePath:
-    """One realization w(s_i) on a uniform grid, with its provenance key."""
+    """One realization w(s_i) on a uniform grid; values[i] is w at node i."""
 
     grid: TimeGrid
     values: np.ndarray
-    master_seed: int
-    trajectory_index: int
 
 
 def sample_exponential_noise(
@@ -70,8 +70,7 @@ def sample_exponential_noise(
     recursion as a blocked scan.
     """
     w = sample_exponential_noise_batch(gamma, grid, master_seed, [trajectory_index])[0]
-    return NoisePath(grid=grid, values=w, master_seed=master_seed,
-                     trajectory_index=trajectory_index)
+    return NoisePath(grid=grid, values=w)
 
 
 def sample_exponential_noise_batch(
@@ -92,11 +91,16 @@ def sample_exponential_noise_batch(
     time).  Each row depends on its key only,
     whatever the other rows of the batch.  The rows are written into out
     (C-contiguous float, one row per key, grid.n columns) when it is given,
-    else into a new array; either is returned.
+    else into a new array; either is returned.  The master seed and every
+    trajectory index must be an integer (not a bool) in [0, 2**64).
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
-    idx = list(trajectory_indices)
+    seed, *idx = keys = [master_seed, *trajectory_indices]
+    for key in keys:
+        if isinstance(key, bool) or not isinstance(key, numbers.Integral) or not 0 <= key < 2 ** 64:
+            raise InvalidParameterError(
+                f"master_seed and trajectory indices must be integers in [0, 2**64), got {key!r}")
     n = grid.n
     w = np.empty((len(idx), n)) if out is None else out
     # One Philox, reset to the fresh state of key (master_seed, i) per row.
@@ -106,7 +110,7 @@ def sample_exponential_noise_batch(
     normals = np.random.Generator(bits)
     fresh = bits.state
     for r, i in enumerate(idx):
-        fresh["state"]["key"] = np.array([master_seed, i], dtype=np.uint64)
+        fresh["state"]["key"] = np.array([seed, i], dtype=np.uint64)
         bits.state = fresh
         normals.standard_normal(n, out=w[r])
     rho = math.exp(-gamma * grid.dt)

@@ -20,11 +20,14 @@ import numpy as np
 
 from .core import InvalidParameterError, PhysicalParams, TimeGrid
 from .kernels import _check_horizon, f_exponential, h_exponential
-from .noise import CorrelationKernel, NoisePath, _ou_covariance, exponential_kernel
+from .noise import NoisePath, _ou_covariance
 from .propagator import GreensCoefficients, greens_coefficients
 
+# Segment counts of oracle_convergence, coarsest first; each halves the step.
+_LEVELS = (64, 128, 256, 512)
 
-def assemble_action(params: PhysicalParams, kernel: CorrelationKernel,
+
+def assemble_action(params: PhysicalParams, gamma: float,
                     noise: NoisePath) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic form (Q, L) of the discretized action exponent.
 
@@ -35,6 +38,8 @@ def assemble_action(params: PhysicalParams, kernel: CorrelationKernel,
       + sum_j eps rho_j sqrt(lam) w_j q_j
       - lam sum_{j,r} eps^2 rho_j rho_r alpha(s_j, s_r) q_j q_r
     """
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
     grid = noise.grid
     n = grid.n
     eps = grid.dt
@@ -51,7 +56,7 @@ def assemble_action(params: PhysicalParams, kernel: CorrelationKernel,
     Q[idx[:-1], idx[1:]] -= kin
     Q[idx[1:], idx[:-1]] -= kin
 
-    alpha = _ou_covariance(kernel.gamma, s[:, None], s[None, :])
+    alpha = _ou_covariance(gamma, s[:, None], s[None, :])
     Q = Q - params.lam * eps * eps * np.outer(rho, rho) * alpha
 
     L = eps * rho * math.sqrt(params.lam) * noise.values
@@ -102,7 +107,7 @@ def oracle_coefficients(t: float, params: PhysicalParams, gamma: float,
     """
     grid = noise.grid
     _check_horizon(t, grid)
-    Q, L = assemble_action(params, exponential_kernel(gamma), noise)
+    Q, L = assemble_action(params, gamma, noise)
     S, l, c = _reduce_interior(Q, L)
     A, B = complex(-(S[0, 0] + S[1, 1]) / 2.0), complex(2.0 * S[0, 1])
     coeffs = GreensCoefficients(t=t, A=A, B=B, C=complex(l[0]), D=complex(l[1]),
@@ -112,21 +117,15 @@ def oracle_coefficients(t: float, params: PhysicalParams, gamma: float,
                         diag_asymmetry=float(asym))
 
 
-def _subsample(noise: NoisePath, step: int) -> NoisePath:
-    coarse = TimeGrid(t_max=noise.grid.t_max, n=(noise.grid.n - 1) // step + 1)
-    return NoisePath(grid=coarse, values=noise.values[::step],
-                     master_seed=noise.master_seed, trajectory_index=noise.trajectory_index)
+def oracle_convergence(t: float, params: PhysicalParams, gamma: float, noise: NoisePath):
+    """Run the oracle at 64, 128, 256 and 512 segments, each against its own
+    closed forms.
 
-
-def oracle_convergence(t: float, params: PhysicalParams, gamma: float,
-                       noise: NoisePath, levels: tuple[int, ...] = (64, 128, 256, 512)):
-    """Run the oracle at several resolutions, each against its own closed forms.
-
-    The noise path must live on a grid whose segment count is the largest
-    level; coarser levels take every 2^k-th node, which is an exact
-    restriction of the Ornstein-Uhlenbeck path.  Each level is compared with
-    the closed forms (f_exponential, h_exponential, greens_coefficients) on
-    its own subsampled path, so both routes see the same noise samples.
+    The noise path must live on a grid of 512 segments; coarser levels take
+    every 2^k-th node, which is an exact restriction of the Ornstein-Uhlenbeck
+    path.  Each level is compared with the closed forms (f_exponential,
+    h_exponential, greens_coefficients) on its own subsampled path, so both
+    routes see the same noise samples.
     Returns a list of (report, per-coefficient relative errors, max
     relative error).  At lambda = 0 the noise coefficients C, D and E
     vanish identically and have no relative error, so that is refused.
@@ -136,14 +135,13 @@ def oracle_convergence(t: float, params: PhysicalParams, gamma: float,
             "the oracle check needs lambda > 0: at lambda = 0 the noise "
             "coefficients C, D, E vanish and have no relative error")
     n_fine = noise.grid.n - 1
-    if max(levels) != n_fine:
+    if n_fine != _LEVELS[-1]:
         raise InvalidParameterError(
-            f"noise grid has {n_fine} segments but the finest level is {max(levels)}")
+            f"noise grid has {n_fine} segments but the finest level is {_LEVELS[-1]}")
     out = []
-    for n_seg in levels:
-        if n_fine % n_seg:
-            raise InvalidParameterError(f"level {n_seg} does not divide {n_fine}")
-        path = _subsample(noise, n_fine // n_seg)
+    for n_seg in _LEVELS:
+        coarse = TimeGrid(t_max=noise.grid.t_max, n=n_seg + 1)
+        path = NoisePath(grid=coarse, values=noise.values[:: n_fine // n_seg])
         f = f_exponential(t, params, gamma, path.grid)
         h = h_exponential(t, params, gamma, path)
         ref = greens_coefficients(t, params, gamma, grid=path.grid, noise=path, f=f, h=h)

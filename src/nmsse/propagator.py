@@ -43,9 +43,6 @@ class GaussianState:
     beta: complex
     g: complex
 
-    def is_normalizable(self) -> bool:
-        return self.alpha.real > 0.0
-
 
 @dataclass(frozen=True)
 class GreensCoefficients:
@@ -75,7 +72,6 @@ class FunctionalDerivativeCoeffs:
     d g / d w_s = sqrt(lam) (c - i hbar beta_t b).
     """
 
-    grid: TimeGrid
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -291,4 +287,4 @@ def functional_derivative_coeffs(
     mixed = _trapz(noise.values * rev, grid.dt)
     _, pref, _ = _closed_form_constants(params)
     c = h.values - fv / (2.0 * f.d_end) * (h.d_end + pref * mixed)
-    return FunctionalDerivativeCoeffs(grid=grid, a=a, b=b, c=c)
+    return FunctionalDerivativeCoeffs(a=a, b=b, c=c)

@@ -65,10 +65,10 @@ def test_01_free_propagator_reduction():
 
     t0 = time.perf_counter()
     coeffs = greens_coefficients(t, FREE, 1.0, grid=grid,
-                                 noise=NoisePath(grid, np.zeros(grid.n), 0, 0))
+                                 noise=NoisePath(grid, np.zeros(grid.n)))
     kern = exponential_kernel(1.0)
     f_n = solve_f_numeric(t, FREE, kern, grid)
-    h_n = solve_h_numeric(t, FREE, kern, NoisePath(grid, np.zeros(grid.n), 0, 0))
+    h_n = solve_h_numeric(t, FREE, kern, NoisePath(grid, np.zeros(grid.n)))
     a_num = mu * f_n.d_start
     b_num = 2.0 * mu * f_n.d_end
     c_num = -mu * h_n.d_start
@@ -101,7 +101,7 @@ def test_02_path_sum_oracle_equivalence():
     table = {}
     for seed in seeds:
         noise = sample_exponential_noise(1.0, grid, seed, 0)
-        rows = oracle_convergence(t, CRIT, 1.0, noise, levels=(64, 128, 256, 512))
+        rows = oracle_convergence(t, CRIT, 1.0, noise)
         table[seed] = [row[2] for row in rows]
     elapsed = time.perf_counter() - t0
 
@@ -316,7 +316,7 @@ def test_11_noise_response_ansatz():
             bumped = noise.values.copy()
             bumped[k] += sign * eps
             c = greens_coefficients(t, CRIT, gamma,
-                                    noise=NoisePath(grid, bumped, 0, 0))
+                                    noise=NoisePath(grid, bumped))
             perturbed[sign] = propagate_gaussian(state0, c, renormalize=False)
         d_beta = (perturbed[1.0].beta - perturbed[-1.0].beta) / (2.0 * eps * grid.dt)
         d_g = (perturbed[1.0].g - perturbed[-1.0].g) / (2.0 * eps * grid.dt)

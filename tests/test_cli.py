@@ -295,6 +295,17 @@ def test_kernels_end_to_end(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_kernels_residual_cap_follows_the_roots(tmp_path, capsys):
+    # at lambda = 1e3, gamma = 1 the closed forms' defect is truncation of
+    # the modes e^{-upsilon s}, 6.2e-6 at N = 2001 against (|upsilon| dt)^2 =
+    # 1.1e-5; a cap built from gamma alone, 1.25e-6, failed it
+    text = BASE.replace("lambda = 0.1", "lambda = 1e3").replace("N = 257", "N = 2001")
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", _cfg_file(tmp_path, text), "--out", str(out),
+                 "--format", "json", "--plot", "none"]) == 0
+    assert "check closed-form-residual: PASS" in capsys.readouterr().out
+
+
 def test_kernels_on_a_two_node_grid_exits_2(tmp_path, capsys):
     # the discrete kernel equation has no interior node to check on N = 2
     cfg = _cfg_file(tmp_path, BASE.replace("N = 257", "N = 2"))

@@ -21,16 +21,16 @@ def test_make_params_freezes_inputs():
     assert (p.m, p.hbar, p.lam, p.unit_mode) == (2.0, 0.5, 0.3, "SI")
 
 
-def test_omega_is_twice_root_hbar_lam_over_m():
+def test_omega_collapse_squared_is_two_hbar_lam_over_m():
     p = make_params(m=4.0, hbar=1.0, lam=0.25, unit_mode="scaled")
-    assert p.omega == pytest.approx(2.0 * math.sqrt(1.0 * 0.25 / 4.0), rel=1e-15)
-    # the frequency driving the kernel quartic carries half of omega^2
-    assert p.omega_collapse_sq == pytest.approx(p.omega ** 2 / 2.0, rel=1e-15)
+    # the frequency driving the kernel quartic
+    assert p.omega_collapse_sq == pytest.approx(2.0 * 1.0 * 0.25 / 4.0, rel=1e-15)
+    assert p.omega_collapse == pytest.approx(math.sqrt(0.125), rel=1e-15)
 
 
 def test_lambda_zero_allowed():
     p = make_params(m=1.0, hbar=1.0, lam=0.0)
-    assert p.omega == 0.0
+    assert p.omega_collapse == 0.0
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -235,9 +235,9 @@ def test_h_at_zero_coupling_vanishes():
 def test_h_is_linear_in_the_noise():
     grid = make_grid(1.0, 201)
     s = grid.nodes()
-    w1 = NoisePath(grid, np.sin(5.0 * s), 0, 0)
-    w2 = NoisePath(grid, np.cos(2.0 * s) - 0.5 * s, 0, 1)
-    mix = NoisePath(grid, 2.0 * w1.values - 3.0 * w2.values, 0, 2)
+    w1 = NoisePath(grid, np.sin(5.0 * s))
+    w2 = NoisePath(grid, np.cos(2.0 * s) - 0.5 * s)
+    mix = NoisePath(grid, 2.0 * w1.values - 3.0 * w2.values)
     h1 = h_exponential(1.0, CRIT, 1.5, w1)
     h2 = h_exponential(1.0, CRIT, 1.5, w2)
     hm = h_exponential(1.0, CRIT, 1.5, mix)
@@ -254,7 +254,7 @@ def test_h_batch_matches_single_paths():
     vals, d0, dt_ = h_exponential_batch(1.0, CRIT, 1.0, grid, rows)
     assert vals.shape == (4, 201)
     for i in range(4):
-        path = NoisePath(grid, rows[i], 42, i)
+        path = NoisePath(grid, rows[i])
         single = h_exponential(1.0, CRIT, 1.0, path)
         # the single path is a one-row batch, so its row agrees bit for bit
         assert np.array_equal(vals[i], single.values)
@@ -369,7 +369,7 @@ def test_collocation_converges_in_the_stiff_memory_regime():
             devs = []
             for step in (4, 2, 1):
                 grid = make_grid(1.0, 4000 // step + 1)
-                noise = NoisePath(grid, path[::step], 7, 0)
+                noise = NoisePath(grid, path[::step])
                 pairs = ((f_exponential(1.0, params, gamma, grid),
                           solve_f_numeric(1.0, params, kern, grid)),
                          (h_exponential(1.0, params, gamma, noise),
@@ -535,7 +535,7 @@ def test_vanishing_coupling_h_matches_its_analytic_solution():
     for n in (513, 2001):
         grid = make_grid(t, n)
         s = grid.nodes()
-        h = h_exponential(t, params, 1.0, NoisePath(grid, np.sin(5.0 * s) + 0.3, 0, 0))
+        h = h_exponential(t, params, 1.0, NoisePath(grid, np.sin(5.0 * s) + 0.3))
         exact = pref * (part(s) - part(0.0) + c * s)
         tol = 2.0 * grid.dt ** 2
         assert np.max(np.abs(h.values - exact)) <= tol * np.max(np.abs(exact))
@@ -584,6 +584,18 @@ def test_root_invariants(gamma, omega):
     assert abs(u1 * u2 - want) <= tol
     assert u1.real >= 0.0
     assert u2.real >= 0.0
+
+
+@given(
+    gamma=st.floats(min_value=1e-6, max_value=1e6),
+    omega=st.floats(min_value=0.0, max_value=1e8),
+)
+def test_fastest_root_decays_at_least_at_gamma(gamma, omega):
+    # Re zeta >= gamma^2, so |upsilon1| >= gamma: the residual cap of
+    # `nmsse kernels`, 5 (max |upsilon| dt)^2, is never below 5 (gamma dt)^2
+    roots = characteristic_roots(gamma, omega)
+    rate = max(abs(roots.upsilon1), abs(roots.upsilon2))
+    assert rate >= gamma * (1.0 - 4.0 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

@@ -105,6 +105,30 @@ def test_rows_are_the_keyed_philox_streams():
             assert np.array_equal(row, np.random.Generator(bits).standard_normal(grid.n))
 
 
+@pytest.mark.parametrize("seed,index", [
+    (1.5, 0), (1.0, 0), (np.float64(1.0), 0), (True, 0), (np.True_, 0), ("1", 0),
+    (None, 0), (-1, 0), (2**64, 0), (0, 2.9), (0, True), (0, -1), (0, 2**64),
+])
+def test_keys_must_be_64_bit_unsigned_integers(seed, index):
+    # 1.5 drew the noise of seed 1, index 2.9 that of index 2 and True that
+    # of seed 1; -1 and 2**64 raised OverflowError
+    grid = make_grid(1.0, 9)
+    with pytest.raises(InvalidParameterError, match="2\\*\\*64"):
+        sample_exponential_noise_batch(1.0, grid, seed, [3, index])
+    with pytest.raises(InvalidParameterError, match="2\\*\\*64"):
+        sample_exponential_noise(1.0, grid, seed, index)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 1, 2**64 - 1])
+def test_integer_types_key_the_same_stream(seed):
+    grid = make_grid(1.0, 33)
+    want = sample_exponential_noise_batch(1.0, grid, seed, [0, 2**64 - 1])
+    for kind in (np.uint64, np.int64) if seed < 2**63 else (np.uint64,):
+        got = sample_exponential_noise_batch(1.0, grid, kind(seed),
+                                             [kind(0), np.uint64(2**64 - 1)])
+        assert np.array_equal(got, want)
+
+
 def test_rejects_nonfinite_gamma():
     grid = make_grid(1.0, 9)
     with pytest.raises(InvalidParameterError):

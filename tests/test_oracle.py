@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nmsse.core import InvalidParameterError, make_grid, make_params
-from nmsse.noise import NoisePath, exponential_kernel, sample_exponential_noise
+from nmsse.noise import NoisePath, sample_exponential_noise
 from nmsse.oracle import assemble_action, oracle_coefficients, oracle_convergence
 
 CRIT = make_params(m=1.0, hbar=1.0, lam=0.1, unit_mode="scaled")
@@ -18,7 +18,7 @@ def test_free_particle_path_sum_is_exact():
     # the analytic coefficients at machine precision even on a coarse grid
     t = 1.0
     grid = make_grid(t, 65)
-    noise = NoisePath(grid, np.zeros(grid.n), 0, 0)
+    noise = NoisePath(grid, np.zeros(grid.n))
     report = oracle_coefficients(t, FREE, 1.0, noise)
     c = report.coefficients
     mu = 1j / 2.0
@@ -36,7 +36,7 @@ def test_assembled_action_matches_direct_sums():
     grid = make_grid(t, 9)
     gamma = 1.3
     noise = sample_exponential_noise(gamma, grid, 5, 0)
-    Q, L = assemble_action(CRIT, exponential_kernel(gamma), noise)
+    Q, L = assemble_action(CRIT, gamma, noise)
 
     rng = np.random.default_rng(1)
     q = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
@@ -61,7 +61,7 @@ def test_assembled_action_matches_direct_sums():
 def test_action_matrix_is_symmetric():
     grid = make_grid(1.0, 33)
     noise = sample_exponential_noise(2.0, grid, 3, 0)
-    Q, _ = assemble_action(CRIT, exponential_kernel(2.0), noise)
+    Q, _ = assemble_action(CRIT, 2.0, noise)
     assert np.array_equal(Q, Q.T)
 
 
@@ -78,7 +78,7 @@ def test_oracle_rejects_horizon_mismatch(t, t_max):
 
 def test_reduction_needs_an_interior_node():
     grid = make_grid(1.0, 2)
-    noise = NoisePath(grid, np.zeros(2), 0, 0)
+    noise = NoisePath(grid, np.zeros(2))
     with pytest.raises(InvalidParameterError):
         oracle_coefficients(1.0, CRIT, 1.0, noise)
 
@@ -92,9 +92,9 @@ def test_reduced_exponent_is_the_schur_quadratic(noisy):
     gamma = 1.3
     grid = make_grid(t, 65)
     noise = (sample_exponential_noise(gamma, grid, 5, 0) if noisy
-             else NoisePath(grid, np.zeros(grid.n), 5, 0))
+             else NoisePath(grid, np.zeros(grid.n)))
     c = oracle_coefficients(t, CRIT, gamma, noise).coefficients
-    Q, L = assemble_action(CRIT, exponential_kernel(gamma), noise)
+    Q, L = assemble_action(CRIT, gamma, noise)
     inner = slice(1, grid.n - 1)
     probes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0),
               (0.0, 2.0), (2.0, 1.0), (1.0, 2.0), (-1.0, 1.0)]
@@ -114,21 +114,27 @@ def test_reduced_exponent_is_the_schur_quadratic(noisy):
 
 def test_convergence_toward_analytic_coefficients():
     t = 1.0
-    grid = make_grid(t, 65)
+    grid = make_grid(t, 513)
     noise = sample_exponential_noise(1.0, grid, 7, 0)
-    out = oracle_convergence(t, CRIT, 1.0, noise, levels=(16, 32, 64))
+    out = oracle_convergence(t, CRIT, 1.0, noise)
+    assert [report.n_segments for report, _, _ in out] == [64, 128, 256, 512]
     maxes = [row[2] for row in out]
-    assert maxes[0] > maxes[1] > maxes[2]
-    assert maxes[-1] <= 2e-2
+    assert maxes[0] > maxes[1] > maxes[2] > maxes[3]
+    assert maxes[-1] <= 1e-3
     for report, errs, _ in out:
         assert set(errs) == set("ABCDE")
         assert report.diag_asymmetry <= 1e-10
 
 
-def test_convergence_level_validation():
-    grid = make_grid(1.0, 65)
-    noise = sample_exponential_noise(1.0, grid, 7, 0)
-    with pytest.raises(InvalidParameterError):
-        oracle_convergence(1.0, CRIT, 1.0, noise, levels=(16, 32))
-    with pytest.raises(InvalidParameterError):
-        oracle_convergence(1.0, CRIT, 1.0, noise, levels=(24, 64))
+@pytest.mark.parametrize("n", [257, 1025])
+def test_convergence_needs_the_finest_level_grid(n):
+    noise = sample_exponential_noise(1.0, make_grid(1.0, n), 7, 0)
+    with pytest.raises(InvalidParameterError, match="finest level is 512"):
+        oracle_convergence(1.0, CRIT, 1.0, noise)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+def test_action_rejects_a_bad_memory_rate(gamma):
+    noise = NoisePath(make_grid(1.0, 9), np.zeros(9))
+    with pytest.raises(InvalidParameterError, match="gamma"):
+        assemble_action(CRIT, gamma, noise)

@@ -1,12 +1,14 @@
 """The public surface: nmsse.__all__ is pinned and is the only __all__ of the
-package, every exported name resolves, neither importing the
-package nor solving the collocation arbiter loads scipy, the CLI drives the
-library through public names only and alone writes file formats, and every
-binding that the benchmark's
-traced run (bench/workloads.py, Workload.trace) wraps still exists in the
-module where it is wrapped."""
+package, as are the options of run_ensemble, oracle_convergence and
+line_plot and the fields of every public record; every exported name
+resolves, neither importing the package nor solving the collocation arbiter
+loads scipy, the CLI drives the library through public names only and alone
+writes file formats, and every binding that the benchmark's traced run
+(bench/workloads.py, Workload.trace) wraps still exists in the module where
+it is wrapped."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -14,6 +16,7 @@ import sys
 import types
 
 import nmsse
+import nmsse._svg
 import nmsse.cli
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -44,9 +47,50 @@ PUBLIC = {
 }
 
 
+# The parameters of the functions that used to carry single-valued options,
+# and the stored fields of every public record; a new option or field needs
+# a deliberate edit here.
+PARAMETERS = {
+    "run_ensemble": ["params", "gamma", "state0", "t_samples", "n_traj", "master_seed",
+                     "grid"],
+    "oracle_convergence": ["t", "params", "gamma", "noise"],
+    "line_plot": ["series", "title", "xlabel", "ylabel", "log_x", "log_y", "hlines",
+                  "data_comment"],
+}
+FIELDS = {
+    "PhysicalParams": ["m", "hbar", "lam", "unit_mode"],
+    "TimeGrid": ["t_max", "n"],
+    "CorrelationKernel": ["gamma"],
+    "NoisePath": ["grid", "values"],
+    "CharacteristicRoots": ["zeta", "upsilon1", "upsilon2"],
+    "KernelSolution": ["grid", "values", "d_start", "d_end", "kind", "d_sum", "d_diff"],
+    "FunctionalDerivativeCoeffs": ["a", "b", "c"],
+    "GaussianState": ["alpha", "beta", "g"],
+    "GreensCoefficients": ["t", "A", "B", "C", "D", "E", "det"],
+    "OracleReport": ["n_segments", "coefficients", "diag_asymmetry"],
+    "EnsembleStats": ["times", "mean_q", "se_q", "mean_p", "se_p", "v_q", "se_vq",
+                      "sigma_q", "ess", "n_traj"],
+}
+
+
 def test_the_public_surface_is_pinned():
     assert len(nmsse.__all__) == len(set(nmsse.__all__))
     assert set(nmsse.__all__) == PUBLIC
+
+
+def test_the_options_are_pinned():
+    funcs = {"run_ensemble": nmsse.run_ensemble,
+             "oracle_convergence": nmsse.oracle_convergence,
+             "line_plot": nmsse._svg.line_plot}
+    assert {name: list(inspect.signature(f).parameters) for name, f in funcs.items()} \
+        == PARAMETERS
+
+
+def test_the_record_fields_are_pinned():
+    records = {name: getattr(nmsse, name) for name in nmsse.__all__
+               if dataclasses.is_dataclass(getattr(nmsse, name))}
+    assert {name: [f.name for f in dataclasses.fields(rec)]
+            for name, rec in records.items()} == FIELDS
 
 
 def test_only_the_package_declares_all():
@@ -74,7 +118,7 @@ def test_import_does_not_load_scipy():
     code = "\n".join([
         "import sys, numpy as np, nmsse, nmsse.cli",
         "grid = nmsse.make_grid(1.0, 33)",
-        "noise = nmsse.NoisePath(grid, np.ones(grid.n), 0, 0)",
+        "noise = nmsse.NoisePath(grid, np.ones(grid.n))",
         "for lam in (0.0, 0.1):",
         "    params = nmsse.make_params(m=1.0, hbar=1.0, lam=lam)",
         "    kern = nmsse.exponential_kernel(1.0)",
