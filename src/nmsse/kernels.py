@@ -18,6 +18,11 @@ free of catastrophic cancellation in every parameter regime (verified to
 naive evaluation loses 40 digits).  An O(n) finite-difference collocation
 solver is provided as an independent arbiter, along with a ratio-form
 evaluator as a second cross-check of the homogeneous kernel.
+
+The propagator's noise coefficients C, D and E are formed in one place, the
+single pass (_HorizonKernels): for a block of noise paths, one forward
+convolution per root serves every sample horizon, without node values of
+f or h.  The ensemble and greens_coefficients both read it.
 """
 
 from __future__ import annotations
@@ -188,9 +193,8 @@ class KernelSolution:
     """Sampled kernel with exact endpoint derivatives.
 
     kind "F" carries boundary values (1, 0); kind "H" carries (0, 0).
-    d_sum and d_diff are d_start + d_end and d_start - d_end, cancellation
-    free where the producing route has them exactly (the closed forms of f);
-    the other routes form the plain sum and difference.
+    The cancellation-free sum and difference of the endpoint slopes of f
+    come from f_endpoint_scalars.
     """
 
     grid: TimeGrid
@@ -198,8 +202,6 @@ class KernelSolution:
     d_start: complex
     d_end: complex
     kind: str
-    d_sum: complex
-    d_diff: complex
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +306,7 @@ def f_exponential(t: float, params: PhysicalParams, gamma: float,
     return KernelSolution(grid=grid, values=vals,
                           d_start=complex((sc.P + sc.Q) / 2.0),
                           d_end=complex((sc.P - sc.Q) / 2.0),
-                          kind="F", d_sum=complex(sc.P), d_diff=complex(sc.Q))
+                          kind="F")
 
 
 def f_endpoint_scalars(t, params: PhysicalParams, gamma: float):
@@ -381,8 +383,7 @@ def h_exponential(t: float, params: PhysicalParams, gamma: float,
     # which rounds differently, and the path would not be its batch row
     vals, d_start, d_end = h_exponential_batch(t, params, gamma, grid, noise.values[None])
     vals, d_start, d_end = vals[0], complex(d_start[0]), complex(d_end[0])
-    return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end, kind="H",
-                          d_sum=d_start + d_end, d_diff=d_start - d_end)
+    return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end, kind="H")
 
 
 def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
@@ -514,6 +515,133 @@ def _cumtrapz(y: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.nda
 
 
 # ---------------------------------------------------------------------------
+# the single pass: noise coefficients at many horizons
+# ---------------------------------------------------------------------------
+
+def _trapz_at(y: np.ndarray, idx: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid integrals of y (last axis on the grid) over [0, t_k] per k in idx.
+
+    Sums run between consecutive sample nodes and then accumulate over the
+    few segments, so no full-length cumulative array is formed.
+    """
+    starts = np.concatenate(([0], idx[:-1] + 1))
+    seg = np.add.reduceat(y[..., : idx[-1] + 1], starts, axis=-1)
+    return dt * (np.cumsum(seg, axis=-1) - 0.5 * (y[..., :1] + y[..., idx]))
+
+
+class _HorizonKernels:
+    """C, D and E at every horizon t_k = grid node idx[k], for blocks of up to
+    ``rows`` noise paths.
+
+    Holds the noise-free data of every horizon (``sc``, one _BVPScalars over
+    the horizons ``t``; f's basis weights; e^{-u t_k}; for the horizons with
+    |u t_k| <= 1, which come first, the node weights sinh(u s)/u and
+    cosh(u s)) and the (rows, nodes) buffers every block reuses.
+    """
+
+    def __init__(self, params: PhysicalParams, gamma: float, grid: TimeGrid,
+                 idx: np.ndarray, rows: int):
+        self.idx = idx
+        self.dt = grid.dt
+        s = grid.nodes()[: idx[-1] + 1]
+        t = s[idx]
+        self.t = t
+        omega = params.omega_collapse
+        self.degenerate = omega < 1e-8 * gamma
+        self.gamma = gamma
+        self.constants = _closed_form_constants(params)
+        self.sc = sc = _BVPScalars(gamma, omega, t)
+        self.u = (sc.roots.upsilon1, sc.roots.upsilon2)
+        self.tau = (sc.tau1, sc.tau2)
+        self.f_abcd = sc.f_coeffs()
+
+        self.e_t, self.decay, self.n_small, self.sinh_w, self.cosh_w = [], [], [], [], []
+        for u in self.u:
+            self.e_t.append(np.exp(-u * t))
+            self.decay.append(np.exp(-u * s))
+            n_small = int(np.count_nonzero(np.abs(u * t) <= 1.0))
+            head = s[: idx[n_small - 1] + 1] if n_small else s[:0]
+            self.n_small.append(n_small)
+            self.sinh_w.append(head.astype(complex) if u == 0 else np.sinh(u * head) / u)
+            self.cosh_w.append(np.cosh(u * head))
+
+        self.conv = np.empty((rows, s.size), dtype=complex)
+        self.prod = np.empty_like(self.conv)
+        self.scratch = np.empty_like(self.conv)
+
+    def coefficients(self, w: np.ndarray):
+        """(C, D, E), each (rows of w, horizons), for a block of noise rows w.
+
+        One forward convolution per root up to the last horizon serves every
+        horizon: under the trapezoid rule int_0^{t_k} w e^{-u(t_k-s)} = I(k),
+        the backward convolution of horizon k starts at J_k(0) = V(k) (the
+        cumulative trapezoid of w e^{-us}), and int w J_k = int w I +
+        (dt^2/4) (w_0^2 - w_k^2).  The f and h integrals follow from the
+        even/odd basis integrals (I(k) +- V(k)) / (1 + e^{-u t_k}) and the
+        2x2 boundary solves of h_exponential_batch.  Where |u t_k| <= 1 the
+        odd one would cancel to eps / |u t_k|, so it comes from
+        int w sinh(us)/u - tanh(u t_k/2)/u int w cosh(us) instead.  The
+        convolutions and products are written into the buffers, so a block
+        allocates nothing of its own size, bit for bit as the allocating forms.
+        """
+        k = self.idx
+        dt = self.dt
+        t = self.t
+        m, n_conv = w.shape[0], k[-1] + 1
+        w = w[:, :n_conv]
+        conv, prod, scratch = self.conv[:m], self.prod[:m], self.scratch[:m]
+        mu, pref, half_sl = self.constants
+
+        i_k, v_k, wi_k, even, odd = [], [], [], [], []
+        for r, u in enumerate(self.u):
+            _conv_forward(u, w, dt, out=conv, scratch=scratch)
+            ik = conv[:, k]
+            vk = _trapz_at(np.multiply(w, self.decay[r], out=prod), k, dt)
+            ev = (ik + vk) / (1.0 + self.e_t[r])
+            od = np.empty_like(ev)
+            ns = self.n_small[r]
+            if ns:
+                head = w[:, : k[ns - 1] + 1]
+                part = prod[:, : head.shape[1]]
+                od[:, :ns] = _trapz_at(np.multiply(head, self.sinh_w[r], out=part), k[:ns], dt)
+                od[:, :ns] -= self.tau[r][:ns] * _trapz_at(
+                    np.multiply(head, self.cosh_w[r], out=part), k[:ns], dt)
+            od[:, ns:] = (ik - vk)[:, ns:] / (u * (1.0 + self.e_t[r][ns:]))
+            if not self.degenerate:
+                wi_k.append(_trapz_at(np.multiply(w, conv, out=prod), k, dt))
+            i_k.append(ik)
+            v_k.append(vk)
+            even.append(ev)
+            odd.append(od)
+
+        af, bf, cf, df = self.f_abcd
+        int_f = af * even[0] + bf * odd[0] + cf * even[1] + df * odd[1]
+        int_f_rev = af * even[0] - bf * odd[0] + cf * even[1] - df * odd[1]
+
+        if self.degenerate:
+            # vanishing coupling: h'' = pref w with zero boundary values, formed
+            # in the real halves of conv and prod, which the roots are done with
+            s = np.arange(n_conv) * dt
+            lin = prod.view(float)[:, :n_conv]
+            cw = _cumtrapz(w, dt, out=conv.view(float)[:, :n_conv])
+            crw = _cumtrapz(np.multiply(w, s, out=lin), dt, out=conv.view(float)[:, n_conv:])
+            total = t * cw[:, k] - crw[:, k]
+            h_d0, h_dt = _degenerate_slopes(pref, t, cw[:, k], total)
+            np.subtract(np.multiply(cw, s, out=lin), crw, out=lin)
+            int_h = pref * (_trapz_at(np.multiply(w, lin, out=lin), k, dt) - total / t * crw[:, k])
+        else:
+            a, b, c, d, h_d0, h_dt = _h_boundary_solve(self.sc, self.gamma, pref, i_k, v_k)
+            c1, c2 = _h_particular_weights(self.sc)
+            edge = (dt * dt / 4.0) * (w[:, :1] ** 2 - w[:, k] ** 2)
+            int_h = (-pref * (c1 * (2.0 * wi_k[0] + edge) + c2 * (2.0 * wi_k[1] + edge))
+                     + a * even[0] + b * odd[0] + c * even[1] + d * odd[1])
+
+        return (-mu * h_d0 + half_sl * int_f,
+                mu * h_dt + half_sl * int_f_rev,
+                half_sl * int_h)
+
+
+# ---------------------------------------------------------------------------
 # white-noise (gamma = inf) closed forms
 # ---------------------------------------------------------------------------
 
@@ -527,7 +655,6 @@ def f_markovian(t: float, params: PhysicalParams, grid: TimeGrid) -> KernelSolut
     _check_horizon(t, grid)
     k = _kappa(params)
     s = grid.nodes()
-    p_sum, q_diff = (complex(x) for x in f_endpoint_scalars(t, params, math.inf))
     if abs(k) * t < 1e-250:
         vals = (1.0 - s / t).astype(complex)
         d_start = d_end = -1.0 / t + 0j
@@ -539,8 +666,7 @@ def f_markovian(t: float, params: PhysicalParams, grid: TimeGrid) -> KernelSolut
         et = np.exp(-k * t)
         d_start = complex(-k * (1.0 + et * et) / den)
         d_end = complex(-2.0 * k * et / den)
-    return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end,
-                          kind="F", d_sum=p_sum, d_diff=q_diff)
+    return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end, kind="F")
 
 
 def _h_markovian_core(t: float, params: PhysicalParams, grid: TimeGrid,
@@ -664,8 +790,7 @@ def _package_numeric(grid: TimeGrid, vals: np.ndarray, kind: str) -> KernelSolut
     dt = grid.dt
     d_start = complex((-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dt))
     d_end = complex((3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dt))
-    return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end, kind=kind,
-                          d_sum=d_start + d_end, d_diff=d_start - d_end)
+    return KernelSolution(grid=grid, values=vals, d_start=d_start, d_end=d_end, kind=kind)
 
 
 # Interior rows of the memory operator that kernel_residual evaluates at a time.

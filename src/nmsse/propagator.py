@@ -5,11 +5,12 @@ The propagator for one noise realization is Gaussian:
     G(x, x0) = exp(-A (x0^2 + x^2) + B x0 x + C x0 + D x + E)
 
 with A, B fixed by the endpoint derivatives of the homogeneous boundary
-kernel and C, D, E by the noise-driven kernel plus noise integrals.
+kernel and C, D, E by the noise-driven kernel plus noise integrals, which
+greens_coefficients takes from the ensemble's single pass in kernels.py.
 Applying it to exp(-alpha0 x^2 + beta0 x + g0) and completing the square
 gives the exact update implemented once in _gaussian_update, which
-propagate_gaussian, spread_curve and the ensemble's moment pass share; the
-last two pass all their horizons through it (and the kernel scalars) at once.
+propagate_gaussian, spread_curve and the ensemble share; the last two pass
+all their horizons through it (and the kernel scalars) at once.
 
 Numerical note: alpha_t is evaluated as (alpha0 A + det)/(alpha0 + A) with
 det = A^2 - B^2/4 carried in cancellation-free form (mu^2 P Q from the
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, PhysicalParams, TimeGrid, _closed_form_constants
-from .kernels import (KernelSolution, characteristic_roots, f_endpoint_scalars,
-                      f_exponential, h_exponential, _kappa)
+from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
+                   _closed_form_constants)
+from .kernels import (_check_horizon, _HorizonKernels, _kappa, characteristic_roots,
+                      f_endpoint_scalars, f_exponential, h_exponential)
 from .noise import NoisePath
 
 
@@ -98,33 +100,28 @@ def greens_coefficients(
     gamma: float,
     grid: TimeGrid | None = None,
     noise: NoisePath | None = None,
-    f: KernelSolution | None = None,
-    h: KernelSolution | None = None,
 ) -> GreensCoefficients:
-    """Assemble A..E at horizon t.
+    """Assemble A..E at horizon t, the end of the grid or of the noise's grid.
 
-    Kernels are computed on demand (pass precomputed ones to amortize over
-    trajectories: f is noise-independent).  Without noise the linear and
-    constant coefficients vanish identically and only A, B are nonzero.
+    A, B and det come from the endpoint scalars of f (f_endpoint_scalars),
+    C, D and E from the ensemble's single pass (kernels._HorizonKernels) at
+    this one horizon, so the path-sum oracle checks the formulas every
+    ensemble runs.  Without noise the linear and constant coefficients
+    vanish identically and only A, B are nonzero; with noise gamma must be
+    finite.
     """
-    if grid is None:
-        grid = noise.grid if noise is not None else None
+    if noise is not None:
+        if grid is not None and grid != noise.grid:
+            raise InvalidGridError(f"the noise lives on {noise.grid}, not on the grid {grid}")
+        grid = noise.grid
     if grid is None:
         raise InvalidParameterError("greens_coefficients needs a grid or a noise path")
-    if f is None:
-        f = f_exponential(t, params, gamma, grid)
-    mu, _, half_sl = _closed_form_constants(params)
-    A = mu * f.d_start
-    B = 2.0 * mu * f.d_end
-    det = mu * mu * f.d_sum * f.d_diff
+    _check_horizon(t, grid)
+    A, B, det = _quadratic_coefficients(params, *f_endpoint_scalars(t, params, gamma))
     C = D = E = 0.0 + 0.0j
     if noise is not None:
-        if h is None:
-            h = h_exponential(t, params, gamma, noise)
-        w = noise.values
-        C = -mu * h.d_start + half_sl * _trapz(w * f.values, grid.dt)
-        D = mu * h.d_end + half_sl * _trapz(w * f.values[::-1], grid.dt)
-        E = half_sl * _trapz(w * h.values, grid.dt)
+        kern = _HorizonKernels(params, gamma, grid, np.array([grid.n - 1]), 1)
+        C, D, E = (x[0, 0] for x in kern.coefficients(noise.values[None]))
     return GreensCoefficients(t=t, A=complex(A), B=complex(B), C=complex(C),
                               D=complex(D), E=complex(E), det=complex(det))
 
@@ -218,18 +215,24 @@ def asymptotic_spread(params: PhysicalParams, gamma: float) -> float:
     return 1.0 / (2.0 * math.sqrt(ar))
 
 
+def _quadratic_coefficients(params: PhysicalParams, p, q):
+    """(A, B, det) of the propagator from the endpoint slope sum p and
+    difference q of f, elementwise.
+
+    det = mu^2 P Q is A^2 - B^2/4 in factored form; the naive difference
+    cancels catastrophically at SI scales.
+    """
+    mu, _, _ = _closed_form_constants(params)
+    return mu * (p + q) / 2.0, mu * (p - q), mu * mu * p * q
+
+
 def _noise_free_update(state0: GaussianState, params: PhysicalParams, p, q, t):
     """(A, B, det, alpha_t) of state0 under the noise-free propagator with
     endpoint slope sum p and difference q, elementwise over the horizons t.
 
-    det = mu^2 P Q is A^2 - B^2/4 in factored form; the naive difference
-    cancels catastrophically at SI scales.  Raises on the first horizon
-    whose state cannot be normalized.
+    Raises on the first horizon whose state cannot be normalized.
     """
-    mu, _, _ = _closed_form_constants(params)
-    A = mu * (p + q) / 2.0
-    B = mu * (p - q)
-    det = mu * mu * p * q
+    A, B, det = _quadratic_coefficients(params, p, q)
     alpha_t, _, _ = _gaussian_update(state0, A, B, det)
     bad = ~(np.real(alpha_t) > 0.0)
     if np.any(bad):

@@ -10,6 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+import nmsse.cli
 from nmsse.cli import (ConfigError, _check_classical_means, _Checks, _sample_node_indices,
                        main, parse_config)
 from nmsse.core import HBAR_SI
@@ -198,8 +199,9 @@ ENSEMBLE_FIELDS = ["times", "mean_q", "se_q", "mean_p", "se_p", "v_q", "sigma_q"
 ENSEMBLE_KEYS = ["times"] + ENSEMBLE_COLUMNS[1:]
 
 
-def test_ensemble_files_hold_the_run_ensemble_arrays(tmp_path, capsys):
-    text = BASE + "n_traj = 16\nx0 = 1.0\np0 = 0.5\n"
+@pytest.mark.parametrize("spacing", ["", "log_times = true\n"], ids=["linear", "log"])
+def test_ensemble_files_hold_the_run_ensemble_arrays(tmp_path, capsys, spacing):
+    text = BASE + "n_traj = 16\nx0 = 1.0\np0 = 0.5\n" + spacing
     out = tmp_path / "out"
     assert main(["ensemble", "--config", _cfg_file(tmp_path, text), "--out", str(out),
                  "--plot", "none"]) == 0
@@ -208,6 +210,9 @@ def test_ensemble_files_hold_the_run_ensemble_arrays(tmp_path, capsys):
     state0 = gaussian_from_moments(cfg.x0, cfg.p0, cfg.sigma0, params)
     t_samples = grid.nodes()[_sample_node_indices(grid, cfg.n_times, cfg.log_times)]
     stats = run_ensemble(params, 1.0, state0, t_samples, cfg.n_traj, cfg.master_seed, grid=grid)
+    # linear or log spaced, the sample times run from the first node to t_max
+    assert (stats.times[0], stats.times[-1]) == (grid.dt, grid.t_max)
+    assert np.all(np.diff(stats.times) > 0.0)
 
     header, *rows = (out / "ensemble.csv").read_text().splitlines()
     assert header == ",".join(ENSEMBLE_COLUMNS)
@@ -265,6 +270,23 @@ def test_classical_mean_check_rejects_a_shifted_mean(tmp_path, capsys):
     _check_classical_means(checks, shifted, cfg)
     assert checks.failed == ["classical-mean-q"]
     capsys.readouterr()
+
+
+def test_a_failed_check_exits_1(tmp_path, capsys, monkeypatch):
+    # a mean shifted by twice the bound of the classical-mean check fails it
+    def shifted(*args, **kwargs):
+        stats = run_ensemble(*args, **kwargs)
+        bound = NormalDist().inv_cdf(1.0 - 1e-6 / (2.0 * 2.0 * stats.times.size))
+        return dataclasses.replace(stats, mean_q=stats.mean_q + 2.0 * bound * stats.se_q)
+
+    monkeypatch.setattr(nmsse.cli, "run_ensemble", shifted)
+    cfg = _cfg_file(tmp_path, MEAN_CHECK.replace("n_traj = 256", "n_traj = 64"))
+    assert main(["ensemble", "--config", cfg, "--seed", "1025", "--out", str(tmp_path / "out"),
+                 "--plot", "none", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "check classical-mean-q: FAIL" in captured.out
+    assert "check classical-mean-p: PASS" in captured.out
+    assert captured.err.splitlines() == ["FAILED checks: classical-mean-q"]
 
 
 def test_single_trajectory_ensemble_skips_mean_checks(tmp_path, capsys):

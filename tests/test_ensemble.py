@@ -9,7 +9,8 @@ import pytest
 
 from nmsse.core import InvalidGridError, InvalidParameterError, make_grid, make_params
 from nmsse.ensemble import _CHUNK_ROWS, _moment_curves, run_ensemble
-from nmsse.kernels import characteristic_roots, f_exponential, h_exponential_batch
+from nmsse.kernels import (characteristic_roots, f_endpoint_scalars, f_exponential,
+                           h_exponential_batch)
 from nmsse.noise import sample_exponential_noise_batch
 from nmsse.propagator import gaussian_from_moments, greens_coefficients
 
@@ -190,7 +191,8 @@ def _per_horizon_route(params, gamma, grid, w, idx, state0):
         D = mu * h_dt + half_sl * ((wk * f.values[::-1]) @ trap)
         E = half_sl * ((hv * wk) @ trap)
         denom = state0.alpha + A
-        alpha_t = (state0.alpha * A + mu * mu * f.d_sum * f.d_diff) / denom
+        p_sum, q_diff = f_endpoint_scalars(t, params, gamma)
+        alpha_t = (state0.alpha * A + mu * mu * p_sum * q_diff) / denom
         ar = alpha_t.real
         shift = C + state0.beta
         beta_t = D + B * shift / (2.0 * denom)

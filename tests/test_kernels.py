@@ -116,8 +116,9 @@ def test_f_endpoint_derivatives_match_frozen_values(label):
     assert _close(f.d_start, pins["d_start"], 1e-12)
     assert _close(f.d_end, pins["d_end"], 1e-12)
     if "d_sum" in pins:
-        assert _close(f.d_sum, pins["d_sum"], 1e-12)
-        assert _close(f.d_diff, pins["d_diff"], 1e-12)
+        p_sum, q_diff = f_endpoint_scalars(t, params, gamma)
+        assert _close(p_sum, pins["d_sum"], 1e-12)
+        assert _close(q_diff, pins["d_diff"], 1e-12)
 
 
 @pytest.mark.parametrize("label", sorted(_PINS))
@@ -134,13 +135,13 @@ def test_endpoint_scalars_agree_with_grid_route():
         grid = make_grid(t, 401)
         f = f_exponential(t, params, gamma, grid)
         p_sum, p_diff = f_endpoint_scalars(t, params, gamma)
-        assert _close(p_sum, f.d_sum, 1e-14), label
-        assert abs(p_diff - f.d_diff) <= 1e-14 * abs(p_sum), label
+        assert _close(p_sum, f.d_start + f.d_end, 1e-14), label
+        assert abs(p_diff - (f.d_start - f.d_end)) <= 1e-14 * abs(p_sum), label
 
 
 def test_endpoint_scalars_markovian_branch():
-    # f_markovian takes d_sum/d_diff from f_endpoint_scalars, so compare with
-    # the endpoint slopes it derives on its own
+    # f_markovian derives its endpoint slopes on its own, from the kernel
+    # values' closed form
     grid = make_grid(1.0, 401)
     f = f_markovian(1.0, WHITE, grid)
     p_sum, p_diff = f_endpoint_scalars(1.0, WHITE, math.inf)
@@ -423,8 +424,7 @@ def _line(grid):
     """The free chord f = 1 - s/t, which solves the discrete equation at lambda = 0."""
     t = grid.t_max
     return KernelSolution(grid=grid, values=(1.0 - grid.nodes() / t).astype(complex),
-                          d_start=-1.0 / t + 0j, d_end=-1.0 / t + 0j, kind="F",
-                          d_sum=-2.0 / t + 0j, d_diff=0j)
+                          d_start=-1.0 / t + 0j, d_end=-1.0 / t + 0j, kind="F")
 
 
 @pytest.mark.parametrize("t_max", [1e-6, 1.0, 100.0])

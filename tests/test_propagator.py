@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nmsse.core import InvalidParameterError, make_grid, make_params
-from nmsse.kernels import f_exponential, h_exponential
+from nmsse.core import InvalidGridError, InvalidParameterError, make_grid, make_params
+from nmsse.kernels import characteristic_roots, f_exponential, h_exponential
 from nmsse.noise import NoisePath, sample_exponential_noise
 from nmsse.propagator import (
     GaussianState,
@@ -216,16 +216,60 @@ def test_form_determinant_survives_si_cancellation():
     assert state.alpha.real > 0.0
 
 
-def test_precomputed_kernels_shortcut_is_equivalent():
-    t, gamma = 1.0, 1.0
-    grid = make_grid(t, 201)
-    noise = sample_exponential_noise(gamma, grid, 11, 0)
-    f = f_exponential(t, CRIT, gamma, grid)
-    h = h_exponential(t, CRIT, gamma, noise)
-    a = greens_coefficients(t, CRIT, gamma, noise=noise)
-    b = greens_coefficients(t, CRIT, gamma, noise=noise, f=f, h=h)
-    for name in "ABCDE":
-        assert getattr(a, name) == getattr(b, name)
+def _node_value_route(t, params, gamma, noise):
+    """C, D and E from trapezoid sums of w f, w f(t - s) and w h over the node
+    values of f_exponential and h_exponential, and the size of their terms."""
+    grid = noise.grid
+    f = f_exponential(t, params, gamma, grid)
+    h = h_exponential(t, params, gamma, noise)
+    mu = 1j * params.m / (2.0 * params.hbar)
+    half_sl = 0.5 * math.sqrt(params.lam)
+    trap = np.full(grid.n, grid.dt)
+    trap[[0, -1]] *= 0.5
+    w = noise.values
+    terms = ((-mu * h.d_start, w * f.values), (mu * h.d_end, w * f.values[::-1]),
+             (0.0, w * h.values))
+    return ([slope + half_sl * (y @ trap) for slope, y in terms],
+            [abs(slope) + half_sl * (np.abs(y) @ trap) for slope, y in terms])
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-18, 1e-8, 0.1, 2.0])
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 30.0, 1e3])
+def test_noise_coefficients_match_the_node_value_route(lam, gamma):
+    # greens_coefficients takes C, D and E from the ensemble's single pass.
+    # Both routes lose eps/|u2 t| of the size of the terms to rounding at
+    # small |u2 t| (h_exponential documents it); a coefficient can cancel
+    # below that size, so the bound is relative to it.
+    params = make_params(m=1.0, hbar=1.0, lam=lam)
+    t = 1.0
+    grid = make_grid(t, 513)
+    u2t = abs(characteristic_roots(gamma, params.omega_collapse).upsilon2) * t
+    bound = max(1e-12, 1e-14 / max(u2t, 1e-300))
+    for seed in range(3):
+        noise = sample_exponential_noise(gamma, grid, seed, 0)
+        coeffs = greens_coefficients(t, params, gamma, noise=noise)
+        values, sizes = _node_value_route(t, params, gamma, noise)
+        for name, want, size in zip("CDE", values, sizes):
+            got = getattr(coeffs, name)
+            if lam == 0.0:
+                assert got == 0.0 and want == 0.0, (name, seed)
+            else:
+                assert abs(got - want) <= bound * size, (name, seed, abs(got - want) / size)
+
+
+def test_greens_coefficients_rejects_noise_on_another_grid():
+    noise = sample_exponential_noise(1.0, make_grid(1.0, 257), 0, 0)
+    with pytest.raises(InvalidGridError, match="n=513") as info:
+        greens_coefficients(1.0, CRIT, 1.0, grid=make_grid(1.0, 513), noise=noise)
+    assert "n=257" in str(info.value)
+
+
+def test_greens_coefficients_needs_finite_gamma_with_noise():
+    # the white-noise limit has closed forms for A and B only
+    grid = make_grid(1.0, 65)
+    assert greens_coefficients(1.0, CRIT, math.inf, grid=grid).A != 0.0
+    with pytest.raises(InvalidParameterError):
+        greens_coefficients(1.0, CRIT, math.inf, noise=NoisePath(grid, np.ones(grid.n)))
 
 
 def _raw_state(t, params, gamma, noise, state0):

@@ -1,11 +1,12 @@
 """The public surface: nmsse.__all__ is pinned and is the only __all__ of the
-package, as are the options of run_ensemble, oracle_convergence and
-line_plot and the fields of every public record; every exported name
-resolves, neither importing the package nor solving the collocation arbiter
-loads scipy, the CLI drives the library through public names only and alone
-writes file formats, and every binding that the benchmark's traced run
-(bench/workloads.py, Workload.trace) wraps still exists in the module where
-it is wrapped."""
+package, as are the options of run_ensemble, oracle_convergence,
+greens_coefficients and line_plot and the fields of every public record;
+every exported name resolves, neither importing the package nor solving the
+collocation arbiter loads scipy, the CLI drives the library through public
+names only and alone writes file formats, the ensemble takes C, D and E from
+the single pass in kernels.py, and every binding that the benchmark's traced
+run (bench/workloads.py, Workload.trace) wraps still exists in the module
+where it is wrapped."""
 
 import ast
 import dataclasses
@@ -18,6 +19,7 @@ import types
 import nmsse
 import nmsse._svg
 import nmsse.cli
+import nmsse.ensemble
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -54,6 +56,7 @@ PARAMETERS = {
     "run_ensemble": ["params", "gamma", "state0", "t_samples", "n_traj", "master_seed",
                      "grid"],
     "oracle_convergence": ["t", "params", "gamma", "noise"],
+    "greens_coefficients": ["t", "params", "gamma", "grid", "noise"],
     "line_plot": ["series", "title", "xlabel", "ylabel", "log_x", "log_y", "hlines",
                   "data_comment"],
 }
@@ -63,7 +66,7 @@ FIELDS = {
     "CorrelationKernel": ["gamma"],
     "NoisePath": ["grid", "values"],
     "CharacteristicRoots": ["zeta", "upsilon1", "upsilon2"],
-    "KernelSolution": ["grid", "values", "d_start", "d_end", "kind", "d_sum", "d_diff"],
+    "KernelSolution": ["grid", "values", "d_start", "d_end", "kind"],
     "FunctionalDerivativeCoeffs": ["a", "b", "c"],
     "GaussianState": ["alpha", "beta", "g"],
     "GreensCoefficients": ["t", "A", "B", "C", "D", "E", "det"],
@@ -81,6 +84,7 @@ def test_the_public_surface_is_pinned():
 def test_the_options_are_pinned():
     funcs = {"run_ensemble": nmsse.run_ensemble,
              "oracle_convergence": nmsse.oracle_convergence,
+             "greens_coefficients": nmsse.greens_coefficients,
              "line_plot": nmsse._svg.line_plot}
     assert {name: list(inspect.signature(f).parameters) for name, f in funcs.items()} \
         == PARAMETERS
@@ -140,6 +144,17 @@ def test_cli_imports_no_private_names():
                and (node.level > 0 or (node.module or "").startswith("nmsse"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_the_ensemble_takes_its_noise_coefficients_from_the_single_pass():
+    # C, D and E are formed in kernels._HorizonKernels alone; the ensemble
+    # imports nothing else of the kernel machinery but the two names the
+    # benchmark's traced run wraps there
+    tree = ast.parse(inspect.getsource(nmsse.ensemble))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "kernels" for alias in node.names}
+    assert imported == {"_HorizonKernels", "f_exponential", "h_exponential_batch"}
 
 
 def test_only_the_cli_writes_file_formats():
