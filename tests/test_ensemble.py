@@ -254,6 +254,81 @@ def test_single_pass_matches_at_the_benchmark_point():
     _assert_routes_agree(CRIT, 1.0, grid, idx, _fixture_state(CRIT), 6, 3, 1e-12)
 
 
+# run_ensemble outputs frozen at N = 257, 64 trajectories, master seed 2009
+# and the fixture state, horizons at the nodes _PIN_NODES.
+_PIN_NODES = [1, 4, 16, 50, 128, 200, 256]
+_OUTPUT_PINS = {
+    (0.1, 1.0): {
+        "mean_q": [1.00195031501978, 1.007732768895381, 1.0311673941234276, 1.0938513446017186,
+                1.2343613620365788, 1.3529591532515348, 1.4425167718135476],
+        "se_q": [0.00021742642306404777, 0.0008698900982834916, 0.0033323656784362645, 0.010309335608231161,
+                0.024594112762792265, 0.03864975564246267, 0.050957991402001926],
+        "mean_p": [0.499999999287935, 0.4999997835845496, 0.49999992438378615, 0.4998737897188186,
+                0.49894315527800936, 0.49594400465989175, 0.49260705496968943],
+        "se_p": [1.0693413573145264e-07, 1.7014997341529625e-06, 2.5847947491727893e-05, 0.000255453809493747,
+                0.001533209326114461, 0.0037644408713429166, 0.006299072143858378],
+        "v_q": [0.0017397374658362531, 0.006963448403269393, 0.026713907783110728, 0.08309836084636119,
+                0.19573113933672304, 0.29222329151331955, 0.3695255569206826],
+        "se_vq": [0.00010917131662316001, 0.0004213234219213555, 0.001577875817057495, 0.005170605656947509,
+                0.012790271013841047, 0.0192565840773563, 0.024196610012169113],
+        "sigma_q": [1.0000003834548208, 1.0000062302259858, 1.0001056760356164, 1.0011897713743645,
+                1.0098164863022083, 1.027314394437448, 1.047691523294822],
+        "ess": [63.99980598573848, 63.99687694038136, 63.95314834173064, 63.52893740793697,
+                61.16388692438623, 57.23018148022512, 53.075694294216675],
+    },
+    (2.0, 30.0): {
+        "mean_q": [1.0020530940322456, 1.0003362100694126, 0.9918557582548151, 0.7412328610579715,
+                0.41961259905334275, 0.36293837768973763, 0.19769092508651198],
+        "se_q": [0.005265315829880822, 0.019927229627724308, 0.06139056249029053, 0.11978031451315017,
+                0.3113279387818855, 0.18558143962890017, 0.10684319486144962],
+        "mean_p": [0.5000001556694689, 0.4999785799032092, 0.4997992932122197, 0.4886682203904532,
+                0.4070034411877934, 0.27639651213074923, 0.103226448857576],
+        "se_p": [2.692806077443441e-06, 4.031493417294129e-05, 0.0006023798870971514, 0.0060294275771249186,
+                0.03461085571712379, 0.1522070601023976, 0.13716212546524587],
+        "v_q": [0.042242670551907925, 0.15764029677722094, 0.4117176588518431, 0.6432708460306693,
+                0.8235541972730109, 0.661022746342705, 0.5508263573390316],
+        "se_vq": [0.0024209463280832695, 0.011241742811684365, 0.03302542232496083, 0.07189080668883306,
+                0.1681167609856403, 0.10104901502644878, 0.056243302690873444],
+        "sigma_q": [0.999122280282814, 0.9876592200056927, 0.8863578589597569, 0.665413667328543,
+                0.5195627572213734, 0.54281883158384, 0.5811294956676679],
+        "ess": [63.8862436552495, 62.40764791682838, 50.497772958404155, 33.661988992856955,
+                13.178110015644029, 21.32351866809918, 34.03444212115432],
+    },
+    (0.1, 1000.0): {
+        "mean_q": [1.0028396594145652, 1.002898646767425, 1.0620494746684401, 1.1789626506348618,
+                1.3560407620303252, 1.5745930588942514, 1.5809877422716414],
+        "se_q": [0.005064395651214211, 0.014048634253261456, 0.03463302050764596, 0.0646125894582726,
+                0.13031777094371777, 0.15667590795575922, 0.11737167703443568],
+        "mean_p": [0.5000006474968637, 0.4999904242363594, 0.5002391408310398, 0.5025388686527557,
+                0.5037912826470636, 0.5259720030227042, 0.5076691555904839],
+        "se_p": [3.091930262010975e-06, 3.276067517901002e-05, 0.0003552660717790134, 0.0018900349511445616,
+                0.006932695219452924, 0.02653981353673661, 0.017506250384264004],
+        "v_q": [0.04057408047871254, 0.10939484314996228, 0.2489097632959475, 0.4346605763040873,
+                0.6333952925804597, 0.7173282244848231, 0.7145756540499629],
+        "se_vq": [0.0026873019218874904, 0.010222520124198053, 0.026325969532884536, 0.03620190774384983,
+                0.07690536804463573, 0.05171951357189715, 0.0628239330203388],
+        "sigma_q": [0.9994171470464985, 0.9971182571062246, 0.988408661340674, 0.9679736850128148,
+                0.9431786173524326, 0.9444313292544863, 0.9586189097998317],
+        "ess": [63.89473729513646, 63.21320487131985, 59.464328889970425, 49.926858827214005,
+                32.192777727928586, 22.37143307647392, 29.07652587807086],
+    },
+}
+
+
+@pytest.mark.parametrize("lam,gamma", list(_OUTPUT_PINS))
+def test_outputs_match_frozen_values(lam, gamma):
+    # a speed change that keeps the formulas moves these by rounding only;
+    # gamma = 1e3 scans in blocks
+    params = make_params(m=1.0, hbar=1.0, lam=lam)
+    grid = make_grid(1.0, 257)
+    stats = run_ensemble(params, gamma, _fixture_state(params), grid.nodes()[_PIN_NODES],
+                         64, 2009, grid=grid)
+    for field, want in _OUTPUT_PINS[lam, gamma].items():
+        got = getattr(stats, field)
+        bound = 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got - np.array(want))) <= bound, field
+
+
 def test_free_particle_keeps_unit_norm():
     # without coupling the evolution is unitary: every raw norm is 1
     grid = make_grid(2.0, 129)
@@ -280,16 +355,25 @@ def test_reference_mean_of_the_squared_norm_is_one():
         assert np.all(np.abs(norm_sq.mean(axis=0) - 1.0) <= z * se), (norm_sq.mean(axis=0), se)
 
 
-@pytest.mark.parametrize("n_traj", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
-def test_block_rows_equal_single_trajectories(n_traj):
+_ROW_COUNTS = [1, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+_THREE_HORIZONS = (3, 128, 192)
+_FIFTY_HORIZONS = tuple(np.rint(np.linspace(1, 256, 50)).astype(int))
+
+
+@pytest.mark.parametrize("gamma,nodes,n_traj", (
+    [pytest.param(1.0, _THREE_HORIZONS, n, id=str(n)) for n in _ROW_COUNTS]
+    # gamma dt = 3.9: the sampler and both convolutions scan in several blocks
+    + [pytest.param(1e3, _THREE_HORIZONS, n, id=f"multi-block-{n}") for n in _ROW_COUNTS]
+    + [pytest.param(1.0, _FIFTY_HORIZONS, n, id=f"50-horizons-{n}") for n in _ROW_COUNTS]))
+def test_block_rows_equal_single_trajectories(gamma, nodes, n_traj):
     # every block, the partial last one too, reuses one workspace; a row
     # must come out as it does alone, bit for bit
     grid = make_grid(1.0, 257)
-    idx = np.array([3, 128, 192])
+    idx = np.array(nodes)
     state0 = _fixture_state(CRIT)
-    q, p, _, lns = _moment_curves(CRIT, 1.0, grid, idx, state0, 9, range(n_traj))
+    q, p, _, lns = _moment_curves(CRIT, gamma, grid, idx, state0, 9, range(n_traj))
     for i in {0, _CHUNK_ROWS - 1, _CHUNK_ROWS, n_traj - 1} & set(range(n_traj)):
-        q1, p1, _, lns1 = _moment_curves(CRIT, 1.0, grid, idx, state0, 9, [i])
+        q1, p1, _, lns1 = _moment_curves(CRIT, gamma, grid, idx, state0, 9, [i])
         assert np.array_equal(q1[0], q[i])
         assert np.array_equal(p1[0], p[i])
         assert np.array_equal(lns1[0], lns[i])
