@@ -123,39 +123,44 @@ def _closed_form_constants(params: PhysicalParams) -> tuple[complex, complex, fl
             sqrt_lam / 2.0)
 
 
-# Largest growth |e^{z m}| a block of _decay_scan may reach (e^40 ~ 2e17).
+# Largest growth |e^{z i}| a block of _decay_scan may reach (e^40 ~ 2e17).
 _SCAN_GROWTH = 40.0
 
 
-def _decay_scan(z, y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """y_j <- e^{-z} y_{j-1} + y_j along the last axis, in place (Re z >= 0).
+def _scan_block(z, n: int) -> int:
+    """Nodes per block of a _decay_scan at rate z (Re z >= 0) over n nodes."""
+    rate = z.real
+    return n if rate * n <= _SCAN_GROWTH else max(1, int(_SCAN_GROWTH / rate))
 
-    Each block of the recursion is one cumulative sum:
-    y_{b+m} = e^{-z m} (e^{-z} y_{b-1} + sum_{i<=m} e^{z i} x_{b+i}) for the
-    sources x.  The block length keeps |e^{z i}| <= e^_SCAN_GROWTH, so
-    nothing overflows and the rounding stays that of a cumulative sum; the
-    powers come from exp directly rather than from repeated products.  Real
-    z on a real y scans in real arithmetic.  scratch, one block wide or
-    wider with y's leading shape and dtype, holds the carry between blocks
-    and is allocated once per call when not given.  Every row is scanned by
-    the same operations, so a row's result does not depend on the others.
+
+def _scan_growth(z, n: int) -> np.ndarray:
+    """Block-local growth e^{z i_j} of the n nodes of a _decay_scan at rate z,
+    with i_j = j mod block the node's place in its block.  The powers come
+    from exp directly rather than from repeated products."""
+    return np.exp(z * (np.arange(n) % _scan_block(z, n)))
+
+
+def _decay_scan(z, y: np.ndarray) -> np.ndarray:
+    """y_j <- e^{-z} y_{j-1} + x_j along the last axis, in place (Re z >= 0),
+    for sources given grown: on entry y_j = x_j e^{z i_j} (_scan_growth).
+
+    Each block of the recursion is one cumulative sum,
+    y_{b+i} = e^{-z i} (e^{-z} y_{b-1} + sum_{m<=i} e^{z m} x_{b+m}): the
+    carry e^{-z} y_{b-1} joins the block's first source, whose growth is 1.
+    The block length keeps |e^{z i}| <= e^_SCAN_GROWTH, so nothing overflows
+    and the rounding stays that of a cumulative sum.  Real z on a real y
+    scans in real arithmetic.  Every row is scanned by the same operations,
+    so a row's result does not depend on the others.
     """
     n = y.shape[-1]
-    rate = z.real
-    block = n if rate * n <= _SCAN_GROWTH else max(1, int(_SCAN_GROWTH / rate))
-    m = np.arange(block + 1)
-    grow = np.exp(z * m[:-1])
-    decay = np.exp(-z * m)
-    if block < n and scratch is None:
-        scratch = np.empty(y.shape[:-1] + (block,), dtype=y.dtype)
+    block = _scan_block(z, n)
+    decay = np.exp(-z * np.arange(block + 1))
     for b in range(0, n, block):
-        ln = min(block, n - b)
-        part = y[..., b:b + ln]
-        part *= grow[:ln]
-        np.cumsum(part, axis=-1, out=part)
-        part *= decay[:ln]
+        part = y[..., b:b + block]
         if b:
-            part += np.multiply(y[..., b - 1:b], decay[1:ln + 1], out=scratch[..., :ln])
+            part[..., 0] += decay[1] * y[..., b - 1]
+        np.cumsum(part, axis=-1, out=part)
+        part *= decay[:part.shape[-1]]
     return y
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
-                   _closed_form_constants, _decay_scan)
+                   _closed_form_constants, _decay_scan, _scan_block, _scan_growth)
 from .noise import CorrelationKernel, NoisePath, _ou_covariance
 
 
@@ -460,20 +460,25 @@ def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, i_end, j_sta
 
 
 def _conv_forward(u: complex, w: np.ndarray, dt: float, out: np.ndarray | None = None,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+                  grown: np.ndarray | None = None) -> np.ndarray:
     """I(s_j) = int_0^{s_j} e^{-u (s_j - r)} w(r) dr, trapezoid per cell.
 
-    The cell sources are built in out (complex, w's shape, fresh if None)
-    and scanned in place; scratch is passed on to _decay_scan.
+    The cell sources (dt/2)(e^{-u dt} w_{j-1} + w_j) enter _decay_scan grown
+    by their block-local e^{u dt i_j}: with x_j = (dt/2) e^{u dt i_j} w_j,
+    built in grown, a cell inside a block is x_{j-1} + x_j, and only the
+    cell that starts each later block is formed from w.  The sources are
+    written into out and scanned there in place; out and grown are complex
+    arrays of w's shape, fresh when not given.
     """
-    e = np.exp(-u * dt)
+    z = u * dt
+    n = w.shape[-1]
+    x = np.multiply(w, (dt / 2.0) * _scan_growth(z, n), out=grown)
     src = np.empty(w.shape, dtype=complex) if out is None else out
     src[..., 0] = 0.0
-    cells = src[..., 1:]
-    np.multiply(w[..., :-1], e, out=cells)
-    cells += w[..., 1:]
-    cells *= dt / 2.0
-    return _decay_scan(u * dt, src, scratch)
+    np.add(x[..., :-1], x[..., 1:], out=src[..., 1:])
+    b = _scan_block(z, n)
+    src[..., b::b] = (dt / 2.0) * (np.exp(-z) * w[..., b - 1:n - 1:b] + w[..., b::b])
+    return _decay_scan(z, src)
 
 
 def _conv_backward(u: complex, w: np.ndarray, dt: float) -> np.ndarray:
@@ -518,15 +523,24 @@ def _cumtrapz(y: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.nda
 # the single pass: noise coefficients at many horizons
 # ---------------------------------------------------------------------------
 
-def _trapz_at(y: np.ndarray, idx: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid integrals of y (last axis on the grid) over [0, t_k] per k in idx.
+def _horizon_integrals(w: np.ndarray, y: np.ndarray, idx: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals int_0^{t_k} w y_c per row of w, horizon k and
+    column c of y, into out (rows, horizons, columns).
 
-    Sums run between consecutive sample nodes and then accumulate over the
-    few segments, so no full-length cumulative array is formed.
+    y is (nodes, columns), shared by the rows, or (rows, nodes, columns),
+    one per row, and carries the trapezoid weights: dt at every node, halved
+    at node 0 and at each horizon node.  The closed segments [t_{k-1}, t_k]
+    share their end nodes, so a horizon node weighs dt/2 at its own horizon
+    and dt at later ones.  Each segment is one matmul per row, so a row's
+    integrals do not depend on the other rows (a GEMM over the block rounds
+    by its row count), and the segments accumulate across horizons.
     """
-    starts = np.concatenate(([0], idx[:-1] + 1))
-    seg = np.add.reduceat(y[..., : idx[-1] + 1], starts, axis=-1)
-    return dt * (np.cumsum(seg, axis=-1) - 0.5 * (y[..., :1] + y[..., idx]))
+    a = 0
+    for k, b in enumerate(idx):
+        np.matmul(w[:, None, a:b + 1], y[..., a:b + 1, :], out=out[:, k, None])
+        a = b
+    return np.cumsum(out, axis=1, out=out)
 
 
 class _HorizonKernels:
@@ -534,9 +548,13 @@ class _HorizonKernels:
     ``rows`` noise paths.
 
     Holds the noise-free data of every horizon (``sc``, one _BVPScalars over
-    the horizons ``t``; f's basis weights; e^{-u t_k}; for the horizons with
-    |u t_k| <= 1, which come first, the node weights sinh(u s)/u and
-    cosh(u s)) and the (rows, nodes) buffers every block reuses.
+    the horizons ``t``; f's basis weights; e^{-u t_k}), the weight table of
+    every linear functional of the noise the horizons need, and the buffers
+    every block reuses.  The table's complex columns, stored as (real,
+    imaginary) pairs of floats with the trapezoid weights of
+    _horizon_integrals, are e^{-u s} for both roots, then per root sinh(u s)/u
+    and cosh(u s) up to its last horizon with |u t_k| <= 1 (those come
+    first) and 0 beyond.
     """
 
     def __init__(self, params: PhysicalParams, gamma: float, grid: TimeGrid,
@@ -555,19 +573,22 @@ class _HorizonKernels:
         self.tau = (sc.tau1, sc.tau2)
         self.f_abcd = sc.f_coeffs()
 
-        self.e_t, self.decay, self.n_small, self.sinh_w, self.cosh_w = [], [], [], [], []
-        for u in self.u:
-            self.e_t.append(np.exp(-u * t))
-            self.decay.append(np.exp(-u * s))
-            n_small = int(np.count_nonzero(np.abs(u * t) <= 1.0))
-            head = s[: idx[n_small - 1] + 1] if n_small else s[:0]
-            self.n_small.append(n_small)
-            self.sinh_w.append(head.astype(complex) if u == 0 else np.sinh(u * head) / u)
-            self.cosh_w.append(np.cosh(u * head))
+        self.e_t = [np.exp(-u * t) for u in self.u]
+        self.n_small = [int(np.count_nonzero(np.abs(u * t) <= 1.0)) for u in self.u]
+        columns = [np.exp(-u * s) for u in self.u]
+        for u, ns in zip(self.u, self.n_small):
+            head = s[: idx[ns - 1] + 1] if ns else s[:0]
+            tail = np.zeros(s.size - head.size)
+            columns.append(np.r_[head if u == 0 else np.sinh(u * head) / u, tail])
+            columns.append(np.r_[np.cosh(u * head), tail])
+        table = self.dt * np.stack(columns, axis=-1)
+        table[np.r_[0, idx]] *= 0.5
+        self.table = table.view(float)
 
         self.conv = np.empty((rows, s.size), dtype=complex)
-        self.prod = np.empty_like(self.conv)
-        self.scratch = np.empty_like(self.conv)
+        self.grown = np.empty_like(self.conv)
+        self.linear = np.empty((rows, t.size, self.table.shape[1]))
+        self.wi = np.empty((2, rows, t.size, 2))
 
     def coefficients(self, w: np.ndarray):
         """(C, D, E), each (rows of w, horizons), for a block of noise rows w.
@@ -575,40 +596,44 @@ class _HorizonKernels:
         One forward convolution per root up to the last horizon serves every
         horizon: under the trapezoid rule int_0^{t_k} w e^{-u(t_k-s)} = I(k),
         the backward convolution of horizon k starts at J_k(0) = V(k) (the
-        cumulative trapezoid of w e^{-us}), and int w J_k = int w I +
-        (dt^2/4) (w_0^2 - w_k^2).  The f and h integrals follow from the
-        even/odd basis integrals (I(k) +- V(k)) / (1 + e^{-u t_k}) and the
-        2x2 boundary solves of h_exponential_batch.  Where |u t_k| <= 1 the
-        odd one would cancel to eps / |u t_k|, so it comes from
-        int w sinh(us)/u - tanh(u t_k/2)/u int w cosh(us) instead.  The
-        convolutions and products are written into the buffers, so a block
-        allocates nothing of its own size, bit for bit as the allocating forms.
+        trapezoid of w e^{-us}), and int w J_k = int w I + (dt^2/4) (w_0^2 -
+        w_k^2).  The f and h integrals follow from the even/odd basis
+        integrals (I(k) +- V(k)) / (1 + e^{-u t_k}) and the 2x2 boundary
+        solves of h_exponential_batch.  Where |u t_k| <= 1 the odd one would
+        cancel to eps / |u t_k|, so it comes from int w sinh(us)/u -
+        tanh(u t_k/2)/u int w cosh(us) instead.  V(k) and those integrals
+        are read from the weight table, int w I from the explicit I, both by
+        _horizon_integrals.  The convolutions and integrals are written into
+        the buffers, so a block allocates nothing of its own length.
         """
         k = self.idx
         dt = self.dt
         t = self.t
         m, n_conv = w.shape[0], k[-1] + 1
         w = w[:, :n_conv]
-        conv, prod, scratch = self.conv[:m], self.prod[:m], self.scratch[:m]
+        conv, grown = self.conv[:m], self.grown[:m]
         mu, pref, half_sl = self.constants
 
+        # columns V_1, V_2, then per root sinh and cosh, which become the
+        # root's odd and even integrals in place
+        linear = _horizon_integrals(w, self.table, k, self.linear[:m]).view(complex)
         i_k, v_k, wi_k, even, odd = [], [], [], [], []
         for r, u in enumerate(self.u):
-            _conv_forward(u, w, dt, out=conv, scratch=scratch)
+            _conv_forward(u, w, dt, out=conv, grown=grown)
             ik = conv[:, k]
-            vk = _trapz_at(np.multiply(w, self.decay[r], out=prod), k, dt)
-            ev = (ik + vk) / (1.0 + self.e_t[r])
-            od = np.empty_like(ev)
+            vk, od, ev = linear[..., r], linear[..., 2 + 2 * r], linear[..., 3 + 2 * r]
             ns = self.n_small[r]
-            if ns:
-                head = w[:, : k[ns - 1] + 1]
-                part = prod[:, : head.shape[1]]
-                od[:, :ns] = _trapz_at(np.multiply(head, self.sinh_w[r], out=part), k[:ns], dt)
-                od[:, :ns] -= self.tau[r][:ns] * _trapz_at(
-                    np.multiply(head, self.cosh_w[r], out=part), k[:ns], dt)
-            od[:, ns:] = (ik - vk)[:, ns:] / (u * (1.0 + self.e_t[r][ns:]))
+            od[:, :ns] -= self.tau[r][:ns] * ev[:, :ns]
+            np.subtract(ik[:, ns:], vk[:, ns:], out=od[:, ns:])
+            od[:, ns:] /= u * (1.0 + self.e_t[r][ns:])
+            np.add(ik, vk, out=ev)
+            ev /= 1.0 + self.e_t[r]
             if not self.degenerate:
-                wi_k.append(_trapz_at(np.multiply(w, conv, out=prod), k, dt))
+                conv[:, k] *= 0.5
+                wi = _horizon_integrals(w, conv.view(float).reshape(m, n_conv, 2), k,
+                                        self.wi[r, :m]).view(complex)[..., 0]
+                wi *= 2.0 * dt
+                wi_k.append(wi)   # 2 int w I
             i_k.append(ik)
             v_k.append(vk)
             even.append(ev)
@@ -620,20 +645,22 @@ class _HorizonKernels:
 
         if self.degenerate:
             # vanishing coupling: h'' = pref w with zero boundary values, formed
-            # in the real halves of conv and prod, which the roots are done with
+            # in the real halves of conv and grown, which the roots are done with
             s = np.arange(n_conv) * dt
-            lin = prod.view(float)[:, :n_conv]
+            lin = grown.view(float)[:, :n_conv]
             cw = _cumtrapz(w, dt, out=conv.view(float)[:, :n_conv])
             crw = _cumtrapz(np.multiply(w, s, out=lin), dt, out=conv.view(float)[:, n_conv:])
             total = t * cw[:, k] - crw[:, k]
             h_d0, h_dt = _degenerate_slopes(pref, t, cw[:, k], total)
             np.subtract(np.multiply(cw, s, out=lin), crw, out=lin)
-            int_h = pref * (_trapz_at(np.multiply(w, lin, out=lin), k, dt) - total / t * crw[:, k])
+            lin[:, k] *= 0.5
+            w_lin = _horizon_integrals(w, lin[..., None], k, self.wi[0, :m, :, :1])[..., 0]
+            int_h = pref * (dt * w_lin - total / t * crw[:, k])
         else:
             a, b, c, d, h_d0, h_dt = _h_boundary_solve(self.sc, self.gamma, pref, i_k, v_k)
             c1, c2 = _h_particular_weights(self.sc)
             edge = (dt * dt / 4.0) * (w[:, :1] ** 2 - w[:, k] ** 2)
-            int_h = (-pref * (c1 * (2.0 * wi_k[0] + edge) + c2 * (2.0 * wi_k[1] + edge))
+            int_h = (-pref * (c1 * (wi_k[0] + edge) + c2 * (wi_k[1] + edge))
                      + a * even[0] + b * odd[0] + c * even[1] + d * odd[1])
 
         return (-mu * h_d0 + half_sl * int_f,

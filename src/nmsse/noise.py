@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import InvalidParameterError, TimeGrid, _decay_scan
+from .core import InvalidParameterError, TimeGrid, _decay_scan, _scan_growth
 
 
 @dataclass(frozen=True)
@@ -116,4 +116,5 @@ def sample_exponential_noise_batch(
     rho = math.exp(-gamma * grid.dt)
     w[:, 0] *= math.sqrt(gamma / 2.0)
     w[:, 1:] *= math.sqrt((gamma / 2.0) * (1.0 - rho * rho))
+    w *= _scan_growth(gamma * grid.dt, n)
     return _decay_scan(gamma * grid.dt, w)

@@ -19,6 +19,7 @@ from nmsse.core import InvalidParameterError, make_grid, make_params
 from nmsse.kernels import (
     _RESIDUAL_ULPS,
     KernelSolution,
+    _conv_forward,
     _tanh_ratio,
     _tanh_sqrt_divdiff,
     characteristic_roots,
@@ -32,7 +33,8 @@ from nmsse.kernels import (
     solve_f_numeric,
     solve_h_numeric,
 )
-from nmsse.noise import NoisePath, _ou_covariance, exponential_kernel, sample_exponential_noise
+from nmsse.noise import (NoisePath, _ou_covariance, exponential_kernel, sample_exponential_noise,
+                         sample_exponential_noise_batch)
 
 SCALED = make_params(m=1.0, hbar=1.0, lam=0.5, unit_mode="scaled")   # omega_c^2 = 1
 FREE = make_params(m=1.0, hbar=1.0, lam=0.0, unit_mode="scaled")     # no coupling
@@ -260,6 +262,24 @@ def test_h_batch_matches_single_paths():
         # the single path is a one-row batch, so its row agrees bit for bit
         assert np.array_equal(vals[i], single.values)
         assert d0[i] == single.d_start and dt_[i] == single.d_end
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e3, 1e5])
+def test_forward_convolution_matches_the_step_recursion(gamma):
+    # u = upsilon1 ~ gamma and dt = 5e-4: one block at gamma = 1, blocks of
+    # 80 nodes at 1e3, blocks of one node at 1e5, where every cell is one
+    # that starts a block.  Bound: N eps of the convolution.
+    grid = make_grid(1.0, 2001)
+    dt = grid.dt
+    u = characteristic_roots(gamma, CRIT.omega_collapse).upsilon1
+    w = sample_exponential_noise_batch(gamma, grid, 4, [0, 9, 2**40])
+    e = np.exp(-u * dt)
+    want = np.zeros(w.shape, dtype=complex)
+    for j in range(1, grid.n):
+        want[:, j] = e * want[:, j - 1] + (dt / 2.0) * (e * w[:, j - 1] + w[:, j])
+    got = _conv_forward(u, w, dt)
+    bound = grid.n * np.finfo(float).eps * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound
 
 
 def test_closed_forms_agree_with_collocation():
