@@ -63,7 +63,9 @@ def sample_exponential_noise(
     """Draw one exact stationary OU path on the grid.
 
     w(0) ~ N(0, gamma/2); w_{k+1} = rho w_k + sqrt((gamma/2)(1-rho^2)) xi_k
-    with rho = exp(-gamma dt).  These are the exact marginals/transitions of
+    with rho = exp(-gamma dt), where 1 - rho^2 is taken as -expm1(-2 gamma dt)
+    so that it keeps its digits when gamma dt is small (_step_deviation).
+    These are the exact marginals/transitions of
     the stationary process, so subsampling a path to a coarser node set
     yields a path with the law of the coarser-grid sampler.  The path is the
     one-row case of sample_exponential_noise_batch, which evaluates this
@@ -71,6 +73,12 @@ def sample_exponential_noise(
     """
     w = sample_exponential_noise_batch(gamma, grid, master_seed, [trajectory_index])[0]
     return NoisePath(grid=grid, values=w)
+
+
+def _step_deviation(gamma: float, dt: float) -> float:
+    """sqrt((gamma/2)(1 - rho^2)), rho = e^{-gamma dt}: the deviation of one
+    step of the OU recursion, without the cancellation of 1 - rho^2."""
+    return math.sqrt((gamma / 2.0) * -math.expm1(-2.0 * gamma * dt))
 
 
 def sample_exponential_noise_batch(
@@ -113,8 +121,10 @@ def sample_exponential_noise_batch(
         fresh["state"]["key"] = np.array([seed, i], dtype=np.uint64)
         bits.state = fresh
         normals.standard_normal(n, out=w[r])
-    rho = math.exp(-gamma * grid.dt)
-    w[:, 0] *= math.sqrt(gamma / 2.0)
-    w[:, 1:] *= math.sqrt((gamma / 2.0) * (1.0 - rho * rho))
-    w *= _scan_growth(gamma * grid.dt, n)
-    return _decay_scan(gamma * grid.dt, w)
+    # the scan's sources grown by e^{gamma dt i_j}, scaled in the same
+    # multiply: sqrt(gamma/2) at node 0 (growth 1), the step deviation after
+    z = gamma * grid.dt
+    scale = _step_deviation(gamma, grid.dt) * _scan_growth(z, n)
+    scale[0] = math.sqrt(gamma / 2.0)
+    w *= scale
+    return _decay_scan(z, w)

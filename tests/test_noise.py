@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nmsse.core import InvalidParameterError, make_grid
-from nmsse.noise import _ou_covariance, sample_exponential_noise, sample_exponential_noise_batch
+from nmsse.noise import (_ou_covariance, _step_deviation, sample_exponential_noise,
+                         sample_exponential_noise_batch)
 
 
 def test_same_key_is_bit_identical():
@@ -39,12 +40,25 @@ def _step_recursion(gamma, grid, master_seed, keys):
     xi = np.array([np.random.Generator(np.random.Philox(key=[master_seed, k]))
                    .standard_normal(grid.n) for k in keys])
     rho = math.exp(-gamma * grid.dt)
-    sd = math.sqrt((gamma / 2.0) * (1.0 - rho * rho))
+    sd = math.sqrt((gamma / 2.0) * -math.expm1(-2.0 * gamma * grid.dt))
     w = np.empty_like(xi)
     w[:, 0] = math.sqrt(gamma / 2.0) * xi[:, 0]
     for k in range(1, grid.n):
         w[:, k] = rho * w[:, k - 1] + sd * xi[:, k]
     return w
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+def test_step_deviation_matches_40_digits(gamma):
+    # 1 - rho^2 formed as a difference lost log10(1/(2 gamma dt)) digits:
+    # 6.3e-11 relative at gamma = 1e-3, 1.5e-14 at gamma = 1
+    mpmath = pytest.importorskip("mpmath")
+    dt = make_grid(1.0, 2001).dt
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        want = mpmath.sqrt(g / 2 * (1 - mpmath.exp(-2 * g * mpmath.mpf(dt))))
+        err = abs((mpmath.mpf(_step_deviation(gamma, dt)) - want) / want)
+    assert err <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3, 1e5])
