@@ -23,11 +23,13 @@ reported once per sample time rather than per trajectory.
 This module samples the noise, applies the Gaussian update, forms the log
 norms and takes the statistics.  The noise coefficients C, D and E of every
 sample horizon come from the single pass of kernels._HorizonKernels, built
-once per run: one forward convolution per characteristic root and block of
-trajectories serves every horizon.  The quadratic part of the update is
-noise free and is also formed once per run, and every block samples its
-noise into one reused (rows, nodes) buffer, so the memory a run touches
-does not grow with its size.
+once per run: per characteristic root and block of trajectories, one
+forward convolution (one cumulative sum per scan block) serves every
+horizon, and the linear functionals of the noise are read from one weight
+table, a matmul per row and segment between horizons.  The quadratic part
+of the update is noise free and is also formed once per run, and every
+block samples its noise into one reused (rows, nodes) buffer, so the memory
+a run touches does not grow with its size.
 """
 
 from __future__ import annotations

@@ -617,11 +617,13 @@ class _HorizonKernels:
         # columns V_1, V_2, then per root sinh and cosh, which become the
         # root's odd and even integrals in place
         linear = _horizon_integrals(w, self.table, k, self.linear[:m]).view(complex)
-        i_k, v_k, wi_k, even, odd = [], [], [], [], []
+        columns = np.moveaxis(linear, -1, 0)
+        v_k, odd, even = columns[:2], columns[2::2], columns[3::2]
+        i_k, wi_k = [], []
         for r, u in enumerate(self.u):
             _conv_forward(u, w, dt, out=conv, grown=grown)
             ik = conv[:, k]
-            vk, od, ev = linear[..., r], linear[..., 2 + 2 * r], linear[..., 3 + 2 * r]
+            vk, od, ev = v_k[r], odd[r], even[r]
             ns = self.n_small[r]
             od[:, :ns] -= self.tau[r][:ns] * ev[:, :ns]
             np.subtract(ik[:, ns:], vk[:, ns:], out=od[:, ns:])
@@ -635,9 +637,6 @@ class _HorizonKernels:
                 wi *= 2.0 * dt
                 wi_k.append(wi)   # 2 int w I
             i_k.append(ik)
-            v_k.append(vk)
-            even.append(ev)
-            odd.append(od)
 
         af, bf, cf, df = self.f_abcd
         int_f = af * even[0] + bf * odd[0] + cf * even[1] + df * odd[1]
