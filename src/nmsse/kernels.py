@@ -467,15 +467,17 @@ def _conv_forward(u: complex, w: np.ndarray, dt: float, out: np.ndarray | None =
     by their block-local e^{u dt i_j}: with x_j = (dt/2) e^{u dt i_j} w_j,
     built in grown, a cell inside a block is x_{j-1} + x_j, and only the
     cell that starts each later block is formed from w.  The sources are
-    written into out and scanned there in place; out and grown are complex
-    arrays of w's shape, fresh when not given.
+    written into out and scanned there in place; out and grown are
+    C-contiguous complex arrays of w's shape, fresh when not given.
     """
     z = u * dt
     n = w.shape[-1]
-    x = np.multiply(w, (dt / 2.0) * _scan_growth(z, n), out=grown)
+    x = np.multiply(w, (dt / 2.0) * _scan_growth(z, n), out=grown).reshape(-1)
     src = np.empty(w.shape, dtype=complex) if out is None else out
+    # one contiguous add over all rows; the cells it forms across row ends
+    # land in column 0, which is then cleared
+    np.add(x[:-1], x[1:], out=src.reshape(-1)[1:])
     src[..., 0] = 0.0
-    np.add(x[..., :-1], x[..., 1:], out=src[..., 1:])
     b = _scan_block(z, n)
     src[..., b::b] = (dt / 2.0) * (np.exp(-z) * w[..., b - 1:n - 1:b] + w[..., b::b])
     return _decay_scan(z, src)
