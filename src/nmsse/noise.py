@@ -63,13 +63,12 @@ def sample_exponential_noise(
     """Draw one exact stationary OU path on the grid.
 
     w(0) ~ N(0, gamma/2); w_{k+1} = rho w_k + sqrt((gamma/2)(1-rho^2)) xi_k
-    with rho = exp(-gamma dt), where 1 - rho^2 is taken as -expm1(-2 gamma dt)
-    so that it keeps its digits when gamma dt is small (_step_deviation).
-    These are the exact marginals/transitions of
-    the stationary process, so subsampling a path to a coarser node set
-    yields a path with the law of the coarser-grid sampler.  The path is the
-    one-row case of sample_exponential_noise_batch, which evaluates this
-    recursion as a blocked scan.
+    with rho = exp(-gamma dt) and 1 - rho^2 taken as -expm1(-2 gamma dt),
+    which keeps its digits where gamma dt is small.  These are the exact
+    marginals/transitions of the stationary process, so subsampling a path
+    to a coarser node set yields a path with the law of the coarser-grid
+    sampler.  The path is the one-row case of sample_exponential_noise_batch,
+    which evaluates this recursion as a blocked scan.
     """
     w = sample_exponential_noise_batch(gamma, grid, master_seed, [trajectory_index])[0]
     return NoisePath(grid=grid, values=w)
