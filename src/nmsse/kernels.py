@@ -575,16 +575,19 @@ class _HorizonKernels:
         self.tau = (sc.tau1, sc.tau2)
         self.f_abcd = sc.f_coeffs()
 
-        self.e_t = [np.exp(-u * t) for u in self.u]
-        self.n_small = [int(np.count_nonzero(np.abs(u * t) <= 1.0)) for u in self.u]
-        columns = [np.exp(-u * s) for u in self.u]
-        for u, ns in zip(self.u, self.n_small):
+        self.e_t, self.n_small = [], []
+        table = np.zeros((s.size, 6), dtype=complex)
+        for r, u in enumerate(self.u):
+            self.e_t.append(np.exp(-u * t))
+            ns = int(np.count_nonzero(np.abs(u * t) <= 1.0))
+            self.n_small.append(ns)
             head = s[: idx[ns - 1] + 1] if ns else s[:0]
-            tail = np.zeros(s.size - head.size)
-            columns.append(np.r_[head if u == 0 else np.sinh(u * head) / u, tail])
-            columns.append(np.r_[np.cosh(u * head), tail])
-        table = self.dt * np.stack(columns, axis=-1)
-        table[np.r_[0, idx]] *= 0.5
+            table[:, r] = np.exp(-u * s)
+            table[: head.size, 2 + 2 * r] = head if u == 0 else np.sinh(u * head) / u
+            table[: head.size, 3 + 2 * r] = np.cosh(u * head)
+        table *= self.dt
+        table[0] *= 0.5
+        table[idx] *= 0.5
         self.table = table.view(float)
 
         self.conv = np.empty((rows, s.size), dtype=complex)
