@@ -164,6 +164,133 @@ def _decay_scan(z, y: np.ndarray) -> np.ndarray:
     return y
 
 
+# Iterative-refinement steps of _block_tridiag_solve.  For the collocation
+# f and h at lambda = 2, gamma = 30, N = 2001 the first step moves the
+# values by up to 1.8e-11 of their maximum and the second by 2.0e-15; a
+# third would move them by 1.3e-16, the rounding of the residual.
+_REFINE_STEPS = 2
+# Rows per chunk of _block_residual.
+_RESIDUAL_CHUNK = 128
+
+
+def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a_i b_i of blocks stored batch-last: (p, q, n) x (q, r, n)."""
+    return np.einsum("pqn,qrn->prn", a, b)
+
+
+def _block_tridiag_factor(lo, diag, up) -> list:
+    """Block cyclic reduction of lo_i x_{i-1} + diag_i x_i + up_i x_{i+1}
+    (blocks (b, b, n), see _block_tridiag_solve): each level eliminates the
+    even rows of the current system from its odd rows, halving the system,
+    until one row is left.  A level keeps the inverses of its even diagonal
+    blocks and its lo and up, which _block_tridiag_apply needs to repeat the
+    reduction on a new right-hand side."""
+    levels = []
+    b = len(diag)
+    while True:
+        n = diag.shape[-1]
+        k, r = n // 2, (n - 1) // 2      # odd rows; those with a right neighbour
+        inv = np.linalg.inv(diag[..., 0::2].transpose(2, 0, 1))
+        inv = np.ascontiguousarray(inv.transpose(1, 2, 0))
+        levels.append((inv, lo, up))
+        if k == 0:
+            return levels
+        # even rows divided by their diagonal blocks: [lo_e | up_e] side by side
+        offd = np.zeros((b, 2 * b, n - k), dtype=inv.dtype)
+        offd[:, :b, 1:] = lo[..., 2::2]
+        offd[:, b:, :k] = up[..., 0:2 * k:2]
+        offd = _bmm(inv, offd)
+        left = _bmm(lo[..., 1::2], offd[..., :k])
+        right = _bmm(up[..., 1:2 * r:2], offd[..., 1:r + 1])
+        diag = diag[..., 1::2] - left[:, b:]
+        diag[..., :r] -= right[:, :b]
+        lo = -left[:, :b]
+        up = np.zeros_like(lo)
+        up[..., :r] = -right[:, b:]
+
+
+def _block_tridiag_apply(levels: list, y: np.ndarray) -> np.ndarray:
+    """Overwrite y with the solution, given a factorization of
+    _block_tridiag_factor: reduce y level by level as the rows were, then
+    substitute back from the last row up.
+
+    Row i of level L is row 2^L (i + 1) - 1 of the system, so the even rows
+    of the levels partition it, and each level stores into its even rows of
+    y: first the right-hand side divided by the diagonal blocks, then the
+    solution.  A level reads its even rows of y before it overwrites them.
+    """
+    x = y
+    for depth, (inv, lo, up) in enumerate(levels):
+        n = y.shape[-1]
+        k, r = n // 2, (n - 1) // 2
+        w = x[..., 2 ** depth - 1::2 ** (depth + 1)]
+        w[...] = _bmm(inv, y[..., 0::2])
+        y = y[..., 1::2] - _bmm(lo[..., 1::2], w[..., :k])
+        y[..., :r] -= _bmm(up[..., 1:2 * r:2], w[..., 1:r + 1])
+    for depth, (inv, lo, up) in reversed(list(enumerate(levels))):
+        rows = x[..., 2 ** depth - 1::2 ** depth]
+        w, odd = rows[..., 0::2], rows[..., 1::2]
+        k = odd.shape[-1]
+        coupled = np.zeros_like(w)
+        coupled[..., 1:] = _bmm(lo[..., 2::2], odd[..., :w.shape[-1] - 1])
+        coupled[..., :k] += _bmm(up[..., 0:2 * k:2], odd)
+        w -= _bmm(inv, coupled)
+    return x
+
+
+def _block_residual(lo, diag, up, x, y) -> np.ndarray:
+    """y_i - lo_i x_{i-1} - diag_i x_i - up_i x_{i+1}, formed as
+    y_i - (lo_i + diag_i + up_i) x_i - lo_i (x_{i-1} - x_i) - up_i (x_{i+1} - x_i).
+
+    For a discretized differential operator the row sums cancel the large
+    band entries exactly and the differences of a smooth x are small, so this
+    keeps the digits that the plain products lose to cancellation.  It walks
+    _RESIDUAL_CHUNK rows at a time, which bounds the temporaries: numpy
+    copies or buffers a strided operand of a block product whole.
+    """
+    n = x.shape[-1]
+    res = np.empty_like(y)
+    for start in range(0, n, _RESIDUAL_CHUNK):
+        stop = min(start + _RESIDUAL_CHUNK, n)
+        # rows first..stop-1 have a left neighbour, start..last-1 a right one
+        first, last = max(start, 1), min(stop, n - 1)
+        rowsum = diag[..., start:stop].copy()
+        rowsum[..., first - start:] += lo[..., first:stop]
+        rowsum[..., :last - start] += up[..., start:last]
+        part = y[..., start:stop] - _bmm(rowsum, x[..., start:stop])
+        part[..., first - start:] -= _bmm(lo[..., first:stop],
+                                          x[..., first - 1:stop - 1] - x[..., first:stop])
+        part[..., :last - start] -= _bmm(up[..., start:last],
+                                         x[..., start + 1:last + 1] - x[..., start:last])
+        res[..., start:stop] = part
+    return res
+
+
+def _block_tridiag_solve(lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
+                         y: np.ndarray) -> np.ndarray:
+    """Solve the block tridiagonal system lo_i x_{i-1} + diag_i x_i +
+    up_i x_{i+1} = y_i, i < n, for b x b blocks and k right-hand sides.
+
+    Arrays are stored batch-last: blocks (b, b, n), right-hand sides and the
+    solution (b, k, n).  Block products then run along contiguous rows of n,
+    which is several times faster than stacked 3x3 matmuls.  lo[..., 0] and
+    up[..., -1] are not read.
+
+    Block cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+    627 (1970)) in O(n) work and O(log n) batched numpy calls, then
+    _REFINE_STEPS steps of fixed-precision iterative refinement (Skeel, Math.
+    Comp. 35, 817 (1980)), each from the O(n) block residual of
+    _block_residual and reusing the factorization.  Pivoting happens only
+    inside the blocks.  Raises np.linalg.LinAlgError on a singular pivot
+    block.
+    """
+    levels = _block_tridiag_factor(lo, diag, up)
+    x = _block_tridiag_apply(levels, y.copy())
+    for _ in range(_REFINE_STEPS):
+        x += _block_tridiag_apply(levels, _block_residual(lo, diag, up, x, y))
+    return x
+
+
 def make_grid(t_max: float, n: int) -> TimeGrid:
     """Build a uniform time grid with n nodes covering [0, t_max]."""
     if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max > 0):

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
-                   _closed_form_constants, _decay_scan, _scan_block, _scan_growth)
+                   _block_tridiag_solve, _closed_form_constants, _decay_scan, _scan_block,
+                   _scan_growth)
 from .noise import CorrelationKernel, NoisePath, _ou_covariance
 
 
@@ -771,9 +772,10 @@ def _collocation_solve(params: PhysicalParams, kernel: CorrelationKernel,
     The memory sum is F_j + B_j, with the sweeps F_j = a F_{j-1} + m rho_j v_j
     and B_j = a (B_{j+1} + m rho_{j+1} v_{j+1}), a = e^{-gamma dt},
     m = lam gamma/2.  In the unknowns x_j = (v_j, F_j, B_j) the system is
-    block tridiagonal with 3x3 blocks: one block elimination and one back
-    substitution.  m sits in the sweep rows, not the memory row, so that
-    pivoting inside a block picks a sweep row where memory dominates.
+    block tridiagonal with 3x3 blocks, which core._block_tridiag_solve
+    solves by block cyclic reduction and two refinement steps.  m sits in
+    the sweep rows, not the memory row, so that pivoting inside a block
+    picks a sweep row where memory dominates.
     """
     if grid.n < 3:
         raise InvalidParameterError(
@@ -785,36 +787,26 @@ def _collocation_solve(params: PhysicalParams, kernel: CorrelationKernel,
     m_rho = np.full(n, params.lam * kernel.gamma / 2.0 * dt)
     m_rho[[0, -1]] /= 2.0
     inner = np.arange(1, n - 1)
-    lo, diag, up = np.zeros((3, n, 3, 3), dtype=complex)
-    lo[inner, 0, 0] = up[inner, 0, 0] = c           # kinetic band
-    diag[inner, 0, 0] = -2.0 * c
-    diag[inner, 0, 1:] = 1.0                        # memory term F_j + B_j
-    diag[[0, -1], 0, 0] = 1.0                       # pinned ends
-    lo[1:, 1, 1] = -a                               # F_j - a F_{j-1} - m rho_j v_j = 0
-    diag[:, 1, 0] = -m_rho
-    diag[:, 1, 1] = 1.0
-    up[:-1, 2, 0] = -a * m_rho[1:]                  # B_j - a B_{j+1} - a m rho_{j+1} v_{j+1} = 0
-    up[:-1, 2, 2] = -a
-    diag[:, 2, 2] = 1.0
-    y = np.zeros((n, 3), dtype=complex)
-    y[:, 0] = rhs
-    inv = np.empty((n, 3, 3), dtype=complex)
+    lo, diag, up = np.zeros((3, 3, 3, n), dtype=complex)
+    lo[0, 0, inner] = up[0, 0, inner] = c           # kinetic band
+    diag[0, 0, inner] = -2.0 * c
+    diag[0, 1:, inner] = 1.0                        # memory term F_j + B_j
+    diag[0, 0, [0, -1]] = 1.0                       # pinned ends
+    lo[1, 1, 1:] = -a                               # F_j - a F_{j-1} - m rho_j v_j = 0
+    diag[1, 0] = -m_rho
+    diag[1, 1] = 1.0
+    up[2, 0, :-1] = -a * m_rho[1:]                  # B_j - a B_{j+1} - a m rho_{j+1} v_{j+1} = 0
+    up[2, 2, :-1] = -a
+    diag[2, 2] = 1.0
+    y = np.zeros((3, 1, n), dtype=complex)
+    y[0, 0] = rhs
     try:
-        for j in range(n):
-            if j:
-                w = lo[j] @ inv[j - 1]
-                diag[j] -= w @ up[j - 1]
-                y[j] -= w @ y[j - 1]
-            inv[j] = np.linalg.inv(diag[j])
+        x = _block_tridiag_solve(lo, diag, up, y)
     except np.linalg.LinAlgError as exc:
         raise InvalidParameterError(f"singular discretized kernel system: {exc}") from exc
-    x = np.empty((n, 3), dtype=complex)
-    x[-1] = inv[-1] @ y[-1]
-    for j in range(n - 2, -1, -1):
-        x[j] = inv[j] @ (y[j] - up[j] @ x[j + 1])
     if not np.isfinite(x).all():
         raise InvalidParameterError("discretized kernel solve produced non-finite values")
-    return x[:, 0]
+    return x[0, 0]
 
 
 def _package_numeric(grid: TimeGrid, vals: np.ndarray, kind: str) -> KernelSolution:

@@ -1,4 +1,4 @@
-"""Parameter records, grids, and their validation."""
+"""Parameter records, grids, their validation, and the block tridiagonal solver."""
 
 import math
 
@@ -11,9 +11,13 @@ from nmsse.core import (
     InvalidGridError,
     InvalidParameterError,
     TimeGrid,
+    _block_tridiag_solve,
     make_grid,
     make_params,
 )
+from nmsse.kernels import solve_f_numeric, solve_h_numeric
+from nmsse.noise import NoisePath, exponential_kernel
+from nmsse.oracle import oracle_coefficients
 
 
 def test_make_params_freezes_inputs():
@@ -110,3 +114,65 @@ def test_grid_node_structure(t_max, n):
 def test_timegrid_is_value_like():
     assert TimeGrid(1.0, 5) == TimeGrid(1.0, 5)
     assert TimeGrid(1.0, 5) != TimeGrid(1.0, 6)
+
+
+def _dense_block_matrix(lo, diag, up):
+    """The (n b) x (n b) matrix of batch-last blocks (b, b, n)."""
+    b, _, n = diag.shape
+    dense = np.zeros((n * b, n * b), dtype=complex)
+    for i in range(n):
+        rows = slice(i * b, (i + 1) * b)
+        dense[rows, rows] = diag[..., i]
+        if i:
+            dense[rows, (i - 1) * b:i * b] = lo[..., i]
+        if i < n - 1:
+            dense[rows, (i + 1) * b:(i + 2) * b] = up[..., i]
+    return dense
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])
+@pytest.mark.parametrize("k", [1, 3])
+def test_block_tridiag_solve_matches_the_dense_solve(b, n, k):
+    # odd and even sizes at every level of the reduction; lo[..., 0] and
+    # up[..., -1] lie outside the matrix and hold NaN, so reading them shows
+    rng = np.random.default_rng(100 * n + 10 * b + k)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    lo, up = draw(b, b, n), draw(b, b, n)
+    diag = draw(b, b, n) + 4.0 * np.eye(b)[..., None]
+    lo[..., 0] = up[..., -1] = np.nan
+    y = draw(b, k, n)
+    want = np.linalg.solve(_dense_block_matrix(lo, diag, up),
+                           y.transpose(2, 0, 1).reshape(n * b, k))
+    got = _block_tridiag_solve(lo, diag, up, y).transpose(2, 0, 1).reshape(n * b, k)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("singular", [0, 4, 7])
+def test_block_tridiag_solve_raises_on_a_singular_block(singular):
+    # a zero diagonal block with no coupling to the rest makes the system
+    # singular whichever level of the reduction pivots on it
+    n = 8
+    diag = np.broadcast_to(np.eye(3, dtype=complex)[..., None], (3, 3, n)).copy()
+    diag[..., singular] = 0.0
+    lo, up = np.zeros((2, 3, 3, n), dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        _block_tridiag_solve(lo, diag, up, np.ones((3, 1, n), dtype=complex))
+
+
+def test_the_routes_report_a_singular_system_as_a_parameter_error():
+    # i m / 2 hbar dt underflows to 0 at m = 5e-324, hbar = 1e300, so with
+    # lambda = 0 every interior block of both systems is singular
+    params = make_params(m=5e-324, hbar=1e300, lam=0.0)
+    grid = make_grid(1.0, 65)
+    kern = exponential_kernel(1.0)
+    noise = NoisePath(grid, np.ones(grid.n))
+    for call, message in (
+            (lambda: solve_f_numeric(1.0, params, kern, grid), "singular discretized kernel"),
+            (lambda: solve_h_numeric(1.0, params, kern, noise), "singular discretized kernel"),
+            (lambda: oracle_coefficients(1.0, params, 1.0, noise), "action matrix is singular")):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()

@@ -377,6 +377,98 @@ def test_collocation_matches_extended_precision_references(lam, gamma):
         assert err <= 1e-13 * np.max(np.abs(sol.values))
 
 
+# v at _FINE_NODES of the collocation system on N = 2001 nodes (t = 1), f
+# and h on sample_exponential_noise(gamma, grid, 7, 0) as for _COLLOC_REFS,
+# from a 30-digit block elimination node by node in the unknowns
+# (v_j, F_j, B_j) of kernels._collocation_solve; a dense LU is out of reach at
+# this size.  Generated with mpmath 1.3 (about 5 s per (lam, gamma)):
+#
+#   mp.mp.dps = 30
+#   n, dt = 2001, mp.mpf(1) / 2000
+#   c, a = mp.mpc(0, 0.5) / dt ** 2, mp.exp(-mp.mpf(gamma) * dt)
+#   mr = [mp.mpf(lam) * gamma / 2 * dt / (2 if j in (0, n - 1) else 1) for j in range(n)]
+#   inv, ys, ups = [], [], []
+#   for j in range(n):                      # rhs_f, rhs_h as for _COLLOC_REFS
+#       lo, dg, up = mp.matrix(3, 3), mp.matrix(3, 3), mp.matrix(3, 3)
+#       if 0 < j < n - 1:
+#           lo[0, 0] = up[0, 0] = c
+#           dg[0, 0], dg[0, 1], dg[0, 2] = -2 * c, 1, 1
+#       else:
+#           dg[0, 0] = 1
+#       if j:
+#           lo[1, 1] = -a
+#       dg[1, 0], dg[1, 1], dg[2, 2] = -mr[j], 1, 1
+#       if j < n - 1:
+#           up[2, 0], up[2, 2] = -a * mr[j + 1], -a
+#       y = mp.matrix([rhs[j], 0, 0])
+#       if j:
+#           w = lo * inv[-1]
+#           dg, y = dg - w * ups[-1], y - w * ys[-1]
+#       inv.append(dg ** -1), ys.append(y), ups.append(up)
+#   x = [inv[-1] * ys[-1]]
+#   for j in range(n - 2, -1, -1):
+#       x.insert(0, inv[j] * (ys[j] - ups[j] * x[0]))
+#   print([complex(x[j][0]) for j in _FINE_NODES])
+_FINE_NODES = (1, 100, 250, 500, 1000, 1500, 1750, 1900, 1999)
+_FINE_REFS = {
+    (0.1, 1.0): dict(
+        f=[0.9994999402677344 - 9.752456280271886e-06j,
+           0.9499942749388993 - 0.000928997705929421j,
+           0.8749866665671169 - 0.002141494098438534j,
+           0.749976801597405 - 0.0036578358269454044j,
+           0.4999687151048411 - 0.004758889146436323j,
+           0.249976870518607 - 0.0034206504265864228j,
+           0.12498672210657048 - 0.0019437798515382107j,
+           0.049994302149214236 - 0.0008300282170530711j,
+           0.0004999405716955016 - 8.632833144432787e-06j],
+        h=[-5.957325067821312e-07 - 9.965992837144042e-05j,
+           -5.7092722919089135e-05 - 0.009537691868196094j,
+           -0.00013294428728846374 - 0.022101284959221413j,
+           -0.00023122757726077553 - 0.03698562675016451j,
+           -0.00031159284679979735 - 0.04745844948534358j,
+           -0.00023018759316811353 - 0.033764618077684015j,
+           -0.00013209458066721 - 0.018460615944413297j,
+           -5.66738016564737e-05 - 0.007575771666007838j,
+           -5.910382061139064e-07 - 7.789455894452723e-05j]),
+    (2.0, 30.0): dict(
+        f=[0.9993475318032439 - 0.0005759777258021602j,
+           0.9348966193785633 - 0.05440649489128633j,
+           0.8384213072932477 - 0.12092165429337287j,
+           0.6840028776525875 - 0.19158283683557992j,
+           0.4116799291751416 - 0.21333398983306454j,
+           0.19006925332047242 - 0.13085756931808804j,
+           0.09290667376540786 - 0.06837877102306562j,
+           0.036906720109954244 - 0.027697228185779924j,
+           0.0003683167089613255 - 0.0002779789517116322j],
+        h=[-7.240495982979347e-05 - 0.00048681513553145827j,
+           -0.007124229559379999 - 0.045230546168278186j,
+           -0.016876636494848045 - 0.09500983296325487j,
+           -0.028807233254332612 - 0.08191955818271517j,
+           -0.03551379738882729 - 0.10367101820107968j,
+           -0.02011008908932564 - 0.01294201709396394j,
+           -0.009449952012549343 + 0.02863203484124146j,
+           -0.0036369878570796316 + 0.021115716511519826j,
+           -3.5903926489996076e-05 + 0.00012473914690821968j]),
+}
+
+
+@pytest.mark.parametrize("lam, gamma", sorted(_FINE_REFS))
+def test_collocation_is_exact_to_rounding_on_a_fine_grid(lam, gamma):
+    # the refinement residual is formed from row sums and differences, so it
+    # keeps the digits of a smooth solution: 9e-16 here.  The per-node
+    # elimination read 5.7e-13, the cyclic reduction unrefined 1.7e-11, and
+    # refined from plain block products 1.6e-12
+    params = make_params(m=1.0, hbar=1.0, lam=lam)
+    grid = make_grid(1.0, 2001)
+    kern = exponential_kernel(gamma)
+    noise = sample_exponential_noise(gamma, grid, 7, 0)
+    refs = _FINE_REFS[(lam, gamma)]
+    for sol, want in ((solve_f_numeric(1.0, params, kern, grid), refs["f"]),
+                      (solve_h_numeric(1.0, params, kern, noise), refs["h"])):
+        err = np.max(np.abs(sol.values[list(_FINE_NODES)] - np.array(want)))
+        assert err <= 1e-14 * np.max(np.abs(sol.values)), (sol.kind, err)
+
+
 def test_collocation_converges_in_the_stiff_memory_regime():
     # up to gamma dt = 1 on the coarsest grid: each halving of dt cuts the
     # deviation of both collocation kernels from the closed forms about 4x.
@@ -419,8 +511,10 @@ def _kernel_batch(params, gamma, n):
     return batch, kern, noise
 
 
-def _dense_residual(sol, params, kern, noise):
-    """The residual with the whole (n-2) x n memory matrix held at once."""
+def _dense_terms(sol, params, kern, noise):
+    """Per interior row, the defect |mu v'' + mem - rhs| and the size of its
+    terms, and the largest result, with the whole (n-2) x n memory matrix
+    held at once."""
     grid = sol.grid
     s = grid.nodes()
     dt = grid.dt
@@ -435,9 +529,32 @@ def _dense_residual(sol, params, kern, noise):
            else np.zeros(grid.n - 2))
     av = np.abs(v)
     size = abs(mu) * (av[:-2] + 2.0 * av[1:-1] + av[2:]) / dt ** 2 + np.abs(mem) + np.abs(rhs)
-    floor = _RESIDUAL_ULPS * np.finfo(float).eps * np.max(size)
     scale = max(np.max(np.abs(lapl)), np.max(np.abs(mem)), np.max(np.abs(rhs)), 1e-300)
-    return max(np.max(np.abs(lapl + mem - rhs)) - floor, 0.0) / scale
+    return np.abs(lapl + mem - rhs), size, scale
+
+
+def _dense_residual(sol, params, kern, noise):
+    """The residual with the whole (n-2) x n memory matrix held at once."""
+    defect, size, scale = _dense_terms(sol, params, kern, noise)
+    floor = _RESIDUAL_ULPS * np.finfo(float).eps * np.max(size)
+    return max(np.max(defect) - floor, 0.0) / scale
+
+
+@pytest.mark.parametrize("lam, gamma", [(0.1, 1.0), (2.0, 30.0), (1e3, 1.0), (1e-8, 1e-6)])
+def test_collocation_solve_is_backward_stable(lam, gamma):
+    # the defect of the collocation f and h in their own discrete equation,
+    # with no rounding floor taken off, stays within 2 eps of the largest
+    # size of its terms: at most 0.4 eps here, against 0.9 eps for the
+    # per-node elimination
+    params = make_params(m=1.0, hbar=1.0, lam=lam)
+    grid = make_grid(1.0, 2001)
+    kern = exponential_kernel(gamma)
+    noise = sample_exponential_noise(gamma, grid, 7, 0)
+    for sol in (solve_f_numeric(1.0, params, kern, grid),
+                solve_h_numeric(1.0, params, kern, noise)):
+        defect, size, _ = _dense_terms(sol, params, kern, noise)
+        ulps = np.max(defect) / (np.finfo(float).eps * np.max(size))
+        assert ulps <= 2.0, (sol.kind, ulps)
 
 
 def _line(grid):
