@@ -7,6 +7,10 @@ A..E are read off the Schur complement of the interior block with no
 reference to the kernel boundary-value machinery, so agreement with
 greens_coefficients, whose C, D and E come from the ensemble's single pass,
 is a genuine two-route check of the formulas every ensemble runs.
+The interior block is never formed: its exponential memory splits into a
+forward and a backward sweep, which make the interior equations block
+tridiagonal, and the Schur complement is read from the O(n) boundary rows of
+the action.  assemble_action builds the dense form (Q, L) as a reference.
 The reduction's measure factor pi^{k/2} / sqrt(det(-Q_ii)) depends on
 neither the endpoints nor the noise and is left out, as the analytic E
 vanishes at zero noise.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, PhysicalParams, TimeGrid
+from .core import InvalidParameterError, PhysicalParams, TimeGrid, _block_tridiag_solve
 # f_exponential and h_exponential are not called here; the benchmark's
 # traced run wraps them here by name (guarded by tests/test_public_surface.py).
 from .kernels import _check_horizon, f_exponential, h_exponential  # noqa: F401
@@ -28,6 +32,31 @@ from .propagator import GreensCoefficients, greens_coefficients
 
 # Segment counts of oracle_convergence, coarsest first; each halves the step.
 _LEVELS = (64, 128, 256, 512)
+
+
+def _action_rows(params: PhysicalParams, gamma: float, noise: NoisePath,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The given rows of Q and all of L, see assemble_action."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
+    grid = noise.grid
+    n = grid.n
+    eps = grid.dt
+    s = grid.nodes()
+    rho = np.ones(n)
+    rho[0] = rho[-1] = 0.5
+
+    alpha = _ou_covariance(gamma, s[rows, None], s[None, :])
+    Q = (-params.lam * eps * eps * np.outer(rho[rows], rho) * alpha).astype(complex)
+    kin = 1j * params.m / (2.0 * params.hbar * eps)
+    at = np.arange(len(rows))
+    Q[at, rows] += np.where((rows == 0) | (rows == n - 1), kin, 2.0 * kin)
+    left, right = rows > 0, rows < n - 1
+    Q[at[left], rows[left] - 1] -= kin
+    Q[at[right], rows[right] + 1] -= kin
+
+    L = eps * rho * math.sqrt(params.lam) * noise.values
+    return Q, L.astype(complex)
 
 
 def assemble_action(params: PhysicalParams, gamma: float,
@@ -41,52 +70,57 @@ def assemble_action(params: PhysicalParams, gamma: float,
       + sum_j eps rho_j sqrt(lam) w_j q_j
       - lam sum_{j,r} eps^2 rho_j rho_r alpha(s_j, s_r) q_j q_r
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
-    grid = noise.grid
-    n = grid.n
-    eps = grid.dt
-    s = grid.nodes()
-    rho = np.ones(n)
-    rho[0] = rho[-1] = 0.5
-
-    kin = 1j * params.m / (2.0 * params.hbar * eps)
-    Q = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    Q[idx, idx] = 2.0 * kin
-    Q[0, 0] = kin
-    Q[-1, -1] = kin
-    Q[idx[:-1], idx[1:]] -= kin
-    Q[idx[1:], idx[:-1]] -= kin
-
-    alpha = _ou_covariance(gamma, s[:, None], s[None, :])
-    Q = Q - params.lam * eps * eps * np.outer(rho, rho) * alpha
-
-    L = eps * rho * math.sqrt(params.lam) * noise.values
-    return Q, L.astype(complex)
+    return _action_rows(params, gamma, noise, np.arange(noise.grid.n))
 
 
-def _reduce_interior(Q: np.ndarray, L: np.ndarray):
+def _sweep_reduction(params: PhysicalParams, gamma: float, noise: NoisePath):
     """Endpoint exponent q_b^T S q_b + l^T q_b + c of the interior integral.
 
     With v = 2 Q_ib q_b + L_i the integral of exp(q^T Q q + L^T q) over q_i
     is exp(q_b^T Q_bb q_b + L_b^T q_b - v^T Q_ii^{-1} v / 4), so
     S = Q_bb - Q_bi Q_ii^{-1} Q_ib, l = L_b - Q_bi Q_ii^{-1} L_i and
-    c = -L_i^T Q_ii^{-1} L_i / 4, all from one solve.
+    c = -L_i^T Q_ii^{-1} L_i / 4.  One solve of the interior rows of Q with
+    pinned ends gives all three: ends (1, 0) and (0, 1) with no interior
+    source give the columns of S through the boundary rows of Q, and ends
+    (0, 0) with the source L_i give Q_ii^{-1} L_i.
+
+    Row j of Q_ii is kin (2 v_j - v_{j-1} - v_{j+1}) - (F_j + B_j) with
+    kin = i m / 2 hbar eps and the memory sweeps F_j = a F_{j-1} + w_j v_j,
+    B_j = a (B_{j+1} + w_{j+1} v_{j+1}), a = e^{-gamma eps},
+    w_j = lam eps^2 rho_j gamma/2; in x_j = (v_j, F_j, B_j) the rows are
+    block tridiagonal with 3x3 blocks.
     """
-    n = Q.shape[0]
+    grid = noise.grid
+    n = grid.n
     if n < 3:
         raise InvalidParameterError("need at least one interior node to reduce")
-    b = [0, n - 1]
-    inner = slice(1, n - 1)
-    Qib = Q[inner][:, b]
-    Li = L[inner]
+    Qb, L = _action_rows(params, gamma, noise, np.array([0, n - 1]))
+    eps = grid.dt
+    kin = 1j * params.m / (2.0 * params.hbar * eps)
+    a = math.exp(-gamma * eps)
+    w = np.full(n, params.lam * eps * eps * gamma / 2.0)
+    w[[0, -1]] /= 2.0
+    inner = np.arange(1, n - 1)
+    lo, diag, up = np.zeros((3, 3, 3, n), dtype=complex)
+    lo[0, 0, inner] = up[0, 0, inner] = -kin        # kinetic band
+    diag[0, 0, inner] = 2.0 * kin
+    diag[0, 1:, inner] = -1.0                       # memory term -(F_j + B_j)
+    diag[0, 0, [0, -1]] = 1.0                       # pinned ends
+    lo[1, 1, 1:] = -a                               # F_j - a F_{j-1} - w_j v_j = 0
+    diag[1, 0] = -w
+    diag[1, 1] = 1.0
+    up[2, 0, :-1] = -a * w[1:]                      # B_j - a B_{j+1} - a w_{j+1} v_{j+1} = 0
+    up[2, 2, :-1] = -a
+    diag[2, 2] = 1.0
+    y = np.zeros((3, 3, n), dtype=complex)
+    y[0, 0, 0] = y[0, 1, -1] = 1.0
+    y[0, 2, inner] = L[inner]
     try:
-        ys = np.linalg.solve(Q[inner, inner], np.column_stack([Qib, Li]))
+        v = _block_tridiag_solve(lo, diag, up, y)[0].T
     except np.linalg.LinAlgError as exc:
         raise InvalidParameterError(f"interior action matrix is singular: {exc}") from exc
-    S = Q[np.ix_(b, b)] - Qib.T @ ys[:, :2]
-    return S, L[b] - Qib.T @ ys[:, 2], -0.25 * (Li @ ys[:, 2])
+    Qv = Qb @ v
+    return Qv[:, :2], L[[0, -1]] - Qv[:, 2], -0.25 * (L[inner] @ v[inner, 2])
 
 
 @dataclass(frozen=True)
@@ -110,8 +144,7 @@ def oracle_coefficients(t: float, params: PhysicalParams, gamma: float,
     """
     grid = noise.grid
     _check_horizon(t, grid)
-    Q, L = assemble_action(params, gamma, noise)
-    S, l, c = _reduce_interior(Q, L)
+    S, l, c = _sweep_reduction(params, gamma, noise)
     A, B = complex(-(S[0, 0] + S[1, 1]) / 2.0), complex(2.0 * S[0, 1])
     coeffs = GreensCoefficients(t=t, A=A, B=B, C=complex(l[0]), D=complex(l[1]),
                                 E=complex(c), det=A * A - B * B / 4.0)

@@ -1,6 +1,7 @@
 """Path-sum oracle: free-case exactness, action assembly, convergence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,52 @@ def test_reduced_exponent_is_the_schur_quadratic(noisy):
     assert np.max(np.abs(brute - schur)) <= 1e-10 * np.max(np.abs(brute))
     if not noisy:
         assert c.C == 0.0 and c.D == 0.0 and c.E == 0.0
+
+
+# A..E of the path sum at 64 segments (t = 1, lambda = 0.1, gamma = 1.3,
+# noise sample_exponential_noise(1.3, make_grid(1.0, 65), 5, 0)): the dense
+# Schur reduction of assemble_action's (Q, L), taken exactly as floats, at
+# 40 digits.  Generated with mpmath 1.3 (about 8 s):
+#
+#   mp.mp.dps = 40
+#   Q, L = assemble_action(CRIT, 1.3, noise)
+#   q = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in Q])
+#   lv = [mp.mpc(complex(x)) for x in L]
+#   inner, ends = range(1, 64), (0, 64)
+#   Qii = mp.matrix([[q[j, r] for r in inner] for j in inner])
+#   ys = [mp.lu_solve(Qii, mp.matrix([q[j, e] for j in inner])) for e in ends]
+#   ys.append(mp.lu_solve(Qii, mp.matrix([lv[j] for j in inner])))
+#   S = [[q[a, e] - sum(q[a, j] * ys[ei][i] for i, j in enumerate(inner))
+#         for ei, e in enumerate(ends)] for a in ends]
+#   l = [lv[a] - sum(q[a, j] * ys[2][i] for i, j in enumerate(inner)) for a in ends]
+#   c = -sum(lv[j] * ys[2][i] for i, j in enumerate(inner)) / 4
+#   print([complex(v) for v in (-(S[0][0] + S[1][1]) / 2, 2 * S[0][1], l[0], l[1], c)])
+_ORACLE_REF = dict(A=0.011857146058902354 - 0.5000868542119257j,
+                   B=-0.020323446015810518 - 0.999827700664597j,
+                   C=0.2127461186361417 - 0.0013131840990937272j,
+                   D=0.11285740500299625 - 0.0012765479372267069j,
+                   E=3.873523515773875e-05 + 0.005092626455389517j)
+
+
+def test_oracle_matches_the_extended_precision_reduction():
+    grid = make_grid(1.0, 65)
+    noise = sample_exponential_noise(1.3, grid, 5, 0)
+    got = oracle_coefficients(1.0, CRIT, 1.3, noise).coefficients
+    for name, want in _ORACLE_REF.items():
+        assert abs(getattr(got, name) - want) <= 1e-12 * abs(want), name
+
+
+def test_oracle_holds_no_dense_action():
+    # one dense 513 x 513 complex matrix alone is 4.2 MB; the sweep
+    # reduction peaks at 0.86 MB here, the dense one peaked at 12.8 MB
+    noise = sample_exponential_noise(1.0, make_grid(1.0, 513), 7, 0)
+    tracemalloc.start()
+    try:
+        oracle_convergence(1.0, CRIT, 1.0, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak / 1e6
 
 
 def test_convergence_toward_analytic_coefficients():

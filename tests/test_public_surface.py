@@ -2,11 +2,11 @@
 package, as are the options of run_ensemble, oracle_convergence,
 greens_coefficients and line_plot and the fields of every public record;
 every exported name resolves, neither importing the package nor solving the
-collocation arbiter loads scipy, the CLI drives the library through public
-names only and alone writes file formats, the ensemble takes C, D and E from
-the single pass in kernels.py, and every binding that the benchmark's traced
-run (bench/workloads.py, Workload.trace) wraps still exists in the module
-where it is wrapped."""
+collocation arbiter or the path-sum oracle loads scipy, the CLI drives the
+library through public names only and alone writes file formats, the
+ensemble takes C, D and E from the single pass in kernels.py, and every
+binding that the benchmark's traced run (bench/workloads.py,
+Workload.trace) wraps still exists in the module where it is wrapped."""
 
 import ast
 import dataclasses
@@ -118,7 +118,8 @@ def test_every_exported_name_resolves():
 
 def test_import_does_not_load_scipy():
     # the package depends on numpy only: neither the import nor the
-    # collocation arbiter, with or without coupling, may pull scipy in
+    # collocation arbiter and the path-sum oracle, with or without coupling,
+    # may pull scipy in
     code = "\n".join([
         "import sys, numpy as np, nmsse, nmsse.cli",
         "grid = nmsse.make_grid(1.0, 33)",
@@ -128,6 +129,7 @@ def test_import_does_not_load_scipy():
         "    kern = nmsse.exponential_kernel(1.0)",
         "    nmsse.solve_f_numeric(1.0, params, kern, grid)",
         "    nmsse.solve_h_numeric(1.0, params, kern, noise)",
+        "    nmsse.oracle_coefficients(1.0, params, 1.0, noise)",
         "print('scipy' in sys.modules)",
     ])
     src = os.path.dirname(os.path.dirname(nmsse.__file__))
