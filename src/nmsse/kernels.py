@@ -367,16 +367,12 @@ def h_exponential(t: float, params: PhysicalParams, gamma: float,
                   noise: NoisePath) -> KernelSolution:
     """Noise-driven kernel for the exponential correlation kernel.
 
-    Particular solution by two-sided variation of parameters: only decaying
-    convolutions I_k(s) = int_0^s e^{-u_k(s-r)} w dr and J_k(s) =
-    int_s^t e^{-u_k(r-s)} w dr enter (trapezoid-exponential recursions,
-    O(n), no noise derivatives), then the same even/odd 2x2 boundary solve
-    as the homogeneous kernel.  Near the lam -> 0 degeneracy
-    (omega_c < 1e-8 gamma) the double-integral limit form is used instead,
-    and gamma = inf dispatches to the white-noise closed form.
-
-    Relative accuracy degrades like eps/|u2 t| as omega_c t -> 0 between
-    the two branches; irrelevant at the scaled-unit operating points.
+    Each root u_k drives its share of the particular solution, p_k'' -
+    u_k^2 p_k = rho_k w, by trapezoid integrals of the noise (no noise
+    derivatives); the even/odd 2x2 boundary solve of the homogeneous kernel
+    then meets the boundary conditions.  One formula for every coupling: h
+    is exactly 0 at lam = 0 and tends to the solution of h'' = pref w.
+    gamma = inf takes the one-root white-noise case.
     """
     grid = noise.grid
     _check_horizon(t, grid)
@@ -399,57 +395,84 @@ def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
     _, pref, _ = _closed_form_constants(params)
     if math.isinf(gamma):
         return _h_markovian_core(t, params, grid, w, pref)
-    if params.omega_collapse < 1e-8 * gamma:
-        return _h_degenerate_core(t, grid, w, pref)
     sc = _BVPScalars(gamma, params.omega_collapse, t)
     u1, u2 = sc.roots.upsilon1, sc.roots.upsilon2
-    dt = grid.dt
-    i1 = _conv_forward(u1, w, dt)
-    j1 = _conv_backward(u1, w, dt)
-    i2 = _conv_forward(u2, w, dt)
-    j2 = _conv_backward(u2, w, dt)
-    c1, c2 = _h_particular_weights(sc)
-    hp = pref * (c1 * (-i1 - j1) + c2 * (-i2 - j2))
-    a, b, c, d, d_start, d_end = _h_boundary_solve(
-        sc, gamma, pref, (i1[..., -1], i2[..., -1]), (j1[..., 0], j2[..., 0]))
+    (p1, ends1), (p2, ends2) = (_particular_part(u, rho, t, grid, w)
+                                for u, rho in zip((u1, u2), _h_weights(sc)))
+    a, b, c, d, d_start, d_end = _h_boundary_solve(sc, gamma, pref, (ends1, ends2))
 
     s = grid.nodes()
     a, b, c, d = (np.asarray(x, dtype=complex) for x in (a, b, c, d))
     vals = (a[..., None] * _basis_even(u1, s, t) + b[..., None] * _basis_odd(u1, s, t)
             + c[..., None] * _basis_even(u2, s, t) + d[..., None] * _basis_odd(u2, s, t)
-            + hp)
+            + pref * (p1 + p2))
     vals[..., 0] = 0.0
     vals[..., -1] = 0.0
     return vals, d_start, d_end
 
 
-def _h_particular_weights(sc: _BVPScalars) -> tuple[complex, complex]:
-    """c1, c2 of the particular solution h_p = pref sum_k c_k (-I_k - J_k)."""
-    u1, u2, zeta = sc.roots.upsilon1, sc.roots.upsilon2, sc.roots.zeta
-    return -sc.u2sq / (2.0 * u1 * zeta), sc.u1sq / (2.0 * u2 * zeta)
+# Largest |u t| at which a root's share of h's particular part takes the
+# kernel sinh(u|x|)/(2u), not the decaying -e^{-u|x|}/(2u).  The decaying
+# kernel rounds h to about 2.4e-15/|u t| of its size, so at most 2.5e-13
+# above this bound; the sinh kernel costs two cumulative integrals per row
+# (16.5 ms against 2.5 ms for one root's scan of 128 x 2001 noise on a
+# 2-vCPU VM), so it takes only the horizons where the decaying one loses
+# digits (t <= 0.02 at lam = 0.1, gamma = 1).
+_SINH_KERNEL_MAX = 1e-2
 
 
-def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, i_end, j_start):
-    """Basis weights (a, b, c, d) and endpoint slopes (h'(0), h'(t)) of h.
+def _sinh_over(u: complex, x):
+    """sinh(u x)/u, elementwise in x; x at u = 0."""
+    return np.asarray(x, dtype=float) + 0j if u == 0 else np.sinh(u * x) / u
 
-    i_end = (I_1(t), I_2(t)) and j_start = (J_1(0), J_2(0)) are the
-    convolution ends of both roots; I_k(0) and J_k(t) vanish.  Elementwise,
-    so sc may also hold the scalars of an array of horizons with i_end,
-    j_start holding one column per horizon.
-    """
-    u1, u2 = sc.roots.upsilon1, sc.roots.upsilon2
-    c1, c2 = _h_particular_weights(sc)
-    i1, i2 = i_end
-    j1, j2 = j_start
-    hp0 = -pref * (c1 * j1 + c2 * j2)
-    hpt = -pref * (c1 * i1 + c2 * i2)
-    hp_d0 = -pref * (c1 * u1 * j1 + c2 * u2 * j2)
-    hp_dt = pref * (c1 * u1 * i1 + c2 * u2 * i2)
-    # G := i omega_c^2 F accompanies each basis pair with weight u_k^2
-    gp0 = -pref * (sc.u1sq * c1 * j1 + sc.u2sq * c2 * j2)
-    gpt = -pref * (sc.u1sq * c1 * i1 + sc.u2sq * c2 * i2)
-    gp_d0 = -pref * (sc.u1sq * u1 * c1 * j1 + sc.u2sq * u2 * c2 * j2)
-    gp_dt = pref * (sc.u1sq * u1 * c1 * i1 + sc.u2sq * u2 * c2 * i2)
+
+def _h_weights(sc: _BVPScalars) -> tuple[complex, complex]:
+    """Shares rho_1 = -u2^2/zeta, rho_2 = u1^2/zeta of the noise that drive
+    the roots' parts of h/pref (partial fractions; they sum to 1)."""
+    zeta = sc.roots.zeta
+    return -sc.u2sq / zeta, sc.u1sq / zeta
+
+
+def _particular_ends(u: complex, rho: complex, t, sinh_kernel: bool, first, second):
+    """(p(0), p(t), p'(0), p'(t)) of a particular solution of p'' - u^2 p =
+    rho w on [0, t], elementwise over horizons t.  By the kernel
+    -e^{-u|x|}/(2u), first and second are the trapezoid convolution ends I(t)
+    and J(0); by sinh(u|x|)/(2u), entire in u, the trapezoid integrals
+    int_0^t w cosh(ur) and int_0^t w sinh(ur)/u.  The kernels differ by
+    cosh(ux)/(2u), a homogeneous solution the boundary solve absorbs, so
+    both give the same discrete h."""
+    half = rho / 2.0
+    if not sinh_kernel:
+        return -half / u * second, -half / u * first, -half * second, half * first
+    sh, ch = _sinh_over(u, t), np.cosh(u * t)
+    return (half * second, half * (sh * first - ch * second),
+            -half * first, half * (ch * first - u * u * sh * second))
+
+
+def _particular_part(u: complex, rho: complex, t: float, grid: TimeGrid, w: np.ndarray):
+    """Node values and ends (_particular_ends) of the particular solution of
+    p'' - u^2 p = rho w on the whole grid, t = its horizon; the sinh kernel
+    where |u t| <= _SINH_KERNEL_MAX."""
+    dt = grid.dt
+    if abs(u * t) > _SINH_KERNEL_MAX:
+        i, j = _conv_forward(u, w, dt), _conv_backward(u, w, dt)
+        return -rho / (2.0 * u) * (i + j), _particular_ends(u, rho, t, False, i[..., -1], j[..., 0])
+    s = grid.nodes()
+    sh, ch = _sinh_over(u, s), np.cosh(u * s)
+    c, sn = _cumtrapz(w * ch, dt), _cumtrapz(w * sh, dt)
+    ends = _particular_ends(u, rho, t, True, c[..., -1], sn[..., -1])
+    # split at r = s: sinh(u|s - r|) = +-(sinh(us) cosh(ur) - cosh(us) sinh(ur))
+    values = (rho / 2.0) * (sh * (2.0 * c - c[..., -1:]) - ch * (2.0 * sn - sn[..., -1:]))
+    return values, ends
+
+
+def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, ends):
+    """Basis weights (a, b, c, d) and endpoint slopes (h'(0), h'(t)) of h,
+    from each root's _particular_ends.  Elementwise, so sc may also hold the
+    scalars of an array of horizons, the ends one column per horizon."""
+    hp0, hpt, hp_d0, hp_dt = (pref * (x1 + x2) for x1, x2 in zip(*ends))
+    # G := i omega_c^2 F accompanies each root's share with weight u_k^2
+    gp0, gpt, gp_d0, gp_dt = (pref * (sc.u1sq * x1 + sc.u2sq * x2) for x1, x2 in zip(*ends))
 
     rob0 = gp_d0 - gamma * gp0          # memory-boundary defect at s = 0
     robt = gp_dt + gamma * gpt          # and at s = t
@@ -487,28 +510,6 @@ def _conv_forward(u: complex, w: np.ndarray, dt: float, out: np.ndarray | None =
 def _conv_backward(u: complex, w: np.ndarray, dt: float) -> np.ndarray:
     """J(s_j) = int_{s_j}^t e^{-u (r - s_j)} w(r) dr, trapezoid per cell."""
     return _conv_forward(u, w[..., ::-1], dt)[..., ::-1]
-
-
-def _h_degenerate_core(t: float, grid: TimeGrid, w: np.ndarray, pref: complex):
-    """Vanishing-coupling limit: h'' = pref*w with zero boundary values."""
-    s = grid.nodes()
-    dt = grid.dt
-    cw = _cumtrapz(w, dt)               # int_0^s w
-    crw = _cumtrapz(s * w, dt)          # int_0^s r w
-    lin = s * cw - crw                  # int_0^s (s - r) w dr
-    total = t * cw[..., -1] - crw[..., -1]   # int_0^t (t - r) w dr
-    total = np.asarray(total, dtype=complex)
-    vals = pref * (lin - (s / t) * total[..., None])
-    vals = vals.astype(complex)
-    vals[..., 0] = 0.0
-    vals[..., -1] = 0.0
-    return (vals, *_degenerate_slopes(pref, t, cw[..., -1], total))
-
-
-def _degenerate_slopes(pref: complex, t, cw_t, total):
-    """h'(0), h'(t) of h'' = pref w with h(0) = h(t) = 0, from cw_t =
-    int_0^t w and total = int_0^t (t - r) w dr; elementwise."""
-    return pref * (-total / t), pref * (cw_t - total / t)
 
 
 def _cumtrapz(y: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -557,7 +558,9 @@ class _HorizonKernels:
     imaginary) pairs of floats with the trapezoid weights of
     _horizon_integrals, are e^{-u s} for both roots, then per root sinh(u s)/u
     and cosh(u s) up to its last horizon with |u t_k| <= 1 (those come
-    first) and 0 beyond.
+    first) and 0 beyond.  The first ``n_sinh`` horizons of a root, |u t_k| <=
+    _SINH_KERNEL_MAX, take the sinh kernel of h's particular part, with
+    ``sinh_nodes`` the unweighted sinh and cosh columns up to the last one.
     """
 
     def __init__(self, params: PhysicalParams, gamma: float, grid: TimeGrid,
@@ -567,25 +570,28 @@ class _HorizonKernels:
         s = grid.nodes()[: idx[-1] + 1]
         t = s[idx]
         self.t = t
-        omega = params.omega_collapse
-        self.degenerate = omega < 1e-8 * gamma
         self.gamma = gamma
         self.constants = _closed_form_constants(params)
-        self.sc = sc = _BVPScalars(gamma, omega, t)
+        self.sc = sc = _BVPScalars(gamma, params.omega_collapse, t)
         self.u = (sc.roots.upsilon1, sc.roots.upsilon2)
+        self.rho = _h_weights(sc)
         self.tau = (sc.tau1, sc.tau2)
         self.f_abcd = sc.f_coeffs()
 
-        self.e_t, self.n_small = [], []
+        self.e_t, self.n_small, self.n_sinh, self.sinh_nodes = [], [], [], []
         table = np.zeros((s.size, 6), dtype=complex)
         for r, u in enumerate(self.u):
             self.e_t.append(np.exp(-u * t))
             ns = int(np.count_nonzero(np.abs(u * t) <= 1.0))
+            nd = int(np.count_nonzero(np.abs(u * t) <= _SINH_KERNEL_MAX))
             self.n_small.append(ns)
+            self.n_sinh.append(nd)
             head = s[: idx[ns - 1] + 1] if ns else s[:0]
             table[:, r] = np.exp(-u * s)
-            table[: head.size, 2 + 2 * r] = head if u == 0 else np.sinh(u * head) / u
+            table[: head.size, 2 + 2 * r] = _sinh_over(u, head)
             table[: head.size, 3 + 2 * r] = np.cosh(u * head)
+            stretch = idx[nd - 1] + 1 if nd else 0
+            self.sinh_nodes.append(table[:stretch, 2 + 2 * r:4 + 2 * r].T.copy())
         table *= self.dt
         table[0] *= 0.5
         table[idx] *= 0.5
@@ -593,6 +599,7 @@ class _HorizonKernels:
 
         self.conv = np.empty((rows, s.size), dtype=complex)
         self.grown = np.empty_like(self.conv)
+        self.lin = np.empty((rows, max(x.shape[1] for x in self.sinh_nodes)), dtype=complex)
         self.linear = np.empty((rows, t.size, self.table.shape[1]))
         self.wi = np.empty((2, rows, t.size, 2))
 
@@ -609,15 +616,18 @@ class _HorizonKernels:
         cancel to eps / |u t_k|, so it comes from int w sinh(us)/u -
         tanh(u t_k/2)/u int w cosh(us) instead.  V(k) and those integrals
         are read from the weight table, int w I from the explicit I, both by
-        _horizon_integrals.  The convolutions and integrals are written into
-        the buffers, so a block allocates nothing of its own length.
+        _horizon_integrals.  On the sinh kernel's horizons the particular
+        part's ends come from the sinh and cosh columns, and int w p = rho int
+        w L, L(s) = int_0^s sinh(u(s - r))/u w dr, with no edge term.  The
+        convolutions and integrals are written into the buffers, so a block
+        allocates nothing of its own length.
         """
         k = self.idx
         dt = self.dt
         t = self.t
         m, n_conv = w.shape[0], k[-1] + 1
         w = w[:, :n_conv]
-        conv, grown = self.conv[:m], self.grown[:m]
+        conv, grown, lin = self.conv[:m], self.grown[:m], self.lin[:m]
         mu, pref, half_sl = self.constants
 
         # columns V_1, V_2, then per root sinh and cosh, which become the
@@ -625,48 +635,46 @@ class _HorizonKernels:
         linear = _horizon_integrals(w, self.table, k, self.linear[:m]).view(complex)
         columns = np.moveaxis(linear, -1, 0)
         v_k, odd, even = columns[:2], columns[2::2], columns[3::2]
-        i_k, wi_k = [], []
-        for r, u in enumerate(self.u):
+        ends = np.empty((2, 4, m, t.size), dtype=complex)
+        w_part = np.empty((2, m, t.size), dtype=complex)     # int w p per root
+        for r, (u, rho) in enumerate(zip(self.u, self.rho)):
             _conv_forward(u, w, dt, out=conv, grown=grown)
             ik = conv[:, k]
             vk, od, ev = v_k[r], odd[r], even[r]
-            ns = self.n_small[r]
+            nd, ns = self.n_sinh[r], self.n_small[r]
+            ends[r, :, :, :nd] = _particular_ends(u, rho, t[:nd], True, ev[:, :nd], od[:, :nd])
+            if nd < t.size:
+                ends[r, :, :, nd:] = _particular_ends(u, rho, t[nd:], False,
+                                                      ik[:, nd:], vk[:, nd:])
+                conv[:, k] *= 0.5
+                wi = _horizon_integrals(w, conv.view(float).reshape(m, n_conv, 2), k,
+                                        self.wi[r, :m]).view(complex)[:, nd:, 0]
+                edge = (dt * dt / 4.0) * (w[:, :1] ** 2 - w[:, k[nd:]] ** 2)
+                w_part[r, :, nd:] = -rho / (2.0 * u) * (2.0 * dt * wi + edge)
+            if nd:
+                # L from the cumulative integrals of w cosh(us) and w sinh(us)/u
+                sh, ch = self.sinh_nodes[r]
+                n_l = sh.size
+                wl, cw, sw = w[:, :n_l], conv[:, :n_l], lin[:, :n_l]
+                _cumtrapz(np.multiply(wl, ch, out=grown[:, :n_l]), dt, out=cw)
+                _cumtrapz(np.multiply(wl, sh, out=grown[:, :n_l]), dt, out=sw)
+                np.subtract(np.multiply(cw, sh, out=cw), np.multiply(sw, ch, out=sw), out=sw)
+                sw[:, k[:nd]] *= 0.5
+                wl_int = _horizon_integrals(wl, sw.view(float).reshape(m, n_l, 2), k[:nd],
+                                            self.wi[r, :m, :nd]).view(complex)[..., 0]
+                w_part[r, :, :nd] = (rho * dt) * wl_int
             od[:, :ns] -= self.tau[r][:ns] * ev[:, :ns]
             np.subtract(ik[:, ns:], vk[:, ns:], out=od[:, ns:])
             od[:, ns:] /= u * (1.0 + self.e_t[r][ns:])
             np.add(ik, vk, out=ev)
             ev /= 1.0 + self.e_t[r]
-            if not self.degenerate:
-                conv[:, k] *= 0.5
-                wi = _horizon_integrals(w, conv.view(float).reshape(m, n_conv, 2), k,
-                                        self.wi[r, :m]).view(complex)[..., 0]
-                wi *= 2.0 * dt
-                wi_k.append(wi)   # 2 int w I
-            i_k.append(ik)
 
         af, bf, cf, df = self.f_abcd
         int_f = af * even[0] + bf * odd[0] + cf * even[1] + df * odd[1]
         int_f_rev = af * even[0] - bf * odd[0] + cf * even[1] - df * odd[1]
-
-        if self.degenerate:
-            # vanishing coupling: h'' = pref w with zero boundary values, formed
-            # in the real halves of conv and grown, which the roots are done with
-            s = np.arange(n_conv) * dt
-            lin = grown.view(float)[:, :n_conv]
-            cw = _cumtrapz(w, dt, out=conv.view(float)[:, :n_conv])
-            crw = _cumtrapz(np.multiply(w, s, out=lin), dt, out=conv.view(float)[:, n_conv:])
-            total = t * cw[:, k] - crw[:, k]
-            h_d0, h_dt = _degenerate_slopes(pref, t, cw[:, k], total)
-            np.subtract(np.multiply(cw, s, out=lin), crw, out=lin)
-            lin[:, k] *= 0.5
-            w_lin = _horizon_integrals(w, lin[..., None], k, self.wi[0, :m, :, :1])[..., 0]
-            int_h = pref * (dt * w_lin - total / t * crw[:, k])
-        else:
-            a, b, c, d, h_d0, h_dt = _h_boundary_solve(self.sc, self.gamma, pref, i_k, v_k)
-            c1, c2 = _h_particular_weights(self.sc)
-            edge = (dt * dt / 4.0) * (w[:, :1] ** 2 - w[:, k] ** 2)
-            int_h = (-pref * (c1 * (wi_k[0] + edge) + c2 * (wi_k[1] + edge))
-                     + a * even[0] + b * odd[0] + c * even[1] + d * odd[1])
+        a, b, c, d, h_d0, h_dt = _h_boundary_solve(self.sc, self.gamma, pref, ends)
+        int_h = (pref * (w_part[0] + w_part[1])
+                 + a * even[0] + b * odd[0] + c * even[1] + d * odd[1])
 
         return (-mu * h_d0 + half_sl * int_f,
                 mu * h_dt + half_sl * int_f_rev,
@@ -704,33 +712,21 @@ def f_markovian(t: float, params: PhysicalParams, grid: TimeGrid) -> KernelSolut
 def _h_markovian_core(t: float, params: PhysicalParams, grid: TimeGrid,
                       w: np.ndarray, pref: complex):
     """Noise-driven kernel in the white-noise limit: h'' - kappa^2 h = pref w
-    with zero boundary values, through the Dirichlet Green's function built
-    from decaying exponentials only (four image terms), so it stays finite
-    for arbitrarily stiff kappa t."""
+    with zero boundary values, the one-root case of h_exponential_batch
+    (weight 1, the even/odd basis zeroes both ends).  Only decaying
+    exponentials enter, so it stays finite for arbitrarily stiff kappa t."""
     k = _kappa(params)
-    if abs(k) * t < 1e-250:
-        return _h_degenerate_core(t, grid, w, pref)
+    part, ends = _particular_part(k, 1.0, t, grid, w)
+    p0, pt, p_d0, p_dt = (pref * x for x in ends)
+    tau = t / 2.0 * _tanh_ratio(k * t / 2.0)        # tanh(kappa t/2)/kappa
+    a = np.asarray(-(p0 + pt) / 2.0, dtype=complex)
+    b = np.asarray((p0 - pt) / (2.0 * tau), dtype=complex)
     s = grid.nodes()
-    dt = grid.dt
-    i_conv = _conv_forward(k, w, dt)
-    j_conv = _conv_backward(k, w, dt)
-    # V(s) = int_0^s e^{-k r} w dr; bounded weights, plain cumulative trapezoid
-    v_cum = _cumtrapz(np.exp(-k * s) * w, dt)
-    vt = v_cum[..., -1:]
-    it = i_conv[..., -1:]
-    e_s = np.exp(-k * s)
-    e_ts = np.exp(-k * (t - s))
-    et = np.exp(-k * t)
-    e2 = et * et
-    big_t = (i_conv + j_conv - e_s * vt - e_ts * it
-             + e_ts * et * v_cum + et * e_s * it - e2 * i_conv)
-    den = -_cexpm1(-2.0 * k * t)
-    vals = -pref / (2.0 * k * den) * big_t
+    vals = a[..., None] * _basis_even(k, s, t) + b[..., None] * _basis_odd(k, s, t) + pref * part
     vals[..., 0] = 0.0
     vals[..., -1] = 0.0
-    d_start = -pref * (vt[..., 0] - et * it[..., 0]) / den
-    d_end = -pref * (et * vt[..., 0] - it[..., 0]) / den
-    return vals, d_start, d_end
+    slope = a * k * k * tau                          # even basis: -+kappa tanh(kappa t/2)
+    return vals, p_d0 - slope + b, p_dt + slope + b
 
 
 # ---------------------------------------------------------------------------

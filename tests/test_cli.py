@@ -328,6 +328,24 @@ def test_kernels_residual_cap_follows_the_roots(tmp_path, capsys):
     assert "check closed-form-residual: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("lam, gamma, t_max", [(1e-8, 1e-6, 1e-6), (0.1, 1e-6, 1e-6),
+                                               (1e-8, 1.0, 1e-6)])
+def test_kernels_passes_where_h_has_small_roots(tmp_path, capsys, lam, gamma, t_max):
+    # |u2| t <= 0.07 in each cell.  A decaying-kernel h rounded to
+    # eps/|u2 t| of its size there, and closed-form-residual read 1.01, 0.645
+    # and 0.934 (the first cell also failed route-agreement-h at 3.1e-4)
+    text = (BASE.replace("lambda = 0.1", f"lambda = {lam}")
+            .replace("gamma = 1.0", f"gamma = {gamma}")
+            .replace("t_max = 1.0", f"t_max = {t_max}").replace("N = 257", "N = 2001"))
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", _cfg_file(tmp_path, text), "--out", str(out),
+                 "--format", "json", "--plot", "none"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    report = json.loads((out / "kernels_report.json").read_text())
+    assert report["route_deviation"]["h"] <= 1e-13
+    assert report["closed_form_residual"]["h"] == 0.0
+
+
 def test_kernels_on_a_two_node_grid_exits_2(tmp_path, capsys):
     # the discrete kernel equation has no interior node to check on N = 2
     cfg = _cfg_file(tmp_path, BASE.replace("N = 257", "N = 2"))

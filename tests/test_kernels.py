@@ -227,12 +227,13 @@ def test_f_at_zero_coupling_is_the_free_chord():
     assert f.d_end == pytest.approx(-1.0, rel=1e-13)
 
 
-def test_h_at_zero_coupling_vanishes():
+@pytest.mark.parametrize("gamma", [3.0, math.inf])
+def test_h_at_zero_coupling_vanishes(gamma):
     params = make_params(m=1.0, hbar=1.0, lam=0.0)
     grid = make_grid(1.0, 101)
     noise = sample_exponential_noise(3.0, grid, 1, 0)
-    h = h_exponential(1.0, params, 3.0, noise)
-    assert np.all(h.values == 0.0)
+    h = h_exponential(1.0, params, gamma, noise)
+    assert np.all(h.values == 0.0) and h.d_start == 0.0 and h.d_end == 0.0
 
 
 def test_h_is_linear_in_the_noise():
@@ -659,10 +660,12 @@ def test_markovian_kernel_is_the_large_gamma_limit():
     assert dev <= 1e-5
 
 
-def test_vanishing_coupling_h_matches_its_analytic_solution():
-    # omega_c < 1e-8 gamma takes the lam -> 0 form h'' = pref w, h(0) = h(t) = 0
-    # (the ensemble shares its endpoint slopes); for w = sin(5s) + 0.3 the
-    # solution is elementary, and the trapezoid integrals are off by O(dt^2)
+@pytest.mark.parametrize("gamma", [1.0, math.inf])
+def test_vanishing_coupling_h_matches_its_analytic_solution(gamma):
+    # at lam = 1e-18 h solves h'' = pref w, h(0) = h(t) = 0 to within
+    # omega_c^2 t^2 ~ 1e-18 of its size, for finite gamma and white noise
+    # alike (the ensemble shares its endpoint slopes); for w = sin(5s) + 0.3
+    # the solution is elementary, and the trapezoid integrals are off by O(dt^2)
     params = make_params(m=1.0, hbar=1.0, lam=1e-18)
     pref = -1j * math.sqrt(params.lam)
     t = 1.5
@@ -672,7 +675,7 @@ def test_vanishing_coupling_h_matches_its_analytic_solution():
     for n in (513, 2001):
         grid = make_grid(t, n)
         s = grid.nodes()
-        h = h_exponential(t, params, 1.0, NoisePath(grid, np.sin(5.0 * s) + 0.3))
+        h = h_exponential(t, params, gamma, NoisePath(grid, np.sin(5.0 * s) + 0.3))
         exact = pref * (part(s) - part(0.0) + c * s)
         tol = 2.0 * grid.dt ** 2
         assert np.max(np.abs(h.values - exact)) <= tol * np.max(np.abs(exact))
@@ -697,6 +700,136 @@ def test_white_noise_h_is_the_large_gamma_limit():
     assert np.all(devs[-1] <= 2e-8)
     for coarse, fine in zip(devs, devs[1:]):
         assert np.all(50.0 * fine <= coarse)
+
+
+# The discrete h on sample_exponential_noise(1.0, make_grid(1.0, 257), 7, 0):
+# values at _H_REF_NODES, then h'(0) and h'(t), at omega_c = key (lam =
+# key^2/2), for gamma = 1 (omega_c/gamma = key) and white noise (|kappa| t =
+# key).  From a 60-digit evaluation of the trapezoid convolutions and the
+# boundary solve in the decaying kernel, with mpmath 1.3 (about 1 s in all);
+# the same run gives the C, D and E frozen in tests/test_propagator.py:
+#
+#   mp.mp.dps = 60
+#   n, dt, t = 257, mp.mpf(1) / 256, mp.mpf(1)
+#   w = [mp.mpf(x) for x in sample_exponential_noise(1.0, make_grid(1.0, n), 7, 0).values]
+#   trap = [dt / 2 if j in (0, n - 1) else dt for j in range(n)]
+#   def kernel(us, rho, pref, gamma, left):
+#       # sum over roots u of p_u + a_u cosh(u(s - t/2)) + b_u sinh(u(s - t/2)),
+#       # p_u = -pref rho_u (I + J)/(2u) from the trapezoid convolutions I, J of
+#       # e^{-u|s - r|} w; rows: value ends (left, 0), and for two roots
+#       # sum_u u^2 (phi_u' -+ gamma phi_u) = 0 at s = 0, t
+#       rows, rhs, parts = [], [left, 0, 0, 0], []
+#       for u, r in zip(us, rho):
+#           e, i, j = mp.exp(-u * dt), [0] * n, [0] * n
+#           for k in range(1, n):
+#               i[k] = e * i[k - 1] + dt / 2 * (e * w[k - 1] + w[k])
+#               j[-1 - k] = e * j[-k] + dt / 2 * (e * w[-k] + w[-1 - k])
+#           p = [-pref * r * (i[k] + j[k]) / (2 * u) for k in range(n)] if pref else [0] * n
+#           ends = (p[0], p[-1], -pref * r * j[0] / 2, pref * r * i[-1] / 2) if pref else (0,) * 4
+#           basis = (lambda s, u=u: mp.cosh(u * (s - t / 2)),
+#                    lambda s, u=u: mp.sinh(u * (s - t / 2)))
+#           slope = (lambda s, u=u: u * mp.sinh(u * (s - t / 2)),
+#                    lambda s, u=u: u * mp.cosh(u * (s - t / 2)))
+#           for b, d in zip(basis, slope):
+#               rows.append([b(0), b(t), u * u * (d(0) - gamma * b(0)),
+#                            u * u * (d(t) + gamma * b(t))])
+#           rhs = [x - y for x, y in zip(rhs, (ends[0], ends[1],
+#                                              u * u * (ends[2] - gamma * ends[0]),
+#                                              u * u * (ends[3] + gamma * ends[1])))]
+#           parts.append((p, ends, basis, slope))
+#       m = 2 * len(us)
+#       ab = mp.lu_solve(mp.matrix(rows).T[:m, :m], mp.matrix(rhs[:m]))
+#       vals = [sum(p[k] + ab[2 * q] * b(k * dt) + ab[2 * q + 1] * o(k * dt)
+#                   for q, (p, _, (b, o), _) in enumerate(parts)) for k in range(n)]
+#       d0, d1 = (sum(e[2 + z] + ab[2 * q] * sb(z * t) + ab[2 * q + 1] * so(z * t)
+#                     for q, (_, e, _, (sb, so)) in enumerate(parts)) for z in (0, 1))
+#       return vals, d0, d1
+#   for key in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):     # gamma = 1
+#       lam, g = mp.mpf(key * key / 2.0), mp.mpf(1)
+#       z = mp.sqrt(1 - 8j * lam)
+#       u1sq = (1 + z) / 2
+#       u2sq = 2j * lam / u1sq
+#       us, rho = (mp.sqrt(u1sq), mp.sqrt(u2sq)), (-u2sq / z, u1sq / z)
+#       f = kernel(us, rho, 0, g, 1)[0]
+#       h, d0, d1 = kernel(us, rho, -1j * mp.sqrt(lam), g, 0)
+#       c = mp.sqrt(lam) / 2
+#       C = -0.5j * d0 + c * mp.fsum(q * x * y for q, x, y in zip(trap, w, f))
+#       D = 0.5j * d1 + c * mp.fsum(q * x * y for q, x, y in zip(trap, w, f[::-1]))
+#       E = c * mp.fsum(q * x * y for q, x, y in zip(trap, w, h))
+#       print([complex(h[j]) for j in _H_REF_NODES], complex(d0), complex(d1),
+#             complex(C), complex(D), complex(E))
+#   for key in (1.0, 1e-2, 1e-4, 1e-6):                    # gamma = inf
+#       lam = mp.mpf(key * key / 2.0)
+#       h, d0, d1 = kernel([key * mp.expjpi(0.25)], [1], -1j * mp.sqrt(lam), 0, 0)
+#       print([complex(h[j]) for j in _H_REF_NODES], complex(d0), complex(d1))
+_H_REF_NODES = (64, 128, 192)
+_H_REFS = {
+    (1.0, 1e-2): (-1.8951967280874955e-09-0.0005685224094971616j,
+                  -2.562340932031585e-09-0.0007767835818525577j,
+                  -1.899373936030313e-09-0.0005940494026794401j,
+                  -9.745646686956015e-09-0.0029749371898799702j,
+                  9.78386042818368e-09+0.003263997506800685j),
+    (1.0, 1e-4): (-1.8951967281078658e-15-5.685224095033779e-06j,
+                  -2.5623409320590973e-15-7.767835818609542e-06j,
+                  -1.899373936050683e-15-5.940494026856571e-06j,
+                  -9.745646687060839e-15-2.974937189911959e-05j,
+                  9.783860428288506e-15+3.263997506832679e-05j),
+    (1.0, 1e-6): (-1.8951967281078654e-21-5.685224095033779e-08j,
+                  -2.562340932059097e-21-7.767835818609542e-08j,
+                  -1.8993739360506827e-21-5.940494026856571e-08j,
+                  -9.745646687060839e-21-2.974937189911959e-07j,
+                  9.783860428288505e-21+3.263997506832679e-07j),
+    (1.0, 1e-8): (-1.895196728107866e-27-5.685224095033779e-10j,
+                  -2.5623409320590975e-27-7.767835818609542e-10j,
+                  -1.8993739360506834e-27-5.940494026856571e-10j,
+                  -9.745646687060842e-27-2.974937189911959e-09j,
+                  9.783860428288508e-27+3.2639975068326793e-09j),
+    (1.0, 1e-10): (-1.895196728107866e-33-5.685224095033779e-12j,
+                   -2.5623409320590976e-33-7.767835818609542e-12j,
+                   -1.8993739360506834e-33-5.940494026856571e-12j,
+                   -9.74564668706084e-33-2.974937189911959e-11j,
+                   9.783860428288507e-33+3.2639975068326794e-11j),
+    (1.0, 1e-12): (-1.8951967281078653e-39-5.685224095033778e-14j,
+                   -2.562340932059097e-39-7.767835818609541e-14j,
+                   -1.899373936050683e-39-5.94049402685657e-14j,
+                   -9.745646687060839e-39-2.974937189911959e-13j,
+                   9.783860428288505e-39+3.263997506832679e-13j),
+    (math.inf, 1.0): (-0.005660876051058129-0.05627795399619489j,
+                      -0.007994822279404026-0.07686567433616288j,
+                      -0.005728131758636773-0.0588289452652982j,
+                      -0.025292476028258914-0.2949417468717531j,
+                      0.025824949328359104+0.3238363288136085j),
+    (math.inf, 1e-2): (-5.719106549276058e-09-0.000568522409445359j,
+                       -8.077195365527466e-09-0.0007767835817788512j,
+                       -5.786405531630546e-09-0.0005940494026274673j,
+                       -2.5551170899464816e-08-0.00297493718965414j,
+                       2.6083920656572902e-08+0.0032639975065737142j),
+    (math.inf, 1e-4): (-5.719106549864343e-15-5.685224095033779e-06j,
+                       -8.077195366359655e-15-7.767835818609542e-06j,
+                       -5.786405532219264e-15-5.940494026856571e-06j,
+                       -2.5551170902078333e-14-2.974937189911959e-05j,
+                       2.6083920659189182e-14+3.263997506832679e-05j),
+    (math.inf, 1e-6): (-5.719106549864342e-21-5.685224095033779e-08j,
+                       -8.077195366359652e-21-7.767835818609542e-08j,
+                       -5.786405532219263e-21-5.940494026856571e-08j,
+                       -2.5551170902078327e-20-2.974937189911959e-07j,
+                       2.6083920659189177e-20+3.263997506832679e-07j),
+}
+
+
+@pytest.mark.parametrize("gamma, key", sorted(_H_REFS))
+def test_h_matches_60_digit_references_at_small_coupling(gamma, key):
+    # the values to 1e-12 of max|h|, the slopes of the larger slope; the
+    # decaying kernel alone misses by 2e-7 (gamma = 1, key = 1e-8), and the
+    # white-noise image sum by 6e-4 (key = 1e-6)
+    noise = sample_exponential_noise(1.0, make_grid(1.0, 257), 7, 0)
+    params = make_params(m=1.0, hbar=1.0, lam=key * key / 2.0)
+    h = h_exponential(1.0, params, gamma, noise)
+    *values, d0, d1 = _H_REFS[(gamma, key)]
+    err = np.max(np.abs(h.values[list(_H_REF_NODES)] - np.array(values)))
+    assert err <= 1e-12 * np.max(np.abs(h.values)), err / np.max(np.abs(h.values))
+    slope_err = max(abs(h.d_start - d0), abs(h.d_end - d1))
+    assert slope_err <= 1e-12 * max(abs(d0), abs(d1)), slope_err / max(abs(d0), abs(d1))
 
 
 @given(
