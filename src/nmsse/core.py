@@ -115,8 +115,8 @@ def make_params(
 
 def _closed_form_constants(params: PhysicalParams) -> tuple[complex, complex, float]:
     """(mu, pref, half_sl) = (i m/(2 hbar), -i hbar sqrt(lam)/m, sqrt(lam)/2)
-    of the closed forms.  The path-sum oracle and the collocation arbiter
-    derive their own on purpose, to stay independent routes."""
+    of the closed forms.  The path-sum oracle and the collocation arbiter,
+    one discrete system, derive their own on purpose to stay independent."""
     sqrt_lam = math.sqrt(params.lam)
     return (1j * params.m / (2.0 * params.hbar),
             -1j * params.hbar * sqrt_lam / params.m,

@@ -399,7 +399,10 @@ def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
     u1, u2 = sc.roots.upsilon1, sc.roots.upsilon2
     (p1, ends1), (p2, ends2) = (_particular_part(u, rho, t, grid, w)
                                 for u, rho in zip((u1, u2), _h_weights(sc)))
-    a, b, c, d, d_start, d_end = _h_boundary_solve(sc, gamma, pref, (ends1, ends2))
+    sums = np.empty((2, 4) + w.shape[:-1], dtype=complex)
+    _add_root_ends(sums, sc.u1sq, ends1, True)
+    _add_root_ends(sums, sc.u2sq, ends2, False)
+    a, b, c, d, d_start, d_end = _h_boundary_solve(sc, gamma, pref, sums)
 
     s = grid.nodes()
     a, b, c, d = (np.asarray(x, dtype=complex) for x in (a, b, c, d))
@@ -466,13 +469,25 @@ def _particular_part(u: complex, rho: complex, t: float, grid: TimeGrid, w: np.n
     return values, ends
 
 
-def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, ends):
+def _add_root_ends(sums: np.ndarray, usq: complex, ends, first: bool):
+    """Add one root's _particular_ends into the boundary sums of h: sums[0]
+    collects the ends and sums[1] the ends weighted by the root's u^2, with
+    which G := i omega_c^2 F accompanies its share; the first root writes."""
+    for i, x in enumerate(ends):
+        if first:
+            sums[0, i, ...], sums[1, i, ...] = x, usq * x
+        else:
+            sums[0, i, ...] += x
+            sums[1, i, ...] += usq * x
+
+
+def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, sums: np.ndarray):
     """Basis weights (a, b, c, d) and endpoint slopes (h'(0), h'(t)) of h,
-    from each root's _particular_ends.  Elementwise, so sc may also hold the
-    scalars of an array of horizons, the ends one column per horizon."""
-    hp0, hpt, hp_d0, hp_dt = (pref * (x1 + x2) for x1, x2 in zip(*ends))
-    # G := i omega_c^2 F accompanies each root's share with weight u_k^2
-    gp0, gpt, gp_d0, gp_dt = (pref * (sc.u1sq * x1 + sc.u2sq * x2) for x1, x2 in zip(*ends))
+    from the boundary sums (2, 4, ...) of _add_root_ends, which are scaled by
+    pref in place.  Elementwise, so sc may also hold the scalars of an array
+    of horizons, the sums one column per horizon."""
+    hp0, hpt, hp_d0, hp_dt = np.multiply(pref, sums, out=sums)[0]
+    gp0, gpt, gp_d0, gp_dt = sums[1]
 
     rob0 = gp_d0 - gamma * gp0          # memory-boundary defect at s = 0
     robt = gp_dt + gamma * gpt          # and at s = t
@@ -575,6 +590,7 @@ class _HorizonKernels:
         self.sc = sc = _BVPScalars(gamma, params.omega_collapse, t)
         self.u = (sc.roots.upsilon1, sc.roots.upsilon2)
         self.rho = _h_weights(sc)
+        self.usq = (sc.u1sq, sc.u2sq)
         self.tau = (sc.tau1, sc.tau2)
         self.f_abcd = sc.f_coeffs()
 
@@ -635,17 +651,19 @@ class _HorizonKernels:
         linear = _horizon_integrals(w, self.table, k, self.linear[:m]).view(complex)
         columns = np.moveaxis(linear, -1, 0)
         v_k, odd, even = columns[:2], columns[2::2], columns[3::2]
-        ends = np.empty((2, 4, m, t.size), dtype=complex)
+        sums = np.empty((2, 4, m, t.size), dtype=complex)    # see _add_root_ends
         w_part = np.empty((2, m, t.size), dtype=complex)     # int w p per root
-        for r, (u, rho) in enumerate(zip(self.u, self.rho)):
+        for r, (u, rho, usq) in enumerate(zip(self.u, self.rho, self.usq)):
             _conv_forward(u, w, dt, out=conv, grown=grown)
             ik = conv[:, k]
             vk, od, ev = v_k[r], odd[r], even[r]
             nd, ns = self.n_sinh[r], self.n_small[r]
-            ends[r, :, :, :nd] = _particular_ends(u, rho, t[:nd], True, ev[:, :nd], od[:, :nd])
+            _add_root_ends(sums[..., :nd], usq,
+                           _particular_ends(u, rho, t[:nd], True, ev[:, :nd], od[:, :nd]), r == 0)
             if nd < t.size:
-                ends[r, :, :, nd:] = _particular_ends(u, rho, t[nd:], False,
-                                                      ik[:, nd:], vk[:, nd:])
+                _add_root_ends(sums[..., nd:], usq,
+                               _particular_ends(u, rho, t[nd:], False, ik[:, nd:], vk[:, nd:]),
+                               r == 0)
                 conv[:, k] *= 0.5
                 wi = _horizon_integrals(w, conv.view(float).reshape(m, n_conv, 2), k,
                                         self.wi[r, :m]).view(complex)[:, nd:, 0]
@@ -672,7 +690,7 @@ class _HorizonKernels:
         af, bf, cf, df = self.f_abcd
         int_f = af * even[0] + bf * odd[0] + cf * even[1] + df * odd[1]
         int_f_rev = af * even[0] - bf * odd[0] + cf * even[1] - df * odd[1]
-        a, b, c, d, h_d0, h_dt = _h_boundary_solve(self.sc, self.gamma, pref, ends)
+        a, b, c, d, h_d0, h_dt = _h_boundary_solve(self.sc, self.gamma, pref, sums)
         int_h = (pref * (w_part[0] + w_part[1])
                  + a * even[0] + b * odd[0] + c * even[1] + d * odd[1])
 
@@ -741,9 +759,9 @@ def solve_f_numeric(t: float, params: PhysicalParams, kernel: CorrelationKernel,
     raises on a numerically singular discretization.
     """
     _check_horizon(t, grid)
-    rhs = np.zeros(grid.n, dtype=complex)
-    rhs[0] = 1.0
-    vals = _collocation_solve(params, kernel, grid, rhs)
+    rhs = np.zeros((1, grid.n), dtype=complex)
+    rhs[0, 0] = 1.0
+    vals = _collocation_solve(params, kernel.gamma, grid, rhs)[0]
     return _package_numeric(grid, vals, "F")
 
 
@@ -752,18 +770,18 @@ def solve_h_numeric(t: float, params: PhysicalParams, kernel: CorrelationKernel,
     """Arbiter route for the noise-driven kernel: collocation linear solve."""
     grid = noise.grid
     _check_horizon(t, grid)
-    rhs = (math.sqrt(params.lam) / 2.0) * noise.values.astype(complex)
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
-    vals = _collocation_solve(params, kernel, grid, rhs)
+    rhs = (math.sqrt(params.lam) / 2.0) * noise.values[None].astype(complex)
+    rhs[0, [0, -1]] = 0.0
+    vals = _collocation_solve(params, kernel.gamma, grid, rhs)[0]
     return _package_numeric(grid, vals, "H")
 
 
-def _collocation_solve(params: PhysicalParams, kernel: CorrelationKernel,
-                       grid: TimeGrid, rhs: np.ndarray) -> np.ndarray:
+def _collocation_solve(params: PhysicalParams, gamma: float, grid: TimeGrid,
+                       rhs: np.ndarray) -> np.ndarray:
     """Solve mu (v_{j-1} - 2 v_j + v_{j+1})/dt^2 + lam sum_r alpha(s_j, s_r)
     rho_r v_r = rhs_j (trapezoid weights rho) at interior nodes, with both
-    ends pinned to rhs, in O(n) for every lam.
+    ends pinned to rhs, in O(n) for every lam; one solution per row of the
+    right-hand sides rhs (k, n), all from one factorization.
 
     The memory sum is F_j + B_j, with the sweeps F_j = a F_{j-1} + m rho_j v_j
     and B_j = a (B_{j+1} + m rho_{j+1} v_{j+1}), a = e^{-gamma dt},
@@ -779,8 +797,8 @@ def _collocation_solve(params: PhysicalParams, kernel: CorrelationKernel,
     n = grid.n
     dt = grid.dt
     c = 1j * params.m / (2.0 * params.hbar * dt ** 2)
-    a = math.exp(-kernel.gamma * dt)
-    m_rho = np.full(n, params.lam * kernel.gamma / 2.0 * dt)
+    a = math.exp(-gamma * dt)
+    m_rho = np.full(n, params.lam * gamma / 2.0 * dt)
     m_rho[[0, -1]] /= 2.0
     inner = np.arange(1, n - 1)
     lo, diag, up = np.zeros((3, 3, 3, n), dtype=complex)
@@ -794,15 +812,15 @@ def _collocation_solve(params: PhysicalParams, kernel: CorrelationKernel,
     up[2, 0, :-1] = -a * m_rho[1:]                  # B_j - a B_{j+1} - a m rho_{j+1} v_{j+1} = 0
     up[2, 2, :-1] = -a
     diag[2, 2] = 1.0
-    y = np.zeros((3, 1, n), dtype=complex)
-    y[0, 0] = rhs
+    y = np.zeros((3, len(rhs), n), dtype=complex)
+    y[0] = rhs
     try:
         x = _block_tridiag_solve(lo, diag, up, y)
     except np.linalg.LinAlgError as exc:
         raise InvalidParameterError(f"singular discretized kernel system: {exc}") from exc
     if not np.isfinite(x).all():
         raise InvalidParameterError("discretized kernel solve produced non-finite values")
-    return x[0, 0]
+    return x[0]
 
 
 def _package_numeric(grid: TimeGrid, vals: np.ndarray, kind: str) -> KernelSolution:

@@ -3,14 +3,15 @@
 Discretizes the path sum over polygonal paths on a uniform grid: kinetic
 increments plus the noise drive plus the quadratic memory term, then
 integrates out the interior nodes exactly (complex Gaussian reduction).
-A..E are read off the Schur complement of the interior block with no
-reference to the kernel boundary-value machinery, so agreement with
+A..E are read off the Schur complement of the interior block.  On the grid
+the stationarity equation of the path sum is the discrete kernel equation
+(the interior block Q_ii is -dt times the collocation operator), so the
+interior solves go to the collocation arbiter, kernels._collocation_solve,
+in one O(n) call; no N x N array is formed, and assemble_action builds the
+dense form (Q, L) as a reference.  Neither discrete route shares algebra with
+the closed forms or with the single pass, so agreement with
 greens_coefficients, whose C, D and E come from the ensemble's single pass,
 is a genuine two-route check of the formulas every ensemble runs.
-The interior block is never formed: its exponential memory splits into a
-forward and a backward sweep, which make the interior equations block
-tridiagonal, and the Schur complement is read from the O(n) boundary rows of
-the action.  assemble_action builds the dense form (Q, L) as a reference.
 The reduction's measure factor pi^{k/2} / sqrt(det(-Q_ii)) depends on
 neither the endpoints nor the noise and is left out, as the analytic E
 vanishes at zero noise.
@@ -23,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, PhysicalParams, TimeGrid, _block_tridiag_solve
+from .core import InvalidParameterError, PhysicalParams, TimeGrid
+from .kernels import _check_horizon, _collocation_solve
 # f_exponential and h_exponential are not called here; the benchmark's
 # traced run wraps them here by name (guarded by tests/test_public_surface.py).
-from .kernels import _check_horizon, f_exponential, h_exponential  # noqa: F401
+from .kernels import f_exponential, h_exponential  # noqa: F401
 from .noise import NoisePath, _ou_covariance
 from .propagator import GreensCoefficients, greens_coefficients
 
@@ -79,48 +81,22 @@ def _sweep_reduction(params: PhysicalParams, gamma: float, noise: NoisePath):
     With v = 2 Q_ib q_b + L_i the integral of exp(q^T Q q + L^T q) over q_i
     is exp(q_b^T Q_bb q_b + L_b^T q_b - v^T Q_ii^{-1} v / 4), so
     S = Q_bb - Q_bi Q_ii^{-1} Q_ib, l = L_b - Q_bi Q_ii^{-1} L_i and
-    c = -L_i^T Q_ii^{-1} L_i / 4.  One solve of the interior rows of Q with
-    pinned ends gives all three: ends (1, 0) and (0, 1) with no interior
-    source give the columns of S through the boundary rows of Q, and ends
-    (0, 0) with the source L_i give Q_ii^{-1} L_i.
-
-    Row j of Q_ii is kin (2 v_j - v_{j-1} - v_{j+1}) - (F_j + B_j) with
-    kin = i m / 2 hbar eps and the memory sweeps F_j = a F_{j-1} + w_j v_j,
-    B_j = a (B_{j+1} + w_{j+1} v_{j+1}), a = e^{-gamma eps},
-    w_j = lam eps^2 rho_j gamma/2; in x_j = (v_j, F_j, B_j) the rows are
-    block tridiagonal with 3x3 blocks.
+    c = -L_i^T Q_ii^{-1} L_i / 4.  The interior rows of Q are -dt times the
+    discrete kernel equation of the collocation arbiter, so one
+    _collocation_solve with pinned ends gives all three: ends (1, 0) and
+    (0, 1) with no interior source give the columns of S through the
+    boundary rows of Q, and ends (0, 0) with the source -L_i/dt give
+    Q_ii^{-1} L_i.
     """
     grid = noise.grid
     n = grid.n
-    if n < 3:
-        raise InvalidParameterError("need at least one interior node to reduce")
     Qb, L = _action_rows(params, gamma, noise, np.array([0, n - 1]))
-    eps = grid.dt
-    kin = 1j * params.m / (2.0 * params.hbar * eps)
-    a = math.exp(-gamma * eps)
-    w = np.full(n, params.lam * eps * eps * gamma / 2.0)
-    w[[0, -1]] /= 2.0
-    inner = np.arange(1, n - 1)
-    lo, diag, up = np.zeros((3, 3, 3, n), dtype=complex)
-    lo[0, 0, inner] = up[0, 0, inner] = -kin        # kinetic band
-    diag[0, 0, inner] = 2.0 * kin
-    diag[0, 1:, inner] = -1.0                       # memory term -(F_j + B_j)
-    diag[0, 0, [0, -1]] = 1.0                       # pinned ends
-    lo[1, 1, 1:] = -a                               # F_j - a F_{j-1} - w_j v_j = 0
-    diag[1, 0] = -w
-    diag[1, 1] = 1.0
-    up[2, 0, :-1] = -a * w[1:]                      # B_j - a B_{j+1} - a w_{j+1} v_{j+1} = 0
-    up[2, 2, :-1] = -a
-    diag[2, 2] = 1.0
-    y = np.zeros((3, 3, n), dtype=complex)
-    y[0, 0, 0] = y[0, 1, -1] = 1.0
-    y[0, 2, inner] = L[inner]
-    try:
-        v = _block_tridiag_solve(lo, diag, up, y)[0].T
-    except np.linalg.LinAlgError as exc:
-        raise InvalidParameterError(f"interior action matrix is singular: {exc}") from exc
+    rhs = np.zeros((3, n), dtype=complex)
+    rhs[0, 0] = rhs[1, -1] = 1.0
+    rhs[2, 1:-1] = -L[1:-1] / grid.dt
+    v = _collocation_solve(params, gamma, grid, rhs).T
     Qv = Qb @ v
-    return Qv[:, :2], L[[0, -1]] - Qv[:, 2], -0.25 * (L[inner] @ v[inner, 2])
+    return Qv[:, :2], L[[0, -1]] - Qv[:, 2], -0.25 * (L[1:-1] @ v[1:-1, 2])
 
 
 @dataclass(frozen=True)
@@ -163,8 +139,9 @@ def oracle_convergence(t: float, params: PhysicalParams, gamma: float, noise: No
     ensemble runs, on its own subsampled path, so both routes see the same
     noise samples.
     Returns a list of (report, per-coefficient relative errors, max
-    relative error).  At lambda = 0 the noise coefficients C, D and E
-    vanish identically and have no relative error, so that is refused.
+    relative error); a NaN error makes the max NaN.  At lambda = 0, and on
+    a level whose noise path is zero, the noise coefficients C, D and E
+    vanish identically and have no relative error, so both are refused.
     """
     if params.lam == 0.0:
         raise InvalidParameterError(
@@ -178,10 +155,14 @@ def oracle_convergence(t: float, params: PhysicalParams, gamma: float, noise: No
     for n_seg in _LEVELS:
         coarse = TimeGrid(t_max=noise.grid.t_max, n=n_seg + 1)
         path = NoisePath(grid=coarse, values=noise.values[:: n_fine // n_seg])
+        if not path.values.any():
+            raise InvalidParameterError(
+                "the oracle check needs a nonzero noise path: on a zero path the "
+                "noise coefficients C, D, E vanish and have no relative error")
         ref = greens_coefficients(t, params, gamma, noise=path)
         report = oracle_coefficients(t, params, gamma, path)
         got = report.coefficients
         errs = {k: abs(getattr(got, k) - getattr(ref, k)) / abs(getattr(ref, k))
                 for k in "ABCDE"}
-        out.append((report, errs, max(errs.values())))
+        out.append((report, errs, float(np.max(list(errs.values())))))
     return out

@@ -165,7 +165,8 @@ def test_block_tridiag_solve_raises_on_a_singular_block(singular):
 
 def test_the_routes_report_a_singular_system_as_a_parameter_error():
     # i m / 2 hbar dt underflows to 0 at m = 5e-324, hbar = 1e300, so with
-    # lambda = 0 every interior block of both systems is singular
+    # lambda = 0 every interior block of the collocation system, whose
+    # interior rows the oracle solves too, is singular
     params = make_params(m=5e-324, hbar=1e300, lam=0.0)
     grid = make_grid(1.0, 65)
     kern = exponential_kernel(1.0)
@@ -173,6 +174,6 @@ def test_the_routes_report_a_singular_system_as_a_parameter_error():
     for call, message in (
             (lambda: solve_f_numeric(1.0, params, kern, grid), "singular discretized kernel"),
             (lambda: solve_h_numeric(1.0, params, kern, noise), "singular discretized kernel"),
-            (lambda: oracle_coefficients(1.0, params, 1.0, noise), "action matrix is singular")):
+            (lambda: oracle_coefficients(1.0, params, 1.0, noise), "singular discretized kernel")):
         with pytest.raises(InvalidParameterError, match=message):
             call()

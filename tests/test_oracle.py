@@ -1,13 +1,16 @@
 """Path-sum oracle: free-case exactness, action assembly, convergence."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import nmsse.oracle
 from nmsse.core import InvalidParameterError, make_grid, make_params
-from nmsse.noise import NoisePath, sample_exponential_noise
+from nmsse.kernels import solve_f_numeric, solve_h_numeric
+from nmsse.noise import NoisePath, exponential_kernel, sample_exponential_noise
 from nmsse.oracle import assemble_action, oracle_coefficients, oracle_convergence
 
 CRIT = make_params(m=1.0, hbar=1.0, lam=0.1, unit_mode="scaled")
@@ -146,9 +149,34 @@ def test_oracle_matches_the_extended_precision_reduction():
         assert abs(getattr(got, name) - want) <= 1e-12 * abs(want), name
 
 
+@pytest.mark.parametrize("lam,gamma", [(0.1, 1.3), (2.0, 30.0), (1e-8, 1.0), (0.1, 1e3),
+                                       (1e3, 1.0)])
+def test_the_stationarity_equation_is_the_collocation_kernel_equation(lam, gamma):
+    # the interior rows of Q are -dt times the collocation operator, so the
+    # arbiter's f and h give the reduction through the boundary rows Q_b:
+    # S = [Q_b f, Q_b f reversed], (C, D) = L_b + 2 Q_b h, E = L_i h_i / 2
+    t = 1.0
+    params = make_params(m=1.0, hbar=1.0, lam=lam, unit_mode="scaled")
+    grid = make_grid(t, 65)
+    noise = sample_exponential_noise(gamma, grid, 5, 0)
+    Q, L = assemble_action(params, gamma, noise)
+    Qb = Q[[0, -1]]
+    kern = exponential_kernel(gamma)
+    f = solve_f_numeric(t, params, kern, grid).values
+    h = solve_h_numeric(t, params, kern, noise).values
+    S = np.column_stack([Qb @ f, Qb @ f[::-1]])
+    C, D = L[[0, -1]] + 2.0 * (Qb @ h)
+    want = dict(A=-(S[0, 0] + S[1, 1]) / 2.0, B=2.0 * S[0, 1], C=C, D=D,
+                E=0.5 * (L[1:-1] @ h[1:-1]))
+    got = oracle_coefficients(t, params, gamma, noise).coefficients
+    for name, w in want.items():
+        assert abs(getattr(got, name) - w) <= 1e-12 * abs(w), name
+
+
 def test_oracle_holds_no_dense_action():
-    # one dense 513 x 513 complex matrix alone is 4.2 MB; the sweep
-    # reduction peaks at 0.86 MB here, the dense one peaked at 12.8 MB
+    # one dense 513 x 513 complex matrix alone is 4.2 MB; the reduction
+    # through the collocation solve peaks at 0.89 MB here, the dense one
+    # peaked at 12.8 MB
     noise = sample_exponential_noise(1.0, make_grid(1.0, 513), 7, 0)
     tracemalloc.start()
     try:
@@ -171,6 +199,24 @@ def test_convergence_toward_analytic_coefficients():
     for report, errs, _ in out:
         assert set(errs) == set("ABCDE")
         assert report.diag_asymmetry <= 1e-10
+
+
+def test_convergence_keeps_a_nan_error(monkeypatch):
+    # a NaN error must reach err_max: max() keeps a finite error that a NaN
+    # follows, which would let a NaN C pass oracle-final-error
+    closed = nmsse.oracle.greens_coefficients
+    monkeypatch.setattr(nmsse.oracle, "greens_coefficients", lambda *args, **kw:
+                        dataclasses.replace(closed(*args, **kw), C=complex(math.nan)))
+    noise = sample_exponential_noise(1.0, make_grid(1.0, 513), 7, 0)
+    out = oracle_convergence(1.0, CRIT, 1.0, noise)
+    assert all(math.isnan(err_max) for _, _, err_max in out)
+
+
+def test_convergence_refuses_a_zero_noise_path():
+    # C, D and E vanish on a zero path, as at lambda = 0
+    noise = NoisePath(make_grid(1.0, 513), np.zeros(513))
+    with pytest.raises(InvalidParameterError, match="no relative error"):
+        oracle_convergence(1.0, CRIT, 1.0, noise)
 
 
 @pytest.mark.parametrize("n", [257, 1025])

@@ -4,7 +4,8 @@ greens_coefficients and line_plot and the fields of every public record;
 every exported name resolves, neither importing the package nor solving the
 collocation arbiter or the path-sum oracle loads scipy, the CLI drives the
 library through public names only and alone writes file formats, the
-ensemble takes C, D and E from the single pass in kernels.py, and every
+ensemble takes C, D and E from the single pass in kernels.py, the oracle
+solves the collocation arbiter's block system rather than its own, and every
 binding that the benchmark's traced run (bench/workloads.py,
 Workload.trace) wraps still exists in the module where it is wrapped."""
 
@@ -157,6 +158,29 @@ def test_the_ensemble_takes_its_noise_coefficients_from_the_single_pass():
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 and node.module == "kernels" for alias in node.names}
     assert imported == {"_HorizonKernels", "f_exponential", "h_exponential_batch"}
+
+
+def test_one_module_assembles_the_discrete_kernel_equation():
+    # the collocation arbiter and the path-sum oracle solve one block system,
+    # built in kernels._collocation_solve alone: the oracle takes its interior
+    # solves from there, so no second assembly calls the block solver
+    pkg = os.path.dirname(nmsse.__file__)
+    callers, oracle_imports = set(), set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "_block_tridiag_solve":
+                    callers.add(name)
+            if (name == "oracle.py" and isinstance(node, ast.ImportFrom)
+                    and node.level == 1 and node.module == "kernels"):
+                oracle_imports |= {alias.name for alias in node.names}
+    assert callers == {"kernels.py"}
+    assert "_collocation_solve" in oracle_imports
 
 
 def test_only_the_cli_writes_file_formats():
