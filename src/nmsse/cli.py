@@ -622,18 +622,17 @@ def _check_classical_means(checks: _Checks, stats, cfg: RunConfig):
     at p0 at every sample time, within a z-bound sized for the 2 * n_times
     tests: a false alarm of 1e-6 for the whole run (two-sided, Bonferroni),
     5.73 standard errors at 50 sample times.  A zero standard error passes
-    only on exact agreement.
+    only on exact agreement, and a NaN mean or standard error fails.
     """
     bound = NormalDist().inv_cdf(1.0 - _MEAN_FALSE_ALARM / (2.0 * 2.0 * stats.times.size))
+    exact = 1e-12 * max(1.0, abs(cfg.x0) + abs(cfg.p0))
 
     def max_dev(diff, se):
-        worst = 0.0
-        for d, e in zip(np.abs(diff), se):
-            if e > 0:
-                worst = max(worst, d / e)
-            elif d > 1e-12 * max(1.0, abs(cfg.x0) + abs(cfg.p0)):
-                return math.inf
-        return worst
+        d = np.abs(diff)
+        # d / se (NaN if either is), except at a zero standard error: 0 on
+        # exact agreement, else inf
+        z = np.divide(d, se, out=np.where(d <= exact, 0.0, math.inf), where=se != 0.0)
+        return float(np.max(z))
 
     dq = max_dev(stats.mean_q - (cfg.x0 + cfg.p0 * stats.times / cfg.m), stats.se_q)
     dp = max_dev(stats.mean_p - cfg.p0, stats.se_p)

@@ -34,7 +34,6 @@ a run touches does not grow with its size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,45 +165,27 @@ def run_ensemble(
     q, p, sigma, log_norm_sq = _moment_curves(params, gamma, grid, idx, state0,
                                               master_seed, range(n_traj))
 
-    n_out = idx.size
-    mean_q = np.empty(n_out)
-    se_q = np.empty(n_out)
-    mean_p = np.empty(n_out)
-    se_p = np.empty(n_out)
-    v_q = np.empty(n_out)
-    se_vq = np.empty(n_out)
-    ess = np.empty(n_out)
-
-    for j in range(n_out):
-        wts = np.exp(log_norm_sq[:, j] - log_norm_sq[:, j].max())
-        wts /= wts.sum()
-        ess[j] = 1.0 / np.sum(wts * wts)
-
-        mean_q[j] = wts @ q[:, j]
-        dq = q[:, j] - mean_q[j]
-        se_q[j] = math.sqrt(np.sum((wts * dq) ** 2))
-
-        mean_p[j] = wts @ p[:, j]
-        dp = p[:, j] - mean_p[j]
-        se_p[j] = math.sqrt(np.sum((wts * dp) ** 2))
-
-        v2 = wts @ (dq * dq)
-        v_q[j] = math.sqrt(v2)
-        if v_q[j] > 0.0:
-            se_v2 = math.sqrt(np.sum((wts * (dq * dq - v2)) ** 2))
-            se_vq[j] = 0.5 * se_v2 / v_q[j]
-        else:
-            se_vq[j] = 0.0
+    # one column per sample time
+    wts = np.exp(log_norm_sq - log_norm_sq.max(axis=0))
+    wts /= wts.sum(axis=0)
+    mean_q = np.sum(wts * q, axis=0)
+    mean_p = np.sum(wts * p, axis=0)
+    dq = q - mean_q
+    dq2 = dq * dq
+    v2 = np.sum(wts * dq2, axis=0)
+    v_q = np.sqrt(v2)
+    se_v2 = np.sqrt(np.sum(np.square(wts * (dq2 - v2)), axis=0))
+    se_vq = np.divide(0.5 * se_v2, v_q, out=np.zeros_like(v_q), where=v_q > 0.0)
 
     return EnsembleStats(
         times=grid.nodes()[idx],
         mean_q=mean_q,
-        se_q=se_q,
+        se_q=np.sqrt(np.sum(np.square(wts * dq), axis=0)),
         mean_p=mean_p,
-        se_p=se_p,
+        se_p=np.sqrt(np.sum(np.square(wts * (p - mean_p)), axis=0)),
         v_q=v_q,
         se_vq=se_vq,
         sigma_q=sigma,
-        ess=ess,
+        ess=1.0 / np.sum(wts * wts, axis=0),
         n_traj=n_traj,
     )

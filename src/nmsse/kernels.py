@@ -42,36 +42,16 @@ from .noise import CorrelationKernel, NoisePath, _ou_covariance
 # stable scalar primitives
 # ---------------------------------------------------------------------------
 
-def _cexpm1(z):
-    """exp(z) - 1 for complex scalar or array, accurate near z = 0.
-
-    numpy's expm1 is real-only; for |z| <= 0.5 a 14-term Horner series
-    keeps full relative precision, above that exp(z) - 1 is already safe.
-    """
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) <= 0.5
-    zs = np.where(small, z, 0.0)   # Horner for z (1 + z/2 (1 + z/3 (...)))
-    series = np.ones_like(z)
-    for k in range(14, 1, -1):
-        series = 1.0 + zs * series / k
-    series = zs * series
-    direct = np.exp(np.where(small, 0.0, z)) - 1.0
-    out = np.where(small, series, direct)
-    return out if out.ndim else complex(out)
-
-
 def _tanh_ratio(z):
     """tanh(z)/z for complex z with Re z >= 0, elementwise; exact limit 1 at z = 0.
 
-    Uses -expm1(-2z)/((1 + exp(-2z)) z) with the series expm1 above, which
-    is cancellation-free for all magnitudes (both factors of z cancel
-    analytically through the series' leading term).
+    numpy's complex tanh keeps full relative precision from |z| = 1e-300 to
+    1e300 and tends to +-1 without overflow, so the quotient loses nothing.
     """
     z = np.asarray(z, dtype=complex)
     zero = z == 0.0
     z = np.where(zero, 1.0, z)
-    out = np.where(zero, 1.0 + 0.0j, -_cexpm1(-2.0 * z) / ((1.0 + np.exp(-2.0 * z)) * z))
-    return out[()]
+    return np.where(zero, 1.0 + 0.0j, np.tanh(z) / z)[()]
 
 
 # Taylor coefficients of tanh(sqrt(x))/sqrt(x) around x = 0.
@@ -140,7 +120,7 @@ def _basis_odd(u: complex, s: np.ndarray, t: float) -> np.ndarray:
     lower = s <= t / 2.0
     arg = u * np.where(lower, 2.0 * s - t, t - 2.0 * s)
     pre = np.where(lower, np.exp(-u * s), -np.exp(-u * (t - s)))
-    num = pre * _cexpm1(arg)
+    num = pre * np.expm1(arg)
     return num / (u * (1.0 + np.exp(-u * t)))
 
 
@@ -399,9 +379,9 @@ def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
     u1, u2 = sc.roots.upsilon1, sc.roots.upsilon2
     (p1, ends1), (p2, ends2) = (_particular_part(u, rho, t, grid, w)
                                 for u, rho in zip((u1, u2), _h_weights(sc)))
-    sums = np.empty((2, 4) + w.shape[:-1], dtype=complex)
-    _add_root_ends(sums, sc.u1sq, ends1, True)
-    _add_root_ends(sums, sc.u2sq, ends2, False)
+    sums = np.zeros((2, 4) + w.shape[:-1], dtype=complex)
+    _add_root_ends(sums, sc.u1sq, ends1)
+    _add_root_ends(sums, sc.u2sq, ends2)
     a, b, c, d, d_start, d_end = _h_boundary_solve(sc, gamma, pref, sums)
 
     s = grid.nodes()
@@ -469,16 +449,13 @@ def _particular_part(u: complex, rho: complex, t: float, grid: TimeGrid, w: np.n
     return values, ends
 
 
-def _add_root_ends(sums: np.ndarray, usq: complex, ends, first: bool):
-    """Add one root's _particular_ends into the boundary sums of h: sums[0]
-    collects the ends and sums[1] the ends weighted by the root's u^2, with
-    which G := i omega_c^2 F accompanies its share; the first root writes."""
+def _add_root_ends(sums: np.ndarray, usq: complex, ends):
+    """Add one root's _particular_ends into the zeroed boundary sums of h:
+    sums[0] collects the ends and sums[1] the ends weighted by the root's
+    u^2, with which G := i omega_c^2 F accompanies its share."""
     for i, x in enumerate(ends):
-        if first:
-            sums[0, i, ...], sums[1, i, ...] = x, usq * x
-        else:
-            sums[0, i, ...] += x
-            sums[1, i, ...] += usq * x
+        sums[0, i, ...] += x
+        sums[1, i, ...] += usq * x
 
 
 def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, sums: np.ndarray):
@@ -651,7 +628,7 @@ class _HorizonKernels:
         linear = _horizon_integrals(w, self.table, k, self.linear[:m]).view(complex)
         columns = np.moveaxis(linear, -1, 0)
         v_k, odd, even = columns[:2], columns[2::2], columns[3::2]
-        sums = np.empty((2, 4, m, t.size), dtype=complex)    # see _add_root_ends
+        sums = np.zeros((2, 4, m, t.size), dtype=complex)    # see _add_root_ends
         w_part = np.empty((2, m, t.size), dtype=complex)     # int w p per root
         for r, (u, rho, usq) in enumerate(zip(self.u, self.rho, self.usq)):
             _conv_forward(u, w, dt, out=conv, grown=grown)
@@ -659,11 +636,10 @@ class _HorizonKernels:
             vk, od, ev = v_k[r], odd[r], even[r]
             nd, ns = self.n_sinh[r], self.n_small[r]
             _add_root_ends(sums[..., :nd], usq,
-                           _particular_ends(u, rho, t[:nd], True, ev[:, :nd], od[:, :nd]), r == 0)
+                           _particular_ends(u, rho, t[:nd], True, ev[:, :nd], od[:, :nd]))
             if nd < t.size:
                 _add_root_ends(sums[..., nd:], usq,
-                               _particular_ends(u, rho, t[nd:], False, ik[:, nd:], vk[:, nd:]),
-                               r == 0)
+                               _particular_ends(u, rho, t[nd:], False, ik[:, nd:], vk[:, nd:]))
                 conv[:, k] *= 0.5
                 wi = _horizon_integrals(w, conv.view(float).reshape(m, n_conv, 2), k,
                                         self.wi[r, :m]).view(complex)[:, nd:, 0]
@@ -717,7 +693,7 @@ def f_markovian(t: float, params: PhysicalParams, grid: TimeGrid) -> KernelSolut
         vals = (1.0 - s / t).astype(complex)
         d_start = d_end = -1.0 / t + 0j
     else:
-        den = -_cexpm1(-2.0 * k * t)
+        den = -np.expm1(-2.0 * k * t)
         vals = (np.exp(-k * s) - np.exp(-k * (2.0 * t - s))) / den
         vals[0] = 1.0
         vals[-1] = 0.0

@@ -289,6 +289,32 @@ def test_a_failed_check_exits_1(tmp_path, capsys, monkeypatch):
     assert captured.err.splitlines() == ["FAILED checks: classical-mean-q"]
 
 
+@pytest.mark.parametrize("field", ["mean", "se"])
+def test_a_nan_mean_or_standard_error_fails_the_classical_mean_check(tmp_path, capsys,
+                                                                    monkeypatch, field):
+    # exact means everywhere else, so only the NaN can fail the check
+    def with_nan(*args, **kwargs):
+        stats = run_ensemble(*args, **kwargs)
+        mean_q = 1.0 + 0.5 * stats.times
+        mean_p = np.full_like(mean_q, 0.5)
+        if field == "mean":
+            mean_q[-1] = mean_p[0] = math.nan
+            return dataclasses.replace(stats, mean_q=mean_q, mean_p=mean_p)
+        se_q, se_p = stats.se_q.copy(), stats.se_p.copy()
+        se_q[-1] = se_p[0] = math.nan
+        return dataclasses.replace(stats, mean_q=mean_q, mean_p=mean_p, se_q=se_q, se_p=se_p)
+
+    monkeypatch.setattr(nmsse.cli, "run_ensemble", with_nan)
+    cfg = _cfg_file(tmp_path, MEAN_CHECK.replace("n_traj = 256", "n_traj = 16")
+                    + "N = 65\nn_times = 2\n")
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--plot", "none", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "check classical-mean-q: FAIL (max dev nan SE" in captured.out
+    assert "check classical-mean-p: FAIL (max dev nan SE" in captured.out
+    assert captured.err.splitlines() == ["FAILED checks: classical-mean-q, classical-mean-p"]
+
+
 def test_single_trajectory_ensemble_skips_mean_checks(tmp_path, capsys):
     cfg = _cfg_file(tmp_path)  # n_traj defaults to 1
     out = tmp_path / "out"

@@ -48,15 +48,26 @@ def test_trajectory_reproduces_ensemble_rows():
     # the deterministic width channel is shared verbatim
     assert np.array_equal(rows[1][2], stats.sigma_q)
 
-    # re-aggregate the rows, each computed alone, and compare with the
-    # ensemble's statistics
+    # re-aggregate the rows, each computed alone, one sample time at a time,
+    # and compare with the ensemble's statistics
     q, p, _, lns = (np.concatenate([r[k] for r in rows]) for k in range(4))
     for j in range(len(ts)):
         wts = np.exp(lns[:, j] - lns[:, j].max())
         wts /= wts.sum()
-        assert stats.mean_q[j] == pytest.approx(float(wts @ q[:, j]), rel=1e-12)
-        assert stats.mean_p[j] == pytest.approx(float(wts @ p[:, j]), rel=1e-12)
-        assert stats.ess[j] == pytest.approx(1.0 / float(np.sum(wts * wts)), rel=1e-12)
+        mean_q, mean_p = float(wts @ q[:, j]), float(wts @ p[:, j])
+        dq2 = (q[:, j] - mean_q) ** 2
+        v2 = float(wts @ dq2)
+        want = {
+            "mean_q": mean_q,
+            "se_q": math.sqrt(float(wts * wts @ dq2)),
+            "mean_p": mean_p,
+            "se_p": math.sqrt(float(wts * wts @ (p[:, j] - mean_p) ** 2)),
+            "v_q": math.sqrt(v2),
+            "se_vq": 0.5 * math.sqrt(float(wts * wts @ (dq2 - v2) ** 2)) / math.sqrt(v2),
+            "ess": 1.0 / float(np.sum(wts * wts)),
+        }
+        for name, value in want.items():
+            assert getattr(stats, name)[j] == pytest.approx(value, rel=1e-12), (name, j)
 
 
 def test_reruns_are_bit_identical():

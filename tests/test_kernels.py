@@ -19,6 +19,7 @@ from nmsse.core import InvalidParameterError, make_grid, make_params
 from nmsse.kernels import (
     _RESIDUAL_ULPS,
     KernelSolution,
+    _basis_odd,
     _conv_forward,
     _tanh_ratio,
     _tanh_sqrt_divdiff,
@@ -190,6 +191,32 @@ def test_elementwise_scalars_do_not_leak_across_elements():
             _assert_elementwise(lambda tt: fn(tt, params, gamma), np.asarray(horizons))
 
 
+def _keep_40_bits(x: float) -> float:
+    m, e = math.frexp(x)
+    return math.ldexp(round(m * 2.0 ** 40) / 2.0 ** 40, e)
+
+
+def test_tanh_ratio_and_the_odd_basis_match_50_digits():
+    # nine rays of the right half-plane, |z| from 1e-300 to 1e300.  The odd
+    # basis takes u = z with 40-bit components at t = 1 and s in quarters, so
+    # u s, u t and u (2 s - t) are exact and the reference sees the same floats.
+    mpmath = pytest.importorskip("mpmath")
+    s = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    with mpmath.workdps(50):
+        for theta in np.linspace(-math.pi / 2.0, math.pi / 2.0, 9):
+            for r in np.geomspace(1e-300, 1e300, 61):
+                z = cmath.rect(r, theta)
+                want = mpmath.tanh(z) / z
+                assert float(abs(_tanh_ratio(z) - want) / abs(want)) <= 2e-15, z
+                u = complex(_keep_40_bits(z.real), _keep_40_bits(z.imag))
+                for got, sv in zip(_basis_odd(u, s, 1.0), s):
+                    want = mpmath.sinh(u * (sv - 0.5)) / (u * mpmath.cosh(u / 2))
+                    if abs(want) < 1e-290:     # below the float range, or 0 at t/2
+                        assert abs(got) < 1e-290, (u, sv)
+                    else:
+                        assert float(abs(got - want) / abs(want)) <= 2e-15, (u, sv)
+
+
 def test_f_boundary_values_are_snapped():
     grid = make_grid(1.0, 257)
     f = f_exponential(1.0, SCALED, 1.0, grid)
@@ -218,13 +245,21 @@ def test_ratio_form_agrees_with_basis_form():
         assert dev <= 1e-10, (label, dev)
 
 
-def test_f_at_zero_coupling_is_the_free_chord():
+@pytest.mark.parametrize("gamma", [3.0, math.inf])
+def test_f_at_zero_coupling_is_the_free_chord(gamma):
     params = make_params(m=1.0, hbar=1.0, lam=0.0)
+    grid = make_grid(2.0, 101)
+    f = f_exponential(2.0, params, gamma, grid)
+    np.testing.assert_allclose(f.values, 1.0 - grid.nodes() / 2.0, rtol=1e-14, atol=1e-15)
+    assert f.d_start == pytest.approx(-0.5, rel=1e-13)
+    assert f.d_end == pytest.approx(-0.5, rel=1e-13)
+
+
+def test_f_exponential_dispatches_white_noise_to_f_markovian():
     grid = make_grid(1.0, 101)
-    f = f_exponential(1.0, params, 3.0, grid)
-    np.testing.assert_allclose(f.values, 1.0 - grid.nodes(), rtol=1e-14, atol=1e-15)
-    assert f.d_start == pytest.approx(-1.0, rel=1e-13)
-    assert f.d_end == pytest.approx(-1.0, rel=1e-13)
+    a, b = f_exponential(1.0, WHITE, math.inf, grid), f_markovian(1.0, WHITE, grid)
+    assert np.array_equal(a.values, b.values)
+    assert (a.d_start, a.d_end, a.kind) == (b.d_start, b.d_end, b.kind)
 
 
 @pytest.mark.parametrize("gamma", [3.0, math.inf])
