@@ -27,13 +27,22 @@ once per run: per characteristic root and block of trajectories, one
 forward convolution (one cumulative sum per scan block) serves every
 horizon, and the linear functionals of the noise are read from one weight
 table, a matmul per row and segment between horizons.  The quadratic part
-of the update is noise free and is also formed once per run, and every
-block samples its noise into one reused (rows, nodes) buffer, so the memory
-a run touches does not grow with its size.
+of the update is noise free and is also formed once per run.
+
+The blocks run on up to one thread per CPU the process may use
+(os.sched_getaffinity), each thread with its own noise buffer and
+convolution scratch, reused block after block; the noise-free data are
+shared and only read.  The rows of all blocks in flight add up to
+_CHUNK_ROWS, so the memory a run touches grows neither with its size nor
+with the CPU count.  A row's arithmetic does not depend on the other rows
+of its block, on the block size or on the thread, so the outputs are the
+same bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +55,12 @@ from .noise import sample_exponential_noise_batch
 from .propagator import (GaussianState, _gaussian_update, _noise_free_update,
                          mean_momentum, mean_position)
 
-# Trajectories per block of the single pass, so the working set is a few
-# (_CHUNK_ROWS, N) arrays whatever the ensemble size.
+# Trajectories in flight in the single pass, summed over its threads, so the
+# working set is a few (_CHUNK_ROWS, N) arrays whatever the ensemble size and
+# the CPU count.
 _CHUNK_ROWS = 128
+# Fewest rows in a thread's block: at most _CHUNK_ROWS // _MIN_BLOCK_ROWS threads.
+_MIN_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -91,6 +103,20 @@ def _snap_indices(grid: TimeGrid, t_samples) -> np.ndarray:
     return idx
 
 
+def _worker_count(n_rows: int) -> int:
+    """Threads W that share a run of n_rows trajectories: one per CPU this
+    process may run on, at most _CHUNK_ROWS // _MIN_BLOCK_ROWS, and no more
+    than the blocks of _CHUNK_ROWS // W rows that n_rows fill."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    w = min(cpus, _CHUNK_ROWS // _MIN_BLOCK_ROWS)
+    while w > 1 and n_rows <= (w - 1) * (_CHUNK_ROWS // w):
+        w -= 1
+    return w
+
+
 def _moment_curves(
     params: PhysicalParams,
     gamma: float,
@@ -102,18 +128,23 @@ def _moment_curves(
 ):
     """Normalized-state moments and log norms at the given node indices.
 
-    Trajectories are sampled and processed in blocks of _CHUNK_ROWS rows,
-    every block in the same buffers, which live for this call only.
-    Returns (q, p, sigma, log_norm_sq) where q, p, log_norm_sq have shape
-    (n_traj, len(idx)) and sigma has shape (len(idx),); sigma is noise
-    independent.  Row i depends on the key (master_seed,
+    Trajectories are sampled and processed in blocks of _CHUNK_ROWS // W
+    rows, W = _worker_count(len(trajectory_indices)).  Thread j takes blocks
+    j, j + W, j + 2W, ... in buffers of its own, which live for this call
+    only; the calling thread is thread 0, and with W = 1 it is the only
+    one.  An exception in any thread is raised here once every thread has
+    stopped.  Returns (q, p, sigma, log_norm_sq) where q, p, log_norm_sq
+    have shape (n_traj, len(idx)) and sigma has shape (len(idx),); sigma is
+    noise independent.  Row i depends on the key (master_seed,
     trajectory_indices[i]) only.  log_norm_sq is log ||psi_t||^2 of the raw
     state with every factor included (the x0 integral and |B|/(2 pi)), so
     its exponential is the physical weight and has reference mean 1.
     """
     rows = list(trajectory_indices)
-    block = min(len(rows), _CHUNK_ROWS)
-    kern = _HorizonKernels(params, gamma, grid, idx, block)
+    workers = _worker_count(len(rows))
+    block = min(len(rows), _CHUNK_ROWS // workers)
+    starts = range(0, len(rows), block)
+    kern = _HorizonKernels(params, gamma, grid, idx)
     A, B, det, alpha_t = _noise_free_update(state0, params, kern.sc.P, kern.sc.Q, kern.t)
     ar = alpha_t.real
     # |x0-integral|^2 and |propagator normalization|^2 = |B|/(2 pi): with
@@ -121,21 +152,45 @@ def _moment_curves(
     log_norm_const = (0.5 * np.log(np.pi / (2.0 * ar))
                       + np.log(np.abs(np.pi / (state0.alpha + A)))
                       + np.log(np.abs(B) / (2.0 * np.pi)))
-    noise = np.empty((block, grid.n))
     q = np.empty((len(rows), idx.size))
     p = np.empty_like(q)
     log_norm_sq = np.empty_like(q)
-    for lo in range(0, len(rows), _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, len(rows))
-        w = sample_exponential_noise_batch(gamma, grid, master_seed, rows[lo:hi],
-                                           out=noise[: hi - lo])
-        state = GaussianState(*_gaussian_update(state0, A, B, det, *kern.coefficients(w)))
-        br = state.beta.real
-        log_norm_sq[lo:hi] = (2.0 * state.g.real + br * br / (2.0 * state.alpha.real)
-                              + log_norm_const)
-        q[lo:hi] = mean_position(state)
-        p[lo:hi] = mean_momentum(state, params)
-        del state, br  # not held through the next block's pass
+    errors = []
+
+    def work(first: int):
+        # thread `first`: its blocks, row slices no other thread writes
+        try:
+            noise = np.empty((block, grid.n))
+            scratch = kern.scratch(block)
+            for lo in starts[first::workers]:
+                if errors:  # another thread failed: stop at a block boundary
+                    return
+                hi = min(lo + block, len(rows))
+                w = sample_exponential_noise_batch(gamma, grid, master_seed, rows[lo:hi],
+                                                   out=noise[: hi - lo])
+                state = GaussianState(*_gaussian_update(state0, A, B, det,
+                                                        *kern.coefficients(w, scratch)))
+                br = state.beta.real
+                log_norm_sq[lo:hi] = (2.0 * state.g.real + br * br / (2.0 * state.alpha.real)
+                                      + log_norm_const)
+                q[lo:hi] = mean_position(state)
+                p[lo:hi] = mean_momentum(state, params)
+                del state, br  # not held through the next block's pass
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for j in range(1, workers):
+            thread = threading.Thread(target=work, args=(j,), daemon=True)
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return q, p, 0.5 / np.sqrt(ar), log_norm_sq
 
 
@@ -153,7 +208,7 @@ def run_ensemble(
 
     Trajectory i draws its path on ``grid`` from the counter-based stream
     (master_seed, i), so results are independent of evaluation order and
-    identical across batch sizes up to elementwise rounding.  The sample
+    the same bit for bit across block sizes and CPU counts.  The sample
     times snap to nodes of ``grid``.  A state that
     fails to normalize does so for every trajectory at once (the quadratic
     coefficient is noise independent), so that error aborts the run rather

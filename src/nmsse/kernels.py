@@ -539,24 +539,39 @@ def _horizon_integrals(w: np.ndarray, y: np.ndarray, idx: np.ndarray,
     return np.cumsum(out, axis=1, out=out)
 
 
+@dataclass(frozen=True)
+class _Scratch:
+    """The buffers _HorizonKernels.coefficients writes a block into: the
+    convolutions (conv, with grown for their sources, and lin, the sinh
+    kernel's L) and the horizon integrals (linear, wi)."""
+
+    conv: np.ndarray
+    grown: np.ndarray
+    lin: np.ndarray
+    linear: np.ndarray
+    wi: np.ndarray
+
+
 class _HorizonKernels:
-    """C, D and E at every horizon t_k = grid node idx[k], for blocks of up to
-    ``rows`` noise paths.
+    """C, D and E at every horizon t_k = grid node idx[k], for blocks of noise
+    paths.
 
     Holds the noise-free data of every horizon (``sc``, one _BVPScalars over
-    the horizons ``t``; f's basis weights; e^{-u t_k}), the weight table of
-    every linear functional of the noise the horizons need, and the buffers
-    every block reuses.  The table's complex columns, stored as (real,
-    imaginary) pairs of floats with the trapezoid weights of
-    _horizon_integrals, are e^{-u s} for both roots, then per root sinh(u s)/u
-    and cosh(u s) up to its last horizon with |u t_k| <= 1 (those come
-    first) and 0 beyond.  The first ``n_sinh`` horizons of a root, |u t_k| <=
-    _SINH_KERNEL_MAX, take the sinh kernel of h's particular part, with
-    ``sinh_nodes`` the unweighted sinh and cosh columns up to the last one.
+    the horizons ``t``; f's basis weights; e^{-u t_k}) and the weight table
+    of every linear functional of the noise the horizons need.  They are
+    only read after construction, so threads may share one instance; the
+    buffers a block writes are a _Scratch of each thread's own
+    (``scratch``).  The table's complex columns, stored as (real, imaginary)
+    pairs of floats with the trapezoid weights of _horizon_integrals, are
+    e^{-u s} for both roots, then per root sinh(u s)/u and cosh(u s) up to
+    its last horizon with |u t_k| <= 1 (those come first) and 0 beyond.
+    The first ``n_sinh`` horizons of a root, |u t_k| <= _SINH_KERNEL_MAX,
+    take the sinh kernel of h's particular part, with ``sinh_nodes`` the
+    unweighted sinh and cosh columns up to the last one.
     """
 
     def __init__(self, params: PhysicalParams, gamma: float, grid: TimeGrid,
-                 idx: np.ndarray, rows: int):
+                 idx: np.ndarray):
         self.idx = idx
         self.dt = grid.dt
         s = grid.nodes()[: idx[-1] + 1]
@@ -590,14 +605,18 @@ class _HorizonKernels:
         table[idx] *= 0.5
         self.table = table.view(float)
 
-        self.conv = np.empty((rows, s.size), dtype=complex)
-        self.grown = np.empty_like(self.conv)
-        self.lin = np.empty((rows, max(x.shape[1] for x in self.sinh_nodes)), dtype=complex)
-        self.linear = np.empty((rows, t.size, self.table.shape[1]))
-        self.wi = np.empty((2, rows, t.size, 2))
+    def scratch(self, rows: int) -> _Scratch:
+        """Fresh buffers for blocks of up to ``rows`` noise paths."""
+        conv = np.empty((rows, self.idx[-1] + 1), dtype=complex)
+        return _Scratch(conv=conv, grown=np.empty_like(conv),
+                        lin=np.empty((rows, max(x.shape[1] for x in self.sinh_nodes)),
+                                     dtype=complex),
+                        linear=np.empty((rows, self.t.size, self.table.shape[1])),
+                        wi=np.empty((2, rows, self.t.size, 2)))
 
-    def coefficients(self, w: np.ndarray):
-        """(C, D, E), each (rows of w, horizons), for a block of noise rows w.
+    def coefficients(self, w: np.ndarray, scratch: _Scratch):
+        """(C, D, E), each (rows of w, horizons), for a block of noise rows w,
+        at most as many as ``scratch`` was made for.
 
         One forward convolution per root up to the last horizon serves every
         horizon: under the trapezoid rule int_0^{t_k} w e^{-u(t_k-s)} = I(k),
@@ -612,7 +631,7 @@ class _HorizonKernels:
         _horizon_integrals.  On the sinh kernel's horizons the particular
         part's ends come from the sinh and cosh columns, and int w p = rho int
         w L, L(s) = int_0^s sinh(u(s - r))/u w dr, with no edge term.  The
-        convolutions and integrals are written into the buffers, so a block
+        convolutions and integrals are written into scratch, so a block
         allocates nothing of its own length.
         """
         k = self.idx
@@ -620,12 +639,12 @@ class _HorizonKernels:
         t = self.t
         m, n_conv = w.shape[0], k[-1] + 1
         w = w[:, :n_conv]
-        conv, grown, lin = self.conv[:m], self.grown[:m], self.lin[:m]
+        conv, grown, lin = scratch.conv[:m], scratch.grown[:m], scratch.lin[:m]
         mu, pref, half_sl = self.constants
 
         # columns V_1, V_2, then per root sinh and cosh, which become the
         # root's odd and even integrals in place
-        linear = _horizon_integrals(w, self.table, k, self.linear[:m]).view(complex)
+        linear = _horizon_integrals(w, self.table, k, scratch.linear[:m]).view(complex)
         columns = np.moveaxis(linear, -1, 0)
         v_k, odd, even = columns[:2], columns[2::2], columns[3::2]
         sums = np.zeros((2, 4, m, t.size), dtype=complex)    # see _add_root_ends
@@ -642,7 +661,7 @@ class _HorizonKernels:
                                _particular_ends(u, rho, t[nd:], False, ik[:, nd:], vk[:, nd:]))
                 conv[:, k] *= 0.5
                 wi = _horizon_integrals(w, conv.view(float).reshape(m, n_conv, 2), k,
-                                        self.wi[r, :m]).view(complex)[:, nd:, 0]
+                                        scratch.wi[r, :m]).view(complex)[:, nd:, 0]
                 edge = (dt * dt / 4.0) * (w[:, :1] ** 2 - w[:, k[nd:]] ** 2)
                 w_part[r, :, nd:] = -rho / (2.0 * u) * (2.0 * dt * wi + edge)
             if nd:
@@ -655,7 +674,7 @@ class _HorizonKernels:
                 np.subtract(np.multiply(cw, sh, out=cw), np.multiply(sw, ch, out=sw), out=sw)
                 sw[:, k[:nd]] *= 0.5
                 wl_int = _horizon_integrals(wl, sw.view(float).reshape(m, n_l, 2), k[:nd],
-                                            self.wi[r, :m, :nd]).view(complex)[..., 0]
+                                            scratch.wi[r, :m, :nd]).view(complex)[..., 0]
                 w_part[r, :, :nd] = (rho * dt) * wl_int
             od[:, :ns] -= self.tau[r][:ns] * ev[:, :ns]
             np.subtract(ik[:, ns:], vk[:, ns:], out=od[:, ns:])

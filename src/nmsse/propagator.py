@@ -120,8 +120,8 @@ def greens_coefficients(
     A, B, det = _quadratic_coefficients(params, *f_endpoint_scalars(t, params, gamma))
     C = D = E = 0.0 + 0.0j
     if noise is not None:
-        kern = _HorizonKernels(params, gamma, grid, np.array([grid.n - 1]), 1)
-        C, D, E = (x[0, 0] for x in kern.coefficients(noise.values[None]))
+        kern = _HorizonKernels(params, gamma, grid, np.array([grid.n - 1]))
+        C, D, E = (x[0, 0] for x in kern.coefficients(noise.values[None], kern.scratch(1)))
     return GreensCoefficients(t=t, A=complex(A), B=complex(B), C=complex(C),
                               D=complex(D), E=complex(E), det=complex(det))
 

@@ -472,6 +472,17 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_ensemble_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    # 200 trajectories fill four blocks of 64 on two threads, one of 128 on one
+    cfg = _cfg_file(tmp_path, BASE + "n_traj = 200\n")
+    for workers in (1, 2):
+        monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda n, w=workers: w)
+        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / str(workers))]) == 0
+    for name in ("ensemble.csv", "ensemble.json", "ensemble.svg"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+    capsys.readouterr()
+
+
 def test_seed_flag_overrides_and_validates(tmp_path):
     text = BASE + "n_traj = 8\n"
     cfg = _cfg_file(tmp_path, text)

@@ -2,13 +2,16 @@
 
 import math
 import sys
+import threading
+import time
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+import nmsse.ensemble
 from nmsse.core import InvalidGridError, InvalidParameterError, make_grid, make_params
-from nmsse.ensemble import _CHUNK_ROWS, _moment_curves, run_ensemble
+from nmsse.ensemble import _CHUNK_ROWS, _moment_curves, _worker_count, run_ensemble
 from nmsse.kernels import f_endpoint_scalars, f_exponential, h_exponential_batch
 from nmsse.noise import sample_exponential_noise_batch
 from nmsse.propagator import gaussian_from_moments, greens_coefficients
@@ -372,18 +375,77 @@ _FIFTY_HORIZONS = tuple(np.rint(np.linspace(1, 256, 50)).astype(int))
     # gamma dt = 3.9: the sampler and both convolutions scan in several blocks
     + [pytest.param(1e3, _THREE_HORIZONS, n, id=f"multi-block-{n}") for n in _ROW_COUNTS]
     + [pytest.param(1.0, _FIFTY_HORIZONS, n, id=f"50-horizons-{n}") for n in _ROW_COUNTS]))
-def test_block_rows_equal_single_trajectories(gamma, nodes, n_traj):
-    # every block, the partial last one too, reuses one workspace; a row
-    # must come out as it does alone, bit for bit
+def test_block_rows_equal_single_trajectories(monkeypatch, gamma, nodes, n_traj):
+    # every block, the partial last one too, reuses its thread's workspace;
+    # a row must come out as it does alone, bit for bit, on any number of
+    # threads, also at the edges of a thread's block of _CHUNK_ROWS // W rows
     grid = make_grid(1.0, 257)
     idx = np.array(nodes)
     state0 = _fixture_state(CRIT)
-    q, p, _, lns = _moment_curves(CRIT, gamma, grid, idx, state0, 9, range(n_traj))
-    for i in {0, _CHUNK_ROWS - 1, _CHUNK_ROWS, n_traj - 1} & set(range(n_traj)):
-        q1, p1, _, lns1 = _moment_curves(CRIT, gamma, grid, idx, state0, 9, [i])
-        assert np.array_equal(q1[0], q[i])
-        assert np.array_equal(p1[0], p[i])
-        assert np.array_equal(lns1[0], lns[i])
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda n, w=workers: w)
+        q, p, _, lns = _moment_curves(CRIT, gamma, grid, idx, state0, 9, range(n_traj))
+        edges = {0, _CHUNK_ROWS // workers - 1, _CHUNK_ROWS // workers,
+                 _CHUNK_ROWS - 1, _CHUNK_ROWS, n_traj - 1}
+        for i in edges & set(range(n_traj)):
+            q1, p1, _, lns1 = _moment_curves(CRIT, gamma, grid, idx, state0, 9, [i])
+            assert np.array_equal(q1[0], q[i]), (workers, i)
+            assert np.array_equal(p1[0], p[i]), (workers, i)
+            assert np.array_equal(lns1[0], lns[i]), (workers, i)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e3])
+@pytest.mark.parametrize("n_traj", _ROW_COUNTS)
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, gamma, n_traj):
+    # gamma = 1e3 scans in several blocks
+    grid = make_grid(1.0, 257)
+    state0 = _fixture_state(CRIT)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda n, w=workers: w)
+        runs.append(_moment_curves(CRIT, gamma, grid, np.array(_THREE_HORIZONS), state0, 4,
+                                   range(n_traj)))
+    for other in runs[1:]:
+        for want, got in zip(runs[0], other):
+            assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("cpus,n_traj,workers", [
+    (1, 10 ** 6, 1),
+    (2, 64, 1),      # one block of 64 rows: nothing to share
+    (2, 65, 2),
+    (3, 84, 2),      # two blocks of 42 would leave a third thread idle
+    (3, 85, 3),
+    (8, 10 ** 6, 4),
+])
+def test_worker_count_follows_the_cpu_set(monkeypatch, cpus, n_traj, workers):
+    monkeypatch.setattr(nmsse.ensemble.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert _worker_count(n_traj) == workers
+
+
+def test_a_failing_thread_surfaces_and_leaves_none_running(monkeypatch):
+    # the block at row _CHUNK_ROWS // 2 is the second of two threads' first
+    # blocks, so the calling thread does not run it; that thread fails late,
+    # after the calling thread has run its own blocks
+    sample = nmsse.ensemble.sample_exponential_noise_batch
+    failed_on = []
+
+    def failing(gamma, grid, master_seed, rows, **kwargs):
+        if rows[0] == _CHUNK_ROWS // 2:
+            failed_on.append(threading.current_thread())
+            time.sleep(0.1)
+            raise InvalidParameterError("planted failure")
+        return sample(gamma, grid, master_seed, rows, **kwargs)
+
+    monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda n: 2)
+    monkeypatch.setattr(nmsse.ensemble, "sample_exponential_noise_batch", failing)
+    before = threading.active_count()
+    with pytest.raises(InvalidParameterError, match="planted failure"):
+        run_ensemble(CRIT, 1.0, _fixture_state(CRIT), [0.5, 1.0], 4 * _CHUNK_ROWS, 7,
+                     grid=make_grid(1.0, 257))
+    assert failed_on and failed_on[0] is not threading.current_thread()
+    assert threading.active_count() == before
 
 
 def test_runs_share_no_state():
