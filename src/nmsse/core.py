@@ -10,6 +10,7 @@ and selects CLI defaults.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,11 @@ class TimeGrid:
         return TimeGrid(t_max=(k - 1) * self.dt, n=k)
 
 
+def _is_real(x) -> bool:
+    """A real number, numpy scalars included, but not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def make_params(
     m: float,
     hbar: float,
@@ -104,9 +110,9 @@ def make_params(
         unit_mode is not one of "scaled" / "SI".
     """
     for name, val in (("m", m), ("hbar", hbar)):
-        if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
+        if not (_is_real(val) and math.isfinite(val) and val > 0):
             raise InvalidParameterError(f"{name} must be positive and finite, got {val!r}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
+    if not (_is_real(lam) and math.isfinite(lam) and lam >= 0):
         raise InvalidParameterError(f"lambda must be non-negative and finite, got {lam!r}")
     if unit_mode not in ("scaled", "SI"):
         raise InvalidParameterError(f"unit_mode must be 'scaled' or 'SI', got {unit_mode!r}")
@@ -293,8 +299,8 @@ def _block_tridiag_solve(lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
 
 def make_grid(t_max: float, n: int) -> TimeGrid:
     """Build a uniform time grid with n nodes covering [0, t_max]."""
-    if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max > 0):
+    if not (_is_real(t_max) and math.isfinite(t_max) and t_max > 0):
         raise InvalidGridError(f"t_max must be positive and finite, got {t_max!r}")
-    if not (isinstance(n, int) and n >= 2):
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 2):
         raise InvalidGridError(f"n must be an integer >= 2, got {n!r}")
-    return TimeGrid(t_max=float(t_max), n=n)
+    return TimeGrid(t_max=float(t_max), n=int(n))

@@ -137,8 +137,9 @@ def _moment_curves(
     have shape (n_traj, len(idx)) and sigma has shape (len(idx),); sigma is
     noise independent.  Row i depends on the key (master_seed,
     trajectory_indices[i]) only.  log_norm_sq is log ||psi_t||^2 of the raw
-    state with every factor included (the x0 integral and |B|/(2 pi)), so
-    its exponential is the physical weight and has reference mean 1.
+    state with the x0 integral and |B|/(2 pi), which misses the fluctuation
+    determinant (ROADMAP F12): its reference mean is not 1 but 1 + 5.2e-5
+    at (lam, gamma, t) = (0.1, 1, 1), growing as lam^2.
     """
     rows = list(trajectory_indices)
     workers = _worker_count(len(rows))

@@ -173,9 +173,9 @@ def characteristic_roots(gamma: float, omega: float) -> CharacteristicRoots:
 class KernelSolution:
     """Sampled kernel with exact endpoint derivatives.
 
-    kind "F" carries boundary values (1, 0); kind "H" carries (0, 0).
-    The cancellation-free sum and difference of the endpoint slopes of f
-    come from f_endpoint_scalars.
+    kind "F" solves for boundary values (1, 0), kind "H" for (0, 0); the
+    ends of values are the solve's, not the targets.  The cancellation-free
+    sum and difference of f's endpoint slopes come from f_endpoint_scalars.
     """
 
     grid: TimeGrid
@@ -229,20 +229,10 @@ class _BVPScalars:
         self.P = (1.0 + gamma * t * self.g1 / 2.0
                   + gamma * self.u2sq * t ** 3 * self.gdd / 8.0) / self.D_o
 
-    def f_coeffs(self) -> tuple[complex, complex, complex, complex]:
-        """Basis weights (a, b, c, d) of the homogeneous boundary kernel."""
-        zeta = self.roots.zeta
-        a = -self.K2 / (2.0 * zeta * self.D_e)
-        c = self.K1 / (2.0 * zeta * self.D_e)
-        b = -self.L2 / (2.0 * zeta * self.D_o)
-        d = self.L1 / (2.0 * zeta * self.D_o)
-        return a, b, c, d
-
     def solve_even(self, rhs_val: complex, rhs_rob: complex) -> tuple[complex, complex]:
         """Solve a + c = rhs_val, K1 a + K2 c = rhs_rob."""
         det = self.roots.zeta * self.D_e  # == K1 - K2 without cancellation
-        a = (rhs_rob - self.K2 * rhs_val) / det
-        return a, rhs_val - a
+        return (rhs_rob - self.K2 * rhs_val) / det, (self.K1 * rhs_val - rhs_rob) / det
 
     def solve_odd(self, rhs_val: complex, rhs_rob: complex) -> tuple[complex, complex]:
         """Solve tau1 b + tau2 d = rhs_val, L1 b + L2 d = rhs_rob."""
@@ -268,22 +258,21 @@ def f_exponential(t: float, params: PhysicalParams, gamma: float,
                   grid: TimeGrid) -> KernelSolution:
     """Homogeneous boundary kernel for the exponential correlation kernel.
 
-    Closed form in the symmetric hyperbolic basis; exact for every gamma,
-    collapse strength, and horizon, including the white-noise limit
-    (gamma = inf dispatches to the dedicated closed form).  The lam = 0
-    limit degenerates smoothly to the straight line 1 - s/t.
+    Closed form in the symmetric hyperbolic basis, weighted by the even/odd
+    2x2 solves h uses, with the boundary data (1, 0) and no source; exact
+    for every gamma, collapse strength, and horizon, including the
+    white-noise limit (gamma = inf is the one-root case, f_markovian).  The
+    lam = 0 limit degenerates smoothly to the straight line 1 - s/t.
     """
     if math.isinf(gamma):
         return f_markovian(t, params, grid)
     _check_horizon(t, grid)
     sc = _BVPScalars(gamma, params.omega_collapse, t)
-    a, b, c, d = sc.f_coeffs()
+    (a, c), (b, d) = sc.solve_even(0.5, 0.0), sc.solve_odd(-0.5, 0.0)
     s = grid.nodes()
     u1, u2 = sc.roots.upsilon1, sc.roots.upsilon2
     vals = (a * _basis_even(u1, s, t) + b * _basis_odd(u1, s, t)
             + c * _basis_even(u2, s, t) + d * _basis_odd(u2, s, t))
-    vals[0] = 1.0
-    vals[-1] = 0.0
     return KernelSolution(grid=grid, values=vals,
                           d_start=complex((sc.P + sc.Q) / 2.0),
                           d_end=complex((sc.P - sc.Q) / 2.0),
@@ -389,8 +378,6 @@ def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
     vals = (a[..., None] * _basis_even(u1, s, t) + b[..., None] * _basis_odd(u1, s, t)
             + c[..., None] * _basis_even(u2, s, t) + d[..., None] * _basis_odd(u2, s, t)
             + pref * (p1 + p2))
-    vals[..., 0] = 0.0
-    vals[..., -1] = 0.0
     return vals, d_start, d_end
 
 
@@ -584,7 +571,7 @@ class _HorizonKernels:
         self.rho = _h_weights(sc)
         self.usq = (sc.u1sq, sc.u2sq)
         self.tau = (sc.tau1, sc.tau2)
-        self.f_abcd = sc.f_coeffs()
+        self.f_even, self.f_odd = sc.solve_even(0.5, 0.0), sc.solve_odd(-0.5, 0.0)
 
         self.e_t, self.n_small, self.n_sinh, self.sinh_nodes = [], [], [], []
         table = np.zeros((s.size, 6), dtype=complex)
@@ -682,7 +669,7 @@ class _HorizonKernels:
             np.add(ik, vk, out=ev)
             ev /= 1.0 + self.e_t[r]
 
-        af, bf, cf, df = self.f_abcd
+        (af, cf), (bf, df) = self.f_even, self.f_odd
         int_f = af * even[0] + bf * odd[0] + cf * even[1] + df * odd[1]
         int_f_rev = af * even[0] - bf * odd[0] + cf * even[1] - df * odd[1]
         a, b, c, d, h_d0, h_dt = _h_boundary_solve(self.sc, self.gamma, pref, sums)
@@ -704,18 +691,19 @@ def _kappa(params: PhysicalParams) -> complex:
 
 
 def f_markovian(t: float, params: PhysicalParams, grid: TimeGrid) -> KernelSolution:
-    """Homogeneous kernel in the white-noise limit: sinh(k(t-s))/sinh(kt)."""
+    """Homogeneous kernel in the white-noise limit, sinh(kappa(t-s))/sinh(kappa t):
+    the one-root case of f_exponential, basis weights 1/2 and -1/(2 tau), tau =
+    tanh(kappa t/2)/kappa.  Its endpoint slopes are a second route to
+    f_endpoint_scalars."""
     _check_horizon(t, grid)
     k = _kappa(params)
     s = grid.nodes()
+    tau = t / 2.0 * _tanh_ratio(k * t / 2.0)
+    vals = 0.5 * _basis_even(k, s, t) - _basis_odd(k, s, t) / (2.0 * tau)
     if abs(k) * t < 1e-250:
-        vals = (1.0 - s / t).astype(complex)
         d_start = d_end = -1.0 / t + 0j
     else:
         den = -np.expm1(-2.0 * k * t)
-        vals = (np.exp(-k * s) - np.exp(-k * (2.0 * t - s))) / den
-        vals[0] = 1.0
-        vals[-1] = 0.0
         et = np.exp(-k * t)
         d_start = complex(-k * (1.0 + et * et) / den)
         d_end = complex(-2.0 * k * et / den)
@@ -736,8 +724,6 @@ def _h_markovian_core(t: float, params: PhysicalParams, grid: TimeGrid,
     b = np.asarray((p0 - pt) / (2.0 * tau), dtype=complex)
     s = grid.nodes()
     vals = a[..., None] * _basis_even(k, s, t) + b[..., None] * _basis_odd(k, s, t) + pref * part
-    vals[..., 0] = 0.0
-    vals[..., -1] = 0.0
     slope = a * k * k * tau                          # even basis: -+kappa tanh(kappa t/2)
     return vals, p_d0 - slope + b, p_dt + slope + b
 

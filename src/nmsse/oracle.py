@@ -14,7 +14,8 @@ greens_coefficients, whose C, D and E come from the ensemble's single pass,
 is a genuine two-route check of the formulas every ensemble runs.
 The reduction's measure factor pi^{k/2} / sqrt(det(-Q_ii)) depends on
 neither the endpoints nor the noise and is left out, as the analytic E
-vanishes at zero noise.
+vanishes at zero noise.  It depends on lam, though: it is the fluctuation
+determinant that |B|/(2 pi) misses in the ensemble's norms (ROADMAP F12).
 """
 
 from __future__ import annotations

@@ -44,6 +44,9 @@ def test_lambda_zero_allowed():
     dict(m=1.0, hbar=1.0, lam=-0.1),
     dict(m=math.inf, hbar=1.0, lam=0.1),
     dict(m=math.nan, hbar=1.0, lam=0.1),
+    dict(m=1.0, hbar=True, lam=0.1),
+    dict(m=1.0, hbar=1.0, lam=False),
+    dict(m=np.True_, hbar=1.0, lam=0.1),
 ])
 def test_make_params_rejects_bad_numbers(kwargs):
     with pytest.raises(InvalidParameterError):
@@ -68,6 +71,20 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(1.0, 1)
     with pytest.raises(InvalidGridError):
         make_grid(1.0, 2.5)
+    # a bool is not a number here, though Python counts True as 1
+    with pytest.raises(InvalidGridError):
+        make_grid(True, 101)
+    with pytest.raises(InvalidGridError):
+        make_grid(1.0, True)
+
+
+def test_numpy_scalars_give_the_records_of_python_numbers():
+    p = make_params(m=np.float32(2.0), hbar=np.int64(1), lam=np.float64(0.25), unit_mode="SI")
+    assert p == make_params(m=2.0, hbar=1.0, lam=0.25, unit_mode="SI")
+    assert all(type(x) is float for x in (p.m, p.hbar, p.lam))
+    g = make_grid(np.float32(0.5), np.int64(101))
+    assert g == make_grid(0.5, 101)
+    assert (type(g.t_max), type(g.n)) == (float, int)
 
 
 def test_grid_nodes_are_bitwise_reproducible():

@@ -353,6 +353,10 @@ def test_reference_mean_of_the_squared_norm_is_one():
     # E_ref |psi_t|^2 = 1 for the linear equation (trace preservation of the
     # ensemble).  At lam = 1, gamma = 5 the weights degenerate and this
     # estimate goes unresolved, so the test stays at a well-sampled point.
+    # The Van Vleck prefactor misses the fluctuation determinant (ROADMAP
+    # F12), so the mean here is 1 + 5.2e-5 at t = 1, not 1; the test still
+    # passes because its bound z * se (z = 5.2, se from 1.8e-3 to 9.5e-3)
+    # is over 100 times that floor.
     grid = make_grid(1.0, 257)
     idx = np.array([64, 128, 256])
     n_traj = 4000

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nmsse.core import InvalidParameterError, make_grid, make_params
+from nmsse.core import HBAR_SI, InvalidParameterError, make_grid, make_params
 from nmsse.kernels import (
     _RESIDUAL_ULPS,
     KernelSolution,
@@ -217,11 +217,54 @@ def test_tanh_ratio_and_the_odd_basis_match_50_digits():
                         assert float(abs(got - want) / abs(want)) <= 2e-15, (u, sv)
 
 
-def test_f_boundary_values_are_snapped():
-    grid = make_grid(1.0, 257)
-    f = f_exponential(1.0, SCALED, 1.0, grid)
-    assert f.values[0] == 1.0 + 0.0j
-    assert f.values[-1] == 0.0 + 0.0j
+def test_f_boundary_values_come_from_the_solve():
+    # no kernel writes over its ends, so these are the basis sums themselves
+    # (about 1.4e-16 off at the first config)
+    cases = [(SCALED, 1.0, 1.0)] + [(p, g, t) for p, g, t, _ in _PINS.values()]
+    for params, gamma, t in cases + [(WHITE, math.inf, 1.0), (SI, math.inf, 1.0)]:
+        f = f_exponential(t, params, gamma, make_grid(t, 257))
+        assert abs(f.values[0] - 1.0) <= 1e-14, (params, gamma)
+        assert abs(f.values[-1]) <= 1e-14, (params, gamma)
+
+
+# sinh(kappa (t - s))/sinh(kappa t) at the interior nodes of make_grid(t, 5)
+# for (lam, t), m = hbar = 1 ("SI": m = 1, hbar = HBAR_SI, lam = 1e-2), from
+# 50-digit mpmath with kappa = omega_c e^{i pi/4}, omega_c = sqrt(2 hbar lam/m)
+# of the float parameters; the ends are 1 and 0.  Most rows have |kappa t|
+# far below 1, where a difference of exponentials, e^{-kappa s} -
+# e^{-kappa(2t - s)}, would cancel to eps/|kappa t|.
+_WHITE_F_REFS = {
+    ("SI", 1.0): (0.75 - 1.1534379062499931e-37j, 0.5 - 1.3182147499999955e-37j,
+                  0.25 - 8.2388421875e-38j),
+    ("SI", 1e6): (0.75 - 1.1534379062500001e-25j, 0.5 - 1.31821475e-25j,
+                  0.25 - 8.2388421875e-26j),
+    ("SI", 1e12): (0.75 - 1.15343790625e-13j, 0.5 - 1.31821475e-13j,
+                   0.25 - 8.2388421875e-14j),
+    (1e-28, 1e-6): (0.75 - 1.093750000101108e-41j, 0.5 - 1.2500000000379318e-41j,
+                    0.24999999999999994 - 7.812500000237072e-42j),
+    (1e-28, 1.0): (0.75 - 1.09375e-29j, 0.5 - 1.25e-29j, 0.25 - 7.8125e-30j),
+    (1e-20, 1e-6): (0.75 - 1.0937499999999998e-33j, 0.5 - 1.2499999999999999e-33j,
+                    0.24999999999999994 - 7.812499999999997e-34j),
+    (1e-20, 1.0): (0.75 - 1.09375e-21j, 0.5 - 1.25e-21j, 0.25 - 7.8125e-22j),
+    (1e-12, 1e-6): (0.75 - 1.09375e-25j, 0.5 - 1.25e-25j,
+                    0.24999999999999994 - 7.812499999999997e-26j),
+    (1e-12, 1.0): (0.75 - 1.09375e-13j, 0.5 - 1.25e-13j, 0.25 - 7.8125e-14j),
+    (0.1, 1e-6): (0.75 - 1.0937499999999999e-14j, 0.5 - 1.2499999999999999e-14j,
+                  0.24999999999999994 - 7.812499999999998e-15j),
+    (0.1, 1.0): (0.7498063911942277 - 0.010933712611785738j,
+                 0.4997396906336395 - 0.012494707035567135j,
+                 0.24982266681659113 - 0.007808795346206567j),
+}
+
+
+@pytest.mark.parametrize("lam, t", list(_WHITE_F_REFS))
+def test_white_noise_f_matches_50_digit_references(lam, t):
+    params = (make_params(m=1.0, hbar=HBAR_SI, lam=1e-2, unit_mode="SI") if lam == "SI"
+              else make_params(m=1.0, hbar=1.0, lam=lam))
+    grid = make_grid(t, 5)
+    want = np.array([1.0, *_WHITE_F_REFS[lam, t], 0.0])
+    for f in (f_markovian(t, params, grid), f_exponential(t, params, math.inf, grid)):
+        assert np.max(np.abs(f.values - want)) <= 1e-14
 
 
 def test_h_boundary_values():
