@@ -671,7 +671,9 @@ def cmd_ensemble(cfg: RunConfig, checks: _Checks, plot: str):
     classical = cfg.x0 + cfg.p0 * stats.times / cfg.m
     if cfg.n_traj >= 2:
         _check_classical_means(checks, stats, cfg)
-        print(f"effective sample size at t_max: {stats.ess[-1]:.0f} of {cfg.n_traj}")
+        low = int(np.argmin(stats.ess))
+        print(f"effective sample size at t = {stats.times[-1]:.6g}: {stats.ess[-1]:.0f} of "
+              f"{cfg.n_traj}, smallest {stats.ess[low]:.0f} at t = {stats.times[low]:.6g}")
     else:
         print("check classical-mean: SKIP (n_traj = 1 has no standard errors)")
 

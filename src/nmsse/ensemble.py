@@ -29,14 +29,14 @@ horizon, and the linear functionals of the noise are read from one weight
 table, a matmul per row and segment between horizons.  The quadratic part
 of the update is noise free and is also formed once per run.
 
-The blocks run on up to one thread per CPU the process may use
-(os.sched_getaffinity), each thread with its own noise buffer and
-convolution scratch, reused block after block; the noise-free data are
-shared and only read.  The rows of all blocks in flight add up to
-_CHUNK_ROWS, so the memory a run touches grows neither with its size nor
-with the CPU count.  A row's arithmetic does not depend on the other rows
-of its block, on the block size or on the thread, so the outputs are the
-same bit for bit on any number of CPUs.
+The blocks are the tasks of a standard thread pool with up to one thread
+per CPU the process may use (os.sched_getaffinity), each thread with its
+own noise buffer and convolution scratch, reused block after block; the
+noise-free data are shared and only read.  The rows of all blocks in
+flight add up to _CHUNK_ROWS, so the memory a run touches grows neither
+with its size nor with the CPU count.  A row's arithmetic does not depend
+on the other rows of its block, on the block size or on the thread, so
+the outputs are the same bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -103,18 +103,14 @@ def _snap_indices(grid: TimeGrid, t_samples) -> np.ndarray:
     return idx
 
 
-def _worker_count(n_rows: int) -> int:
-    """Threads W that share a run of n_rows trajectories: one per CPU this
-    process may run on, at most _CHUNK_ROWS // _MIN_BLOCK_ROWS, and no more
-    than the blocks of _CHUNK_ROWS // W rows that n_rows fill."""
+def _worker_count() -> int:
+    """Threads W that share a run: one per CPU this process may run on, at
+    most _CHUNK_ROWS // _MIN_BLOCK_ROWS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    w = min(cpus, _CHUNK_ROWS // _MIN_BLOCK_ROWS)
-    while w > 1 and n_rows <= (w - 1) * (_CHUNK_ROWS // w):
-        w -= 1
-    return w
+    return min(cpus, _CHUNK_ROWS // _MIN_BLOCK_ROWS)
 
 
 def _moment_curves(
@@ -129,10 +125,11 @@ def _moment_curves(
     """Normalized-state moments and log norms at the given node indices.
 
     Trajectories are sampled and processed in blocks of _CHUNK_ROWS // W
-    rows, W = _worker_count(len(trajectory_indices)).  Thread j takes blocks
-    j, j + W, j + 2W, ... in buffers of its own, which live for this call
-    only; the calling thread is thread 0, and with W = 1 it is the only
-    one.  An exception in any thread is raised here once every thread has
+    rows, W = _worker_count(), one pool task per block.  The pool starts a
+    thread per block up to W, so a run has no more threads than blocks; a
+    thread's noise buffer and scratch serve each block it takes and live
+    for this call only.  The first exception of any block cancels the
+    blocks not yet started and is raised here once the running ones have
     stopped.  Returns (q, p, sigma, log_norm_sq) where q, p, log_norm_sq
     have shape (n_traj, len(idx)) and sigma has shape (len(idx),); sigma is
     noise independent.  Row i depends on the key (master_seed,
@@ -141,10 +138,13 @@ def _moment_curves(
     determinant (ROADMAP F12): its reference mean is not 1 but 1 + 5.2e-5
     at (lam, gamma, t) = (0.1, 1, 1), growing as lam^2.
     """
+    # imported here: concurrent.futures loads logging, milliseconds that
+    # every `import nmsse` would otherwise pay
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
     rows = list(trajectory_indices)
-    workers = _worker_count(len(rows))
+    workers = _worker_count()
     block = min(len(rows), _CHUNK_ROWS // workers)
-    starts = range(0, len(rows), block)
     kern = _HorizonKernels(params, gamma, grid, idx)
     A, B, det, alpha_t = _noise_free_update(state0, params, kern.sc.P, kern.sc.Q, kern.t)
     ar = alpha_t.real
@@ -156,42 +156,31 @@ def _moment_curves(
     q = np.empty((len(rows), idx.size))
     p = np.empty_like(q)
     log_norm_sq = np.empty_like(q)
-    errors = []
+    buffers = threading.local()
 
-    def work(first: int):
-        # thread `first`: its blocks, row slices no other thread writes
+    def run_block(lo: int):
+        # rows lo:hi, slices no other block writes
+        if not hasattr(buffers, "noise"):  # this thread's first block
+            buffers.noise, buffers.scratch = np.empty((block, grid.n)), kern.scratch(block)
+        hi = min(lo + block, len(rows))
+        w = sample_exponential_noise_batch(gamma, grid, master_seed, rows[lo:hi],
+                                           out=buffers.noise[: hi - lo])
+        state = GaussianState(*_gaussian_update(state0, A, B, det,
+                                                *kern.coefficients(w, buffers.scratch)))
+        br = state.beta.real
+        log_norm_sq[lo:hi] = (2.0 * state.g.real + br * br / (2.0 * state.alpha.real)
+                              + log_norm_const)
+        q[lo:hi] = mean_position(state)
+        p[lo:hi] = mean_momentum(state, params)
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(run_block, lo) for lo in range(0, len(rows), block)]
         try:
-            noise = np.empty((block, grid.n))
-            scratch = kern.scratch(block)
-            for lo in starts[first::workers]:
-                if errors:  # another thread failed: stop at a block boundary
-                    return
-                hi = min(lo + block, len(rows))
-                w = sample_exponential_noise_batch(gamma, grid, master_seed, rows[lo:hi],
-                                                   out=noise[: hi - lo])
-                state = GaussianState(*_gaussian_update(state0, A, B, det,
-                                                        *kern.coefficients(w, scratch)))
-                br = state.beta.real
-                log_norm_sq[lo:hi] = (2.0 * state.g.real + br * br / (2.0 * state.alpha.real)
-                                      + log_norm_const)
-                q[lo:hi] = mean_position(state)
-                p[lo:hi] = mean_momentum(state, params)
-                del state, br  # not held through the next block's pass
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = []
-    try:
-        for j in range(1, workers):
-            thread = threading.Thread(target=work, args=(j,), daemon=True)
-            thread.start()
-            threads.append(thread)
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+            for future in as_completed(futures):
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return q, p, 0.5 / np.sqrt(ar), log_norm_sq
 
 
@@ -221,9 +210,12 @@ def run_ensemble(
     q, p, sigma, log_norm_sq = _moment_curves(params, gamma, grid, idx, state0,
                                               master_seed, range(n_traj))
 
-    # one column per sample time
+    # one column per sample time; moments of the offsets from the first row,
+    # so that identical rows (lam = 0) give the row as mean and zero spreads
     wts = np.exp(log_norm_sq - log_norm_sq.max(axis=0))
     wts /= wts.sum(axis=0)
+    q0, p0 = q[0], p[0]
+    q, p = q - q0, p - p0
     mean_q = np.sum(wts * q, axis=0)
     mean_p = np.sum(wts * p, axis=0)
     dq = q - mean_q
@@ -235,9 +227,9 @@ def run_ensemble(
 
     return EnsembleStats(
         times=grid.nodes()[idx],
-        mean_q=mean_q,
+        mean_q=mean_q + q0,
         se_q=np.sqrt(np.sum(np.square(wts * dq), axis=0)),
-        mean_p=mean_p,
+        mean_p=mean_p + p0,
         se_p=np.sqrt(np.sum(np.square(wts * (p - mean_p)), axis=0)),
         v_q=v_q,
         se_vq=se_vq,

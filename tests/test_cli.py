@@ -195,6 +195,32 @@ def test_ensemble_end_to_end(tmp_path, capsys):
     assert "check classical-mean-p: PASS" in stdout
 
 
+@pytest.mark.parametrize("text,line", [
+    # one sample time: the first node, t = dt, not t_max
+    (BASE.replace("N = 257", "N = 101").replace("n_times = 8", "n_times = 1") + "n_traj = 16\n",
+     "effective sample size at t = 0.01: 16 of 16, smallest 16 at t = 0.01"),
+    # F4: the smallest ESS comes before t_max
+    (BASE.replace("lambda = 0.1", "lambda = 1000.0").replace("gamma = 1.0", "gamma = 1e-06")
+     .replace("t_max = 1.0", "t_max = 100.0").replace("N = 257", "N = 129")
+     + "n_traj = 64\nx0 = 1.0\np0 = 0.5\n",
+     "effective sample size at t = 100: 5 of 64, smallest 4 at t = 71.875"),
+], ids=["one-time", "smallest-before-t_max"])
+def test_the_ess_line_names_the_time_of_each_value(tmp_path, capsys, text, line):
+    main(["ensemble", "--config", _cfg_file(tmp_path, text), "--seed", "510",
+          "--out", str(tmp_path / "out"), "--plot", "none"])
+    assert [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("effective")] == [line]
+
+
+def test_the_free_particle_passes_the_classical_mean_check(tmp_path, capsys):
+    # CLI defaults, N = 2001: every row is the same, so both means are exact
+    cfg = _cfg_file(tmp_path, MEAN_CHECK.replace("lambda = 0.1", "lambda = 0.0")
+                    .replace("n_traj = 256", "n_traj = 64"))
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--plot", "none"]) == 0
+    assert "max dev 0.00 SE" in capsys.readouterr().out
+
+
 # ensemble.csv columns, the EnsembleStats fields they hold, and their JSON keys
 ENSEMBLE_COLUMNS = ["t", "mean_q", "se_q", "mean_p", "se_p", "Vq", "sigma", "se_vq", "ess"]
 ENSEMBLE_FIELDS = ["times", "mean_q", "se_q", "mean_p", "se_p", "v_q", "sigma_q", "se_vq",
@@ -403,9 +429,36 @@ def test_a_kernel_end_off_by_1e_9_fails_the_boundary_check(tmp_path, capsys, mon
     assert captured.err.splitlines() == ["FAILED checks: f-boundary, closed-form-residual"]
 
 
-# The cells of the lam x gamma x t_max sweep of `nmsse kernels` (N = 2001,
-# seed 510) that fail, with the finding that explains each and the checks it
-# fails.  A cell that starts passing fails its test until its entry goes.
+# The lam x gamma x t_max sweep: each sweep below runs its command on all 45
+# cells with seed 510, in-process.  Its table lists the cells that fail,
+# with the finding that explains each and the checks it fails; such a cell
+# must fail exactly those checks and then xfails, and a cell that starts
+# passing fails its test until its entry goes.
+_LAMS, _GAMMAS, _T_MAXES = [0.0, 1e-30, 1e-8, 0.1, 1e3], [1e-6, 1.0, 1e6], [1e-6, 1.0, 100.0]
+
+
+def _sweep_cells(test):
+    # stacked as written out, so the ids read lam-gamma-t_max
+    for name, values in (("lam", _LAMS), ("gamma", _GAMMAS), ("t_max", _T_MAXES)):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+def _sweep_cell(tmp_path, capsys, command, fails, cell, n_nodes, extra="", refused=False):
+    lam, gamma, t_max = cell
+    text = (BASE.replace("lambda = 0.1", f"lambda = {lam!r}")
+            .replace("gamma = 1.0", f"gamma = {gamma!r}")
+            .replace("t_max = 1.0", f"t_max = {t_max!r}")
+            .replace("N = 257", f"N = {n_nodes}") + extra)
+    rc = main([command, "--config", _cfg_file(tmp_path, text), "--seed", "510",
+               "--out", str(tmp_path / "out"), "--plot", "none"])
+    failed = re.findall(r"^check (\S+): FAIL", capsys.readouterr().out, re.M)
+    finding, want = fails.get(cell, (None, []))
+    assert (rc, failed) == ((2, []) if refused else (1, want) if finding else (0, []))
+    if finding:
+        pytest.xfail(f"{finding}: fails {', '.join(want)}")
+
+
 _ROUTES = ["route-agreement-f", "route-agreement-h"]
 _KERNELS_SWEEP_FAILS = {
     (1e-8, 1e6, 100.0): ("F9", _ROUTES),
@@ -420,20 +473,63 @@ _KERNELS_SWEEP_FAILS = {
 }
 
 
-@pytest.mark.parametrize("t_max", [1e-6, 1.0, 100.0])
-@pytest.mark.parametrize("gamma", [1e-6, 1.0, 1e6])
-@pytest.mark.parametrize("lam", [0.0, 1e-30, 1e-8, 0.1, 1e3])
+@_sweep_cells
 def test_kernels_sweep(tmp_path, capsys, lam, gamma, t_max):
-    text = (BASE.replace("lambda = 0.1", f"lambda = {lam!r}")
-            .replace("gamma = 1.0", f"gamma = {gamma!r}")
-            .replace("t_max = 1.0", f"t_max = {t_max!r}").replace("N = 257", "N = 2001"))
-    rc = main(["kernels", "--config", _cfg_file(tmp_path, text), "--seed", "510",
-               "--out", str(tmp_path / "out"), "--plot", "none"])
-    failed = re.findall(r"^check (\S+): FAIL", capsys.readouterr().out, re.M)
-    finding, want = _KERNELS_SWEEP_FAILS.get((lam, gamma, t_max), (None, []))
-    assert (rc, failed) == ((1, want) if finding else (0, []))
-    if finding:
-        pytest.xfail(f"{finding}: fails {', '.join(want)}")
+    _sweep_cell(tmp_path, capsys, "kernels", _KERNELS_SWEEP_FAILS, (lam, gamma, t_max), 2001)
+
+
+# The oracle's errors sit at the rounding floor, 2e-16 to 1.4e-14, where a
+# strict decrease is chance; or 512 segments do not resolve the run.
+_ORACLE_FLOOR = ("F9, errors at the rounding floor", ["oracle-error-decreasing"])
+_ORACLE_COARSE = ("F9, under-resolved at 512 segments", ["oracle-final-error"])
+_ORACLE_SWEEP_FAILS = {
+    **dict.fromkeys([(1e-30, g, t) for g in _GAMMAS for t in _T_MAXES], _ORACLE_FLOOR),
+    **dict.fromkeys([(lam, g, 1e-6) for lam in (1e-8, 0.1, 1e3) for g in _GAMMAS],
+                    _ORACLE_FLOOR),
+    **dict.fromkeys([(1e-8, 1e-6, 1.0), (1e-8, 1e-6, 100.0), (0.1, 1e-6, 1.0)],
+                    _ORACLE_FLOOR),
+    **dict.fromkeys([(1e-8, 1e6, 100.0), (0.1, 1.0, 100.0), (0.1, 1e6, 1.0),
+                     (0.1, 1e6, 100.0), (1e3, 1e6, 1.0), (1e3, 1e6, 100.0)], _ORACLE_COARSE),
+    # 67.6 -> 13.7 -> 2.05 -> 2.11: the errors stall above the bound
+    (1e3, 1.0, 100.0): ("F9, under-resolved at 512 segments",
+                        ["oracle-error-decreasing", "oracle-final-error"]),
+}
+
+
+@_sweep_cells
+def test_oracle_check_sweep(tmp_path, capsys, lam, gamma, t_max):
+    # refused at lam = 0, where C, D and E vanish
+    _sweep_cell(tmp_path, capsys, "oracle-check", _ORACLE_SWEEP_FAILS, (lam, gamma, t_max),
+                257, refused=lam == 0.0)
+
+
+# F5: the noise moves the means by less than their rounding, so the check
+# compares rounding with a standard error below it.  F10: gamma dt >> 1, the
+# weights' mean diverges and one trajectory carries the ensemble.  F4: a
+# handful of effective samples.
+_MEANS = ["classical-mean-q", "classical-mean-p"]
+_ENSEMBLE_SWEEP_FAILS = {
+    (1e-30, 1e-6, 100.0): ("F5", _MEANS),
+    (1e-30, 1.0, 1.0): ("F5", ["classical-mean-p"]),
+    (1e-8, 1.0, 1e-6): ("F5", ["classical-mean-p"]),
+    (0.1, 1e-6, 1e-6): ("F5", ["classical-mean-p"]),
+    (0.1, 1.0, 1e-6): ("F5", ["classical-mean-p"]),
+    (1e-8, 1e6, 100.0): ("F10, ESS 1", _MEANS),
+    (0.1, 1e6, 1.0): ("F10, ESS 1", _MEANS),
+    (0.1, 1e6, 100.0): ("F10, ESS 1", _MEANS),
+    (1e3, 1e6, 1.0): ("F10, ESS 1", _MEANS),
+    (1e3, 1e6, 100.0): ("F10, ESS 1", _MEANS),
+    (0.1, 1.0, 100.0): ("F4, ESS 2", _MEANS),
+    (1e3, 1e-6, 100.0): ("F4, ESS 4", _MEANS),
+    (1e3, 1.0, 1.0): ("F4, ESS 9", _MEANS),
+    (1e3, 1.0, 100.0): ("F4, ESS 1", _MEANS),
+}
+
+
+@_sweep_cells
+def test_ensemble_sweep(tmp_path, capsys, lam, gamma, t_max):
+    _sweep_cell(tmp_path, capsys, "ensemble", _ENSEMBLE_SWEEP_FAILS, (lam, gamma, t_max), 129,
+                "n_traj = 64\nx0 = 1.0\np0 = 0.5\n")
 
 
 @pytest.mark.parametrize("seed", [7, None, 1, 4])
@@ -529,7 +625,7 @@ def test_ensemble_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
     # 200 trajectories fill four blocks of 64 on two threads, one of 128 on one
     cfg = _cfg_file(tmp_path, BASE + "n_traj = 200\n")
     for workers in (1, 2):
-        monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda n, w=workers: w)
+        monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda w=workers: w)
         assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / str(workers))]) == 0
     for name in ("ensemble.csv", "ensemble.json", "ensemble.svg"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

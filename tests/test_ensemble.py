@@ -40,6 +40,23 @@ def test_free_particle_is_exactly_ballistic():
     np.testing.assert_allclose(stats.ess, 8.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n_traj", [64, 256])
+def test_free_particle_statistics_are_exactly_those_of_one_row(n_traj):
+    # every row is the same at lam = 0, and the statistics must say so
+    # exactly: a weighted sum of the rows themselves misses them by a few
+    # ulps on this grid, which reads as a nonzero spread with a tiny
+    # standard error
+    grid = make_grid(1.0, 2001)
+    idx = np.rint(np.linspace(1, 2000, 8)).astype(int)
+    state0 = _fixture_state(FREE)
+    q, p, _, _ = _moment_curves(FREE, 1.0, grid, idx, state0, 42, [0])
+    stats = run_ensemble(FREE, 1.0, state0, grid.nodes()[idx], n_traj, 42, grid=grid)
+    assert np.array_equal(stats.mean_q, q[0])
+    assert np.array_equal(stats.mean_p, p[0])
+    for name in ("v_q", "se_q", "se_p", "se_vq"):
+        assert np.all(getattr(stats, name) == 0.0), name
+
+
 def test_trajectory_reproduces_ensemble_rows():
     grid = make_grid(1.0, 257)
     ts = [0.25, 0.5, 1.0]
@@ -387,7 +404,7 @@ def test_block_rows_equal_single_trajectories(monkeypatch, gamma, nodes, n_traj)
     idx = np.array(nodes)
     state0 = _fixture_state(CRIT)
     for workers in (1, 2, 3):
-        monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda n, w=workers: w)
+        monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda w=workers: w)
         q, p, _, lns = _moment_curves(CRIT, gamma, grid, idx, state0, 9, range(n_traj))
         edges = {0, _CHUNK_ROWS // workers - 1, _CHUNK_ROWS // workers,
                  _CHUNK_ROWS - 1, _CHUNK_ROWS, n_traj - 1}
@@ -401,37 +418,64 @@ def test_block_rows_equal_single_trajectories(monkeypatch, gamma, nodes, n_traj)
 @pytest.mark.parametrize("gamma", [1.0, 1e3])
 @pytest.mark.parametrize("n_traj", _ROW_COUNTS)
 def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, gamma, n_traj):
-    # gamma = 1e3 scans in several blocks
+    # gamma = 1e3 scans in several blocks; up to four threads, more than the
+    # CPUs of a small machine, switching every microsecond
     grid = make_grid(1.0, 257)
     state0 = _fixture_state(CRIT)
     runs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda n, w=workers: w)
-        runs.append(_moment_curves(CRIT, gamma, grid, np.array(_THREE_HORIZONS), state0, 4,
-                                   range(n_traj)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda w=workers: w)
+            runs.append(_moment_curves(CRIT, gamma, grid, np.array(_THREE_HORIZONS), state0, 4,
+                                       range(n_traj)))
+    finally:
+        sys.setswitchinterval(interval)
     for other in runs[1:]:
         for want, got in zip(runs[0], other):
             assert np.array_equal(want, got)
 
 
-@pytest.mark.parametrize("cpus,n_traj,workers", [
-    (1, 10 ** 6, 1),
-    (2, 64, 1),      # one block of 64 rows: nothing to share
-    (2, 65, 2),
-    (3, 84, 2),      # two blocks of 42 would leave a third thread idle
-    (3, 85, 3),
-    (8, 10 ** 6, 4),
-])
-def test_worker_count_follows_the_cpu_set(monkeypatch, cpus, n_traj, workers):
+def _cpu_set(monkeypatch, cpus):
     monkeypatch.setattr(nmsse.ensemble.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert _worker_count(n_traj) == workers
+
+
+@pytest.mark.parametrize("cpus,workers", [(1, 1), (2, 2), (3, 3), (8, 4)])
+def test_worker_count_follows_the_cpu_set(monkeypatch, cpus, workers):
+    _cpu_set(monkeypatch, cpus)
+    assert _worker_count() == workers
+
+
+@pytest.mark.parametrize("cpus,n_traj,threads", [
+    (2, 64, 1),      # one block of 64 rows: nothing to share
+    (2, 200, 2),
+    (3, 84, 2),      # two blocks of 42 rows start no third thread
+    (3, 85, 3),
+])
+def test_a_run_starts_no_more_threads_than_blocks(monkeypatch, cpus, n_traj, threads):
+    # the pause keeps each block busy long enough for every started thread
+    # to take one
+    sample = nmsse.ensemble.sample_exponential_noise_batch
+    seen = set()
+
+    def counting(*args, **kwargs):
+        seen.add(threading.get_ident())
+        time.sleep(0.02)
+        return sample(*args, **kwargs)
+
+    _cpu_set(monkeypatch, cpus)
+    monkeypatch.setattr(nmsse.ensemble, "sample_exponential_noise_batch", counting)
+    _moment_curves(CRIT, 1.0, make_grid(1.0, 65), np.array([64]), _fixture_state(CRIT), 3,
+                   range(n_traj))
+    assert len(seen) == threads
 
 
 def test_a_failing_thread_surfaces_and_leaves_none_running(monkeypatch):
-    # the block at row _CHUNK_ROWS // 2 is the second of two threads' first
-    # blocks, so the calling thread does not run it; that thread fails late,
-    # after the calling thread has run its own blocks
+    # the block at row _CHUNK_ROWS // 2 is the second of eight; it fails
+    # late, after the other thread has run blocks of its own, and the
+    # calling thread runs none
     sample = nmsse.ensemble.sample_exponential_noise_batch
     failed_on = []
 
@@ -442,7 +486,7 @@ def test_a_failing_thread_surfaces_and_leaves_none_running(monkeypatch):
             raise InvalidParameterError("planted failure")
         return sample(gamma, grid, master_seed, rows, **kwargs)
 
-    monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda n: 2)
+    monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda: 2)
     monkeypatch.setattr(nmsse.ensemble, "sample_exponential_noise_batch", failing)
     before = threading.active_count()
     with pytest.raises(InvalidParameterError, match="planted failure"):
@@ -450,6 +494,27 @@ def test_a_failing_thread_surfaces_and_leaves_none_running(monkeypatch):
                      grid=make_grid(1.0, 257))
     assert failed_on and failed_on[0] is not threading.current_thread()
     assert threading.active_count() == before
+
+
+def test_a_failing_block_cancels_the_blocks_not_started(monkeypatch):
+    # the first block fails at once while the other thread's blocks take
+    # 20 ms each: of 16 blocks, only those already running may still start
+    sample = nmsse.ensemble.sample_exponential_noise_batch
+    started = []
+
+    def failing(gamma, grid, master_seed, rows, **kwargs):
+        started.append(rows[0])
+        if rows[0] == 0:
+            raise InvalidParameterError("planted failure")
+        time.sleep(0.02)
+        return sample(gamma, grid, master_seed, rows, **kwargs)
+
+    monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda: 2)
+    monkeypatch.setattr(nmsse.ensemble, "sample_exponential_noise_batch", failing)
+    with pytest.raises(InvalidParameterError, match="planted failure"):
+        run_ensemble(CRIT, 1.0, _fixture_state(CRIT), [0.5, 1.0], 8 * _CHUNK_ROWS, 7,
+                     grid=make_grid(1.0, 65))
+    assert len(started) < 8, started
 
 
 def test_runs_share_no_state():
