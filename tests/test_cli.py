@@ -1,6 +1,7 @@
 """Command line surface: config parsing, subcommands, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -8,11 +9,13 @@ import re
 import subprocess
 import sys
 from statistics import NormalDist
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 import nmsse.cli
+from nmsse._svg import line_plot
 from nmsse.cli import (ConfigError, _check_classical_means, _Checks, _sample_node_indices,
                        main, parse_config)
 from nmsse.core import HBAR_SI
@@ -670,3 +673,42 @@ def test_module_entrypoint_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "spread.csv").exists()
     assert "check" in proc.stdout
+
+
+# the SVG writer: line_plot calls that cover every drawing branch
+_NAN, _INF = float("nan"), float("inf")
+SVG_CASES = {
+    "log-log": dict(
+        series=[("a <&> b", [1e-3, 1e-2, 0.1, 1.0, 10.0, _NAN, 0.0, -1.0, 100.0],
+                 [1.0, 2.0, _INF, 0.5, 4.0, 1.0, 1.0, 2.0, -3.0], "solid"),
+                ("c", [1e-3, 1.0, 1e3], [1e-5, 1e-4, 1e-3], "dashed")],
+        title="t <&> t", xlabel="x & <x>", ylabel="y <y>", log_x=True, log_y=True,
+        hlines=[("h 1 <&>", 0.3), ("neg", -1.0), ("nan", _NAN), ("inf", _INF)],
+        data_comment="t,a\n1,2\nx--y - -z"),
+    "linear-flat-empty": dict(
+        series=[("empty", [], [], "solid"), ("flat", [0.0, 1.0, 2.0], [3.0, 3.0, 3.0], "dashed"),
+                ("all-nan", [_NAN, 1.0], [1.0, _NAN], "solid")],
+        title="flat", hlines=[("neg", -2.5), ("nan", _NAN), ("zero", 0.0)]),
+    "palette-wraps": dict(
+        series=[(f"s{k}", [1.0, 10.0, 100.0], [k, k + 1.5, 2 * k], "dashed" if k % 3 else "solid")
+                for k in range(8)],
+        xlabel="t", log_x=True),
+    "log-y-flat": dict(series=[("one", [-1.0, 0.0, 1.0], [5e-7, 5e-7, 5e-7], "solid")],
+                       ylabel="sigma", log_y=True, hlines=[("floor", 5e-7)],
+                       data_comment="--"),
+    "nothing": dict(series=[]),
+}
+SVG_DIGESTS = {
+    "log-log": "fc6ac981023b495e883533eb09f3bea2218b78bcf5f9f6527652c5f6bd9f925a",
+    "linear-flat-empty": "11d883d8376ecaa8455e8edc8be8a973df4f0a4892dd9584f63222930b504287",
+    "palette-wraps": "c83ad89f849fcab181ea5ba188a3372033c47d7ab0ded6c15cf2f36978821b64",
+    "log-y-flat": "d590f5ce4bb19dbdc82df6156b3d0b06ed69104cad0a117ee3602dcfb6e3fcc2",
+    "nothing": "43bb7493cb905786661536b65bebcf389d50982b161c59e9cea2028997fc2b99",
+}
+
+
+@pytest.mark.parametrize("case", list(SVG_CASES))
+def test_line_plot_bytes_are_pinned(case):
+    svg = line_plot(**SVG_CASES[case])
+    ElementTree.fromstring(svg)
+    assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[case]
