@@ -64,6 +64,19 @@ def _fmt_tick(v: float, log: bool) -> str:
     return "%.4g" % v
 
 
+def _text(x, y, body, size, anchor="", fill="#000000", extra="") -> str:
+    """A ``<text>`` element at already formatted coordinates; the body is escaped."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} {_FONT} font-size="{size}" fill="{fill}"{extra}>'
+            f"{_esc(body)}</text>")
+
+
+def _line(x1, y1, x2, y2, stroke, width, extra="") -> str:
+    """A ``<line>`` element at already formatted coordinates."""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+            f'stroke-width="{width}"{extra}/>')
+
+
 def line_plot(
     series,
     *,
@@ -79,37 +92,32 @@ def line_plot(
 
     ``series`` is a sequence of (label, xs, ys, style) with style
     "solid" or "dashed"; ``hlines`` is a sequence of (label, y) drawn as
-    dashed horizontal reference lines.  Log axes silently drop points
-    that are not strictly positive on that axis.
+    dashed horizontal reference lines.  Points and lines that are not
+    finite, or not strictly positive on a log axis, are dropped silently;
+    an axis left with nothing to draw spans [0, 1], or 1 to 10 when log.
     """
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    right, bottom = _MARGIN_L + plot_w, _MARGIN_T + plot_h
 
-    def keep(x, y):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return False
-        if log_x and x <= 0.0:
-            return False
-        if log_y and y <= 0.0:
-            return False
-        return True
+    def drawable(v, log):
+        return math.isfinite(v) and not (log and v <= 0.0)
 
+    # (label, points, color, dash) per series
     cleaned = []
-    for label, xs, ys, style in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if keep(x, y)]
-        cleaned.append((label, pts, style))
+    for k, (label, xs, ys, style) in enumerate(series):
+        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
+               if drawable(x, log_x) and drawable(y, log_y)]
+        dash = ' stroke-dasharray="7 4"' if style == "dashed" else ""
+        cleaned.append((label, pts, _PALETTE[k % len(_PALETTE)], dash))
+    hlines = [(label, float(y)) for label, y in hlines if drawable(y, log_y)]
 
-    all_x = [x for _, pts, _ in cleaned for x, _ in pts]
-    all_y = [y for _, pts, _ in cleaned for _, y in pts]
-    for _, y in hlines:
-        y = float(y)
-        if math.isfinite(y) and not (log_y and y <= 0.0):
-            all_y.append(y)
-    if not all_x or not all_y:
-        all_x = all_x or [0.0, 1.0]
-        all_y = all_y or [0.0, 1.0]
+    all_x = [x for _, pts, _, _ in cleaned for x, _ in pts]
+    all_y = [y for _, pts, _, _ in cleaned for _, y in pts] + [y for _, y in hlines]
 
     def span(vals, log):
+        if not vals:
+            vals = [1.0, 10.0] if log else [0.0, 1.0]
         lo, hi = min(vals), max(vals)
         if log:
             llo, lhi = math.log10(lo), math.log10(hi)
@@ -131,7 +139,7 @@ def line_plot(
 
     def ty(y):
         v = math.log10(y) if log_y else y
-        return _MARGIN_T + plot_h - (v - y0t) / yspan * plot_h
+        return bottom - (v - y0t) / yspan * plot_h
 
     out = []
     out.append(
@@ -140,103 +148,59 @@ def line_plot(
     )
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     if title:
-        out.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'{_FONT} font-size="15" fill="#000000">{_esc(title)}</text>'
-        )
+        out.append(_text(f"{_WIDTH / 2:.1f}", 22, title, 15, "middle"))
 
     xticks = _ticks_log(xlo, xhi) if log_x else _ticks_linear(xlo, xhi)
     yticks = _ticks_log(ylo, yhi) if log_y else _ticks_linear(ylo, yhi)
     for v in xticks:
-        px = tx(v)
-        out.append(
-            f'<line x1="{px:.2f}" y1="{_MARGIN_T}" x2="{px:.2f}" '
-            f'y2="{_MARGIN_T + plot_h}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{px:.2f}" y="{_MARGIN_T + plot_h + 18}" '
-            f'text-anchor="middle" {_FONT} font-size="11" '
-            f'fill="#000000">{_esc(_fmt_tick(v, log_x))}</text>'
-        )
+        px = f"{tx(v):.2f}"
+        out.append(_line(px, _MARGIN_T, px, bottom, "#dddddd", 1))
+        out.append(_text(px, bottom + 18, _fmt_tick(v, log_x), 11, "middle"))
     for v in yticks:
         py = ty(v)
-        out.append(
-            f'<line x1="{_MARGIN_L}" y1="{py:.2f}" x2="{_MARGIN_L + plot_w}" '
-            f'y2="{py:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_MARGIN_L - 6}" y="{py + 4:.2f}" text-anchor="end" '
-            f'{_FONT} font-size="11" fill="#000000">'
-            f'{_esc(_fmt_tick(v, log_y))}</text>'
-        )
+        out.append(_line(_MARGIN_L, f"{py:.2f}", right, f"{py:.2f}", "#dddddd", 1))
+        out.append(_text(_MARGIN_L - 6, f"{py + 4:.2f}", _fmt_tick(v, log_y), 11, "end"))
 
     out.append(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#000000" stroke-width="1"/>'
     )
     if xlabel:
-        out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
-            f'text-anchor="middle" {_FONT} font-size="13" '
-            f'fill="#000000">{_esc(xlabel)}</text>'
-        )
+        out.append(_text(f"{_MARGIN_L + plot_w / 2:.1f}", _HEIGHT - 12, xlabel, 13, "middle"))
     if ylabel:
-        out.append(
-            f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" '
-            f'text-anchor="middle" {_FONT} font-size="13" fill="#000000" '
-            f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">'
-            f"{_esc(ylabel)}</text>"
-        )
+        mid = f"{_MARGIN_T + plot_h / 2:.1f}"
+        out.append(_text(18, mid, ylabel, 13, "middle",
+                         extra=f' transform="rotate(-90 18 {mid})"'))
 
     out.append(
         f'<clipPath id="plotclip"><rect x="{_MARGIN_L}" y="{_MARGIN_T}" '
         f'width="{plot_w}" height="{plot_h}"/></clipPath>'
     )
+    clip = ' clip-path="url(#plotclip)"'
 
     for label, y in hlines:
-        y = float(y)
-        if not math.isfinite(y) or (log_y and y <= 0.0):
-            continue
         py = ty(y)
-        out.append(
-            f'<line x1="{_MARGIN_L}" y1="{py:.2f}" x2="{_MARGIN_L + plot_w}" '
-            f'y2="{py:.2f}" stroke="#888888" stroke-width="1" '
-            f'stroke-dasharray="6 4" clip-path="url(#plotclip)"/>'
-        )
-        out.append(
-            f'<text x="{_MARGIN_L + plot_w - 4}" y="{py - 4:.2f}" '
-            f'text-anchor="end" {_FONT} font-size="10" '
-            f'fill="#888888">{_esc(label)}</text>'
-        )
+        out.append(_line(_MARGIN_L, f"{py:.2f}", right, f"{py:.2f}", "#888888", 1,
+                         ' stroke-dasharray="6 4"' + clip))
+        out.append(_text(right - 4, f"{py - 4:.2f}", label, 10, "end", "#888888"))
 
-    for k, (label, pts, style) in enumerate(cleaned):
-        if not pts:
-            continue
-        color = _PALETTE[k % len(_PALETTE)]
-        dash = ' stroke-dasharray="7 4"' if style == "dashed" else ""
-        coords = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in pts)
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="1.8"{dash} clip-path="url(#plotclip)"/>'
-        )
+    for label, pts, color, dash in cleaned:
+        if pts:
+            coords = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in pts)
+            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                       f'stroke-width="1.8"{dash}{clip}/>')
 
-    lx = _MARGIN_L + plot_w - 168
-    ly = _MARGIN_T + 10
-    for k, (label, pts, style) in enumerate(cleaned):
-        color = _PALETTE[k % len(_PALETTE)]
-        dash = ' stroke-dasharray="7 4"' if style == "dashed" else ""
-        yk = ly + 16 * k
-        out.append(
-            f'<line x1="{lx}" y1="{yk + 4}" x2="{lx + 26}" y2="{yk + 4}" '
-            f'stroke="{color}" stroke-width="1.8"{dash}/>'
-        )
-        out.append(
-            f'<text x="{lx + 32}" y="{yk + 8}" {_FONT} font-size="11" '
-            f'fill="#000000">{_esc(label)}</text>'
-        )
+    lx = right - 168
+    for k, (label, _, color, dash) in enumerate(cleaned):
+        yk = _MARGIN_T + 10 + 16 * k
+        out.append(_line(lx, yk + 4, lx + 26, yk + 4, color, 1.8, dash))
+        out.append(_text(lx + 32, yk + 8, label, 11))
 
     if data_comment:
-        safe = data_comment.replace("--", "- -")
+        # a comment may not hold "--"; one pass leaves it in a run of three
+        safe = data_comment
+        while "--" in safe:
+            safe = safe.replace("--", "- -")
         out.append(f"<!--\n{safe}\n-->")
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -636,8 +636,8 @@ def _check_classical_means(checks: _Checks, stats, cfg: RunConfig):
 
     dq = max_dev(stats.mean_q - (cfg.x0 + cfg.p0 * stats.times / cfg.m), stats.se_q)
     dp = max_dev(stats.mean_p - cfg.p0, stats.se_p)
-    checks.record("classical-mean-q", dq <= bound, f"max dev {dq:.2f} SE, bound {bound:.2f}")
-    checks.record("classical-mean-p", dp <= bound, f"max dev {dp:.2f} SE, bound {bound:.2f}")
+    checks.record("classical-mean-q", dq <= bound, f"max dev {dq:.3g} SE, bound {bound:.3g}")
+    checks.record("classical-mean-p", dp <= bound, f"max dev {dp:.3g} SE, bound {bound:.3g}")
 
 
 # ensemble.csv column -> the EnsembleStats field it holds; ensemble.json keys

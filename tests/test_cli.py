@@ -132,6 +132,7 @@ def test_format_and_plot_flags_limit_outputs(tmp_path, capsys, command):
     assert sorted(p.name for p in only_json.iterdir()) == [json_name]
     assert main(argv + ["--out", str(csv_svg), "--format", "csv"]) == 0
     assert sorted(p.name for p in csv_svg.iterdir()) == sorted([csv_name, svg_name])
+    ElementTree.parse(csv_svg / svg_name)
     capsys.readouterr()
 
 
@@ -221,7 +222,21 @@ def test_the_free_particle_passes_the_classical_mean_check(tmp_path, capsys):
                     .replace("n_traj = 256", "n_traj = 64"))
     assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--plot", "none"]) == 0
-    assert "max dev 0.00 SE" in capsys.readouterr().out
+    assert "max dev 0 SE" in capsys.readouterr().out
+
+
+def test_an_overflowing_deviation_prints_in_three_digits(tmp_path, capsys):
+    # the weights collapse onto one trajectory, so z reaches about 2e61
+    text = (MEAN_CHECK.replace("lambda = 0.1", "lambda = 1e3")
+            .replace("t_max = 1.0", "t_max = 100").replace("n_traj = 256", "n_traj = 64")
+            + "N = 129\nn_times = 8\n")
+    assert main(["ensemble", "--config", _cfg_file(tmp_path, text), "--seed", "510",
+                 "--out", str(tmp_path / "out"), "--plot", "none"]) == 1
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("check classical-mean")]
+    assert len(lines) == 2
+    for ln in lines:
+        assert re.search(r"FAIL \(max dev \d\.\d+e\+\d+ SE, bound 5\.41\)$", ln), ln
 
 
 # ensemble.csv columns, the EnsembleStats fields they hold, and their JSON keys
@@ -712,3 +727,21 @@ def test_line_plot_bytes_are_pinned(case):
     svg = line_plot(**SVG_CASES[case])
     ElementTree.fromstring(svg)
     assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[case]
+
+
+@pytest.mark.parametrize("axis, xs, ys", [("log_y", [1.0, 2.0], [0.0, _NAN]),
+                                           ("log_x", [0.0, _NAN], [1.0, 2.0])],
+                         ids=["log_y", "log_x"])
+def test_a_log_axis_with_nothing_to_draw_spans_a_decade(axis, xs, ys):
+    svg = line_plot([("e", xs, ys, "solid")], **{axis: True})
+    ElementTree.fromstring(svg)
+    assert ">1</text>" in svg and ">10</text>" in svg and "<polyline" not in svg
+
+
+@pytest.mark.parametrize("comment", ["a---b", "----", "-"])
+def test_the_data_comment_never_holds_two_hyphens(comment):
+    svg = line_plot([("a", [0.0, 1.0], [0.0, 1.0], "solid")], data_comment=comment)
+    ElementTree.fromstring(svg)
+    body = svg[svg.index("<!--") + 4:svg.index("-->")]
+    # the guard only inserts spaces, and these comments have none
+    assert "--" not in body and body[1:-1].replace(" ", "") == comment
