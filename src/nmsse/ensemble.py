@@ -30,8 +30,9 @@ table, a matmul per row and segment between horizons.  The quadratic part
 of the update is noise free and is also formed once per run.
 
 The blocks are the tasks of a standard thread pool with up to one thread
-per CPU the process may use (os.sched_getaffinity), each thread with its
-own noise buffer and convolution scratch, reused block after block; the
+per CPU the process may use (os.sched_getaffinity).  A running block holds
+one of as many noise buffers and convolution scratches as there are
+threads, made by the calling thread and reused block after block; the
 noise-free data are shared and only read.  The rows of all blocks in
 flight add up to _CHUNK_ROWS, so the memory a run touches grows neither
 with its size nor with the CPU count.  A row's arithmetic does not depend
@@ -42,7 +43,6 @@ the outputs are the same bit for bit on any number of CPUs.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,20 +126,25 @@ def _moment_curves(
 
     Trajectories are sampled and processed in blocks of _CHUNK_ROWS // W
     rows, W = _worker_count(), one pool task per block.  The pool starts a
-    thread per block up to W, so a run has no more threads than blocks; a
-    thread's noise buffer and scratch serve each block it takes and live
-    for this call only.  The first exception of any block cancels the
-    blocks not yet started and is raised here once the running ones have
-    stopped.  Returns (q, p, sigma, log_norm_sq) where q, p, log_norm_sq
-    have shape (n_traj, len(idx)) and sigma has shape (len(idx),); sigma is
-    noise independent.  Row i depends on the key (master_seed,
-    trajectory_indices[i]) only.  log_norm_sq is log ||psi_t||^2 of the raw
-    state with the x0 integral and |B|/(2 pi), which misses the fluctuation
-    determinant (ROADMAP F12): its reference mean is not 1 but 1 + 5.2e-5
-    at (lam, gamma, t) = (0.1, 1, 1), growing as lam^2.
+    thread per block up to W, so a run has no more threads than blocks.
+    The calling thread makes one noise buffer and scratch per thread, and a
+    block takes a set and puts it back; the sets live for this call only.
+    Made by each call's new threads instead, a set would land in whichever
+    malloc arena its thread got, and a process's peak memory would differ
+    by one set from run to run.  The first exception of any block
+    cancels the blocks not yet started and is raised here once the running
+    ones have stopped.  Returns (q, p, sigma, log_norm_sq) where q, p,
+    log_norm_sq have shape (n_traj, len(idx)) and sigma has shape
+    (len(idx),); sigma is noise independent.  Row i depends on the key
+    (master_seed, trajectory_indices[i]) only.  log_norm_sq is log
+    ||psi_t||^2 of the raw state with the x0 integral and |B|/(2 pi), which
+    misses the fluctuation determinant (ROADMAP F12): its reference mean is
+    not 1 but 1 + 5.2e-5 at (lam, gamma, t) = (0.1, 1, 1), growing as
+    lam^2.
     """
-    # imported here: concurrent.futures loads logging, milliseconds that
-    # every `import nmsse` would otherwise pay
+    # imported here: concurrent.futures loads logging and queue loads heapq,
+    # milliseconds that every `import nmsse` would otherwise pay
+    import queue
     from concurrent.futures import ThreadPoolExecutor, as_completed
 
     rows = list(trajectory_indices)
@@ -156,25 +161,30 @@ def _moment_curves(
     q = np.empty((len(rows), idx.size))
     p = np.empty_like(q)
     log_norm_sq = np.empty_like(q)
-    buffers = threading.local()
+    starts = range(0, len(rows), block)
+    spare = queue.SimpleQueue()
+    for _ in range(min(workers, len(starts))):
+        spare.put((np.empty((block, grid.n)), kern.scratch(block)))
 
     def run_block(lo: int):
         # rows lo:hi, slices no other block writes
-        if not hasattr(buffers, "noise"):  # this thread's first block
-            buffers.noise, buffers.scratch = np.empty((block, grid.n)), kern.scratch(block)
-        hi = min(lo + block, len(rows))
-        w = sample_exponential_noise_batch(gamma, grid, master_seed, rows[lo:hi],
-                                           out=buffers.noise[: hi - lo])
-        state = GaussianState(*_gaussian_update(state0, A, B, det,
-                                                *kern.coefficients(w, buffers.scratch)))
-        br = state.beta.real
-        log_norm_sq[lo:hi] = (2.0 * state.g.real + br * br / (2.0 * state.alpha.real)
-                              + log_norm_const)
-        q[lo:hi] = mean_position(state)
-        p[lo:hi] = mean_momentum(state, params)
+        noise, scratch = spare.get()
+        try:
+            hi = min(lo + block, len(rows))
+            w = sample_exponential_noise_batch(gamma, grid, master_seed, rows[lo:hi],
+                                               out=noise[: hi - lo])
+            state = GaussianState(*_gaussian_update(state0, A, B, det,
+                                                    *kern.coefficients(w, scratch)))
+            br = state.beta.real
+            log_norm_sq[lo:hi] = (2.0 * state.g.real + br * br / (2.0 * state.alpha.real)
+                                  + log_norm_const)
+            q[lo:hi] = mean_position(state)
+            p[lo:hi] = mean_momentum(state, params)
+        finally:
+            spare.put((noise, scratch))
 
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(run_block, lo) for lo in range(0, len(rows), block)]
+        futures = [pool.submit(run_block, lo) for lo in starts]
         try:
             for future in as_completed(futures):
                 future.result()

@@ -547,8 +547,8 @@ class _HorizonKernels:
     the horizons ``t``; f's basis weights; e^{-u t_k}) and the weight table
     of every linear functional of the noise the horizons need.  They are
     only read after construction, so threads may share one instance; the
-    buffers a block writes are a _Scratch of each thread's own
-    (``scratch``).  The table's complex columns, stored as (real, imaginary)
+    buffers a block writes are a _Scratch (``scratch``) that no other
+    running block holds.  The table's complex columns, stored as (real, imaginary)
     pairs of floats with the trapezoid weights of _horizon_integrals, are
     e^{-u s} for both roots, then per root sinh(u s)/u and cosh(u s) up to
     its last horizon with |u t_k| <= 1 (those come first) and 0 beyond.

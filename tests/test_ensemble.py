@@ -472,6 +472,25 @@ def test_a_run_starts_no_more_threads_than_blocks(monkeypatch, cpus, n_traj, thr
     assert len(seen) == threads
 
 
+@pytest.mark.parametrize("cpus,n_traj,sets", [(2, 64, 1), (2, 200, 2), (3, 85, 3)])
+def test_the_calling_thread_makes_one_buffer_set_per_thread(monkeypatch, cpus, n_traj, sets):
+    # made by each call's new threads, a set would land in whichever malloc
+    # arena its thread got, and peak memory would move by one set from run
+    # to run
+    scratch = nmsse.ensemble._HorizonKernels.scratch
+    made_on = []
+
+    def recording(self, rows):
+        made_on.append(threading.current_thread())
+        return scratch(self, rows)
+
+    _cpu_set(monkeypatch, cpus)
+    monkeypatch.setattr(nmsse.ensemble._HorizonKernels, "scratch", recording)
+    _moment_curves(CRIT, 1.0, make_grid(1.0, 65), np.array([64]), _fixture_state(CRIT), 3,
+                   range(n_traj))
+    assert made_on == [threading.current_thread()] * sets
+
+
 def test_a_failing_thread_surfaces_and_leaves_none_running(monkeypatch):
     # the block at row _CHUNK_ROWS // 2 is the second of eight; it fails
     # late, after the other thread has run blocks of its own, and the
