@@ -93,8 +93,9 @@ def line_plot(
     ``series`` is a sequence of (label, xs, ys, style) with style
     "solid" or "dashed"; ``hlines`` is a sequence of (label, y) drawn as
     dashed horizontal reference lines.  Points and lines that are not
-    finite, or not strictly positive on a log axis, are dropped silently;
-    an axis left with nothing to draw spans [0, 1], or 1 to 10 when log.
+    finite, or not strictly positive on a log axis, are dropped silently,
+    and a series with none left gets no legend entry; an axis left with
+    nothing to draw spans [0, 1], or 1 to 10 when log.
     """
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -190,11 +191,14 @@ def line_plot(
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                        f'stroke-width="1.8"{dash}{clip}/>')
 
+    # a legend entry per drawn curve, 16 px apart or closer if the frame needs
+    drawn = [(label, color, dash) for label, pts, color, dash in cleaned if pts]
     lx = right - 168
-    for k, (label, _, color, dash) in enumerate(cleaned):
-        yk = _MARGIN_T + 10 + 16 * k
-        out.append(_line(lx, yk + 4, lx + 26, yk + 4, color, 1.8, dash))
-        out.append(_text(lx + 32, yk + 8, label, 11))
+    step = min(16, (bottom - _MARGIN_T - 18) / max(len(drawn) - 1, 1))
+    for k, (label, color, dash) in enumerate(drawn):
+        yk = _MARGIN_T + 10 + step * k
+        out.append(_line(lx, f"{yk + 4:g}", lx + 26, f"{yk + 4:g}", color, 1.8, dash))
+        out.append(_text(lx + 32, f"{yk + 8:g}", label, 11))
 
     if data_comment:
         # a comment may not hold "--"; one pass leaves it in a run of three

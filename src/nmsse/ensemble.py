@@ -30,18 +30,20 @@ table, a matmul per row and segment between horizons.  The quadratic part
 of the update is noise free and is also formed once per run.
 
 The blocks are the tasks of a standard thread pool with up to one thread
-per CPU the process may use (os.sched_getaffinity).  A running block holds
-one of as many noise buffers and convolution scratches as there are
-threads, made by the calling thread and reused block after block; the
-noise-free data are shared and only read.  The rows of all blocks in
-flight add up to _CHUNK_ROWS, so the memory a run touches grows neither
-with its size nor with the CPU count.  A row's arithmetic does not depend
-on the other rows of its block, on the block size or on the thread, so
-the outputs are the same bit for bit on any number of CPUs.
+per CPU the process may use (os.sched_getaffinity), waited for in row
+order: whatever the thread timing, the lowest failing block raises.  A
+running block holds one of as many noise buffers and convolution scratches
+as there are threads, made by the calling thread and reused block after
+block; the noise-free data are shared and only read.  The rows of all
+blocks in flight add up to _CHUNK_ROWS, so the memory a run touches grows
+neither with its size nor with the CPU count.  A row's arithmetic does not
+depend on the other rows of its block, on the block size or on the thread,
+so the outputs are the same bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -131,21 +133,23 @@ def _moment_curves(
     block takes a set and puts it back; the sets live for this call only.
     Made by each call's new threads instead, a set would land in whichever
     malloc arena its thread got, and a process's peak memory would differ
-    by one set from run to run.  The first exception of any block
-    cancels the blocks not yet started and is raised here once the running
-    ones have stopped.  Returns (q, p, sigma, log_norm_sq) where q, p,
-    log_norm_sq have shape (n_traj, len(idx)) and sigma has shape
+    by one set from run to run.  The blocks are waited for in row order:
+    the exception of the lowest failing block, whatever the thread timing,
+    is raised here once the blocks not yet started are cancelled and the
+    running ones have stopped.  Returns (q, p, sigma, log_norm_sq) where
+    q, p, log_norm_sq have shape (n_traj, len(idx)) and sigma has shape
     (len(idx),); sigma is noise independent.  Row i depends on the key
     (master_seed, trajectory_indices[i]) only.  log_norm_sq is log
     ||psi_t||^2 of the raw state with the x0 integral and |B|/(2 pi), which
     misses the fluctuation determinant (ROADMAP F12): its reference mean is
     not 1 but 1 + 5.2e-5 at (lam, gamma, t) = (0.1, 1, 1), growing as
-    lam^2.
+    lam^2.  Where B = mu (P - Q) rounds to 0 at long horizons (F11), |B| is
+    floored at the smallest normal float, and the norm there is rounding.
     """
     # imported here: concurrent.futures loads logging and queue loads heapq,
     # milliseconds that every `import nmsse` would otherwise pay
     import queue
-    from concurrent.futures import ThreadPoolExecutor, as_completed
+    from concurrent.futures import ThreadPoolExecutor
 
     rows = list(trajectory_indices)
     workers = _worker_count()
@@ -157,7 +161,7 @@ def _moment_curves(
     # them exp(log_norm_sq) is the squared norm of the raw state.
     log_norm_const = (0.5 * np.log(np.pi / (2.0 * ar))
                       + np.log(np.abs(np.pi / (state0.alpha + A)))
-                      + np.log(np.abs(B) / (2.0 * np.pi)))
+                      + np.log(np.maximum(np.abs(B), np.finfo(float).tiny) / (2.0 * np.pi)))
     q = np.empty((len(rows), idx.size))
     p = np.empty_like(q)
     log_norm_sq = np.empty_like(q)
@@ -184,13 +188,8 @@ def _moment_curves(
             spare.put((noise, scratch))
 
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(run_block, lo) for lo in starts]
-        try:
-            for future in as_completed(futures):
-                future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        for _ in pool.map(run_block, starts):
+            pass
     return q, p, 0.5 / np.sqrt(ar), log_norm_sq
 
 
@@ -214,8 +213,8 @@ def run_ensemble(
     coefficient is noise independent), so that error aborts the run rather
     than producing a partial report.
     """
-    if n_traj < 1:
-        raise InvalidParameterError(f"n_traj must be >= 1, got {n_traj}")
+    if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral) or n_traj < 1:
+        raise InvalidParameterError(f"n_traj must be an integer >= 1, got {n_traj!r}")
     idx = _snap_indices(grid, t_samples)
     q, p, sigma, log_norm_sq = _moment_curves(params, gamma, grid, idx, state0,
                                               master_seed, range(n_traj))
@@ -245,5 +244,5 @@ def run_ensemble(
         se_vq=se_vq,
         sigma_q=sigma,
         ess=1.0 / np.sum(wts * wts, axis=0),
-        n_traj=n_traj,
+        n_traj=int(n_traj),
     )

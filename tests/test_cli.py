@@ -715,7 +715,7 @@ SVG_CASES = {
 }
 SVG_DIGESTS = {
     "log-log": "fc6ac981023b495e883533eb09f3bea2218b78bcf5f9f6527652c5f6bd9f925a",
-    "linear-flat-empty": "11d883d8376ecaa8455e8edc8be8a973df4f0a4892dd9584f63222930b504287",
+    "linear-flat-empty": "dd913233a1b034facbe971ef33a6c7219b943213aeaeba9bf8dab3993190585d",
     "palette-wraps": "c83ad89f849fcab181ea5ba188a3372033c47d7ab0ded6c15cf2f36978821b64",
     "log-y-flat": "d590f5ce4bb19dbdc82df6156b3d0b06ed69104cad0a117ee3602dcfb6e3fcc2",
     "nothing": "43bb7493cb905786661536b65bebcf389d50982b161c59e9cea2028997fc2b99",
@@ -727,6 +727,24 @@ def test_line_plot_bytes_are_pinned(case):
     svg = line_plot(**SVG_CASES[case])
     ElementTree.fromstring(svg)
     assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[case]
+
+
+def test_the_legend_fits_the_frame_and_skips_undrawn_series():
+    # 40 entries at 16 px would run past the frame's bottom edge at y = 450
+    series = [(f"s{k}", [0.0, 1.0], [k, k + 1.0], "solid") for k in range(40)]
+    series.insert(7, ("all-nan", [0.0, 1.0], [_NAN, _NAN], "solid"))
+    root = ElementTree.fromstring(line_plot(series))
+    frame = root.find("{http://www.w3.org/2000/svg}rect[@fill='none']")
+    top = float(frame.get("y"))
+    bottom = top + float(frame.get("height"))
+    labels = {t.text: t for t in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert "all-nan" not in labels
+    swatches = [line for line in root.iter("{http://www.w3.org/2000/svg}line")
+                if line.get("stroke-width") == "1.8"]
+    assert len(swatches) == 40
+    ys = [float(labels[f"s{k}"].get("y")) for k in range(40)]
+    ys += [float(line.get(a)) for line in swatches for a in ("y1", "y2")]
+    assert all(top < y <= bottom for y in ys), (min(ys), max(ys))
 
 
 @pytest.mark.parametrize("axis, xs, ys", [("log_y", [1.0, 2.0], [0.0, _NAN]),

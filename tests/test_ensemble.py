@@ -168,8 +168,11 @@ def test_sample_time_validation(bad):
 def test_run_ensemble_argument_validation():
     grid = make_grid(1.0, 257)
     state0 = _fixture_state(CRIT)
-    with pytest.raises(InvalidParameterError):
-        run_ensemble(CRIT, 1.0, state0, [1.0], 0, 42, grid=grid)
+    for n_traj in (0, True, 2.0, 2.5, np.float64(2.0)):
+        with pytest.raises(InvalidParameterError, match="n_traj"):
+            run_ensemble(CRIT, 1.0, state0, [1.0], n_traj, 42, grid=grid)
+    stats = run_ensemble(CRIT, 1.0, state0, [1.0], np.int64(2), 42, grid=grid)
+    assert type(stats.n_traj) is int and stats.n_traj == 2
 
 
 @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64])
@@ -534,6 +537,41 @@ def test_a_failing_block_cancels_the_blocks_not_started(monkeypatch):
         run_ensemble(CRIT, 1.0, _fixture_state(CRIT), [0.5, 1.0], 8 * _CHUNK_ROWS, 7,
                      grid=make_grid(1.0, 65))
     assert len(started) < 8, started
+
+
+def test_the_first_failing_block_in_row_order_is_raised(monkeypatch):
+    # the later block fails at once, the earlier one 50 ms later: the error
+    # must not depend on which thread finishes first
+    sample = nmsse.ensemble.sample_exponential_noise_batch
+
+    def failing(gamma, grid, master_seed, rows, **kwargs):
+        if rows[0] == 0:
+            time.sleep(0.05)
+            raise InvalidParameterError("earlier block")
+        if rows[0] == _CHUNK_ROWS // 2:
+            raise InvalidParameterError("later block")
+        return sample(gamma, grid, master_seed, rows, **kwargs)
+
+    monkeypatch.setattr(nmsse.ensemble, "_worker_count", lambda: 2)
+    monkeypatch.setattr(nmsse.ensemble, "sample_exponential_noise_batch", failing)
+    with pytest.raises(InvalidParameterError, match="earlier block"):
+        run_ensemble(CRIT, 1.0, _fixture_state(CRIT), [0.5, 1.0], 4 * _CHUNK_ROWS, 7,
+                     grid=make_grid(1.0, 65))
+
+
+def test_statistics_stay_finite_where_b_rounds_to_zero():
+    # at long horizons B = mu (P - Q) = 2 mu f'(t) is rounding, and at these
+    # nodes exactly 0; an unfloored log|B| = -inf makes every weight NaN
+    params = make_params(m=1.0, hbar=1.0, lam=2.0, unit_mode="scaled")
+    grid = make_grid(30.0, 3001)
+    nodes = grid.nodes()[1:]
+    P, Q = f_endpoint_scalars(nodes, params, 30.0)
+    ts = nodes[P == Q]
+    assert ts.size > 0
+    stats = run_ensemble(params, 30.0, gaussian_from_moments(1.0, 0.5, 1.0, params), ts, 8, 7,
+                         grid=grid)
+    for field in ("mean_q", "se_q", "mean_p", "se_p", "v_q", "se_vq", "sigma_q", "ess"):
+        assert np.all(np.isfinite(getattr(stats, field))), field
 
 
 def test_runs_share_no_state():

@@ -120,9 +120,11 @@ def test_every_exported_name_resolves():
 def test_import_does_not_load_scipy():
     # the package depends on numpy only: neither the import nor the
     # collocation arbiter and the path-sum oracle, with or without coupling,
-    # may pull scipy in
+    # may pull scipy in; nor may the import load what the ensemble imports
+    # lazily, the thread pool's modules
     code = "\n".join([
         "import sys, numpy as np, nmsse, nmsse.cli",
+        "assert not sys.modules.keys() & {'concurrent.futures', 'queue', 'logging'}",
         "grid = nmsse.make_grid(1.0, 33)",
         "noise = nmsse.NoisePath(grid, np.ones(grid.n))",
         "for lam in (0.0, 0.1):",
