@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 
@@ -64,6 +66,11 @@ def _fmt_tick(v: float, log: bool) -> str:
     return "%.4g" % v
 
 
+def _drawable(v: np.ndarray, log: bool) -> np.ndarray:
+    """Mask of the values an axis can draw: finite, and positive when log."""
+    return np.isfinite(v) & (v > 0.0) if log else np.isfinite(v)
+
+
 def _text(x, y, body, size, anchor="", fill="#000000", extra="") -> str:
     """A ``<text>`` element at already formatted coordinates; the body is escaped."""
     anchor = f' text-anchor="{anchor}"' if anchor else ""
@@ -101,20 +108,19 @@ def line_plot(
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     right, bottom = _MARGIN_L + plot_w, _MARGIN_T + plot_h
 
-    def drawable(v, log):
-        return math.isfinite(v) and not (log and v <= 0.0)
-
-    # (label, points, color, dash) per series
+    # (label, xs, ys, color, dash) per series, the points it can draw as lists
     cleaned = []
     for k, (label, xs, ys, style) in enumerate(series):
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if drawable(x, log_x) and drawable(y, log_y)]
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        keep = _drawable(xs, log_x) & _drawable(ys, log_y)
         dash = ' stroke-dasharray="7 4"' if style == "dashed" else ""
-        cleaned.append((label, pts, _PALETTE[k % len(_PALETTE)], dash))
-    hlines = [(label, float(y)) for label, y in hlines if drawable(y, log_y)]
+        cleaned.append((label, xs[keep].tolist(), ys[keep].tolist(),
+                        _PALETTE[k % len(_PALETTE)], dash))
+    hlines = [(label, float(y)) for label, y in hlines
+              if _drawable(np.float64(y), log_y)]
 
-    all_x = [x for _, pts, _, _ in cleaned for x, _ in pts]
-    all_y = [y for _, pts, _, _ in cleaned for _, y in pts] + [y for _, y in hlines]
+    all_x = [x for _, xs, _, _, _ in cleaned for x in xs]
+    all_y = [y for _, _, ys, _, _ in cleaned for y in ys] + [y for _, y in hlines]
 
     def span(vals, log):
         if not vals:
@@ -185,14 +191,15 @@ def line_plot(
                          ' stroke-dasharray="6 4"' + clip))
         out.append(_text(right - 4, f"{py - 4:.2f}", label, 10, "end", "#888888"))
 
-    for label, pts, color, dash in cleaned:
-        if pts:
-            coords = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in pts)
+    for label, xs, ys, color, dash in cleaned:
+        if xs:
+            pairs = [v for xy in zip(map(tx, xs), map(ty, ys)) for v in xy]
+            coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pairs)
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                        f'stroke-width="1.8"{dash}{clip}/>')
 
     # a legend entry per drawn curve, 16 px apart or closer if the frame needs
-    drawn = [(label, color, dash) for label, pts, color, dash in cleaned if pts]
+    drawn = [(label, color, dash) for label, xs, _, color, dash in cleaned if xs]
     lx = right - 168
     step = min(16, (bottom - _MARGIN_T - 18) / max(len(drawn) - 1, 1))
     for k, (label, color, dash) in enumerate(drawn):

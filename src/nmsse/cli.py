@@ -329,10 +329,12 @@ def _sample_node_indices(grid: TimeGrid, n_times: int, log_times: bool) -> np.nd
     return np.unique(np.clip(idx, 1, grid.n - 1))
 
 
-def _csv(header: str, rows) -> str:
-    """A CSV table: the header line, then each row at full float precision."""
-    lines = [header] + [",".join("%.17g" % v for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(header: str, columns) -> str:
+    """A CSV table: the header line, then one line per row of the equal-length
+    columns, every value at full float precision."""
+    line = ",".join(["%.17g"] * len(columns))
+    rows = np.column_stack(columns).tolist()
+    return "\n".join([header] + [line % tuple(row) for row in rows]) + "\n"
 
 
 def cmd_spread(cfg: RunConfig, checks: _Checks, plot: str, stem: str = "spread"):
@@ -363,7 +365,7 @@ def cmd_spread(cfg: RunConfig, checks: _Checks, plot: str, stem: str = "spread")
     cols = [times]
     for g in cfg.gammas:
         cols += [curves[g], np.full_like(times, asymptotes[g])]
-    csv_text = _csv(header, zip(*cols))
+    csv_text = _csv(header, cols)
 
     payload = {
         "t": times.tolist(),
@@ -484,7 +486,7 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
     for kernel in (f_c, h_c, f_n, h_n):
         cols += [kernel.values.real, kernel.values.imag]
     csv_text = _csv("s,f_re,f_im,h_re,h_im,f_colloc_re,f_colloc_im,h_colloc_re,h_colloc_im",
-                    zip(*cols))
+                    cols)
 
     roots = characteristic_roots(gamma, params.omega_collapse)
     report = {
@@ -578,10 +580,10 @@ def cmd_oracle_check(cfg: RunConfig, checks: _Checks, plot: str):
     noise = sample_exponential_noise(gamma, grid, cfg.master_seed, 0)
     table = oracle_convergence(cfg.t_max, params, gamma, noise)
 
-    csv_text = _csv("n_segments,err_A,err_B,err_C,err_D,err_E,err_max", (
+    csv_text = _csv("n_segments,err_A,err_B,err_C,err_D,err_E,err_max", np.transpose([
         [report.n_segments] + [errs[k] for k in "ABCDE"] + [err_max]
         for report, errs, err_max in table
-    ))
+    ]))
 
     payload = {
         "levels": [
@@ -663,7 +665,7 @@ def cmd_ensemble(cfg: RunConfig, checks: _Checks, plot: str):
                          cfg.master_seed, grid=grid)
 
     cols = {col: getattr(stats, field) for col, field in _ENSEMBLE_COLUMNS.items()}
-    csv_text = _csv(",".join(cols), zip(*cols.values()))
+    csv_text = _csv(",".join(cols), list(cols.values()))
     payload = {("times" if col == "t" else col): v.tolist() for col, v in cols.items()}
     payload.update(n_traj=stats.n_traj, master_seed=cfg.master_seed, measure="physical")
     _write_data(cfg, "ensemble.csv", csv_text, "ensemble.json", payload)

@@ -58,8 +58,8 @@ from .propagator import (GaussianState, _gaussian_update, _noise_free_update,
                          mean_momentum, mean_position)
 
 # Trajectories in flight in the single pass, summed over its threads, so the
-# working set is a few (_CHUNK_ROWS, N) arrays whatever the ensemble size and
-# the CPU count.
+# working set is _CHUNK_ROWS x N noise values and as many convolution values,
+# 24 B per node, whatever the ensemble size and the CPU count.
 _CHUNK_ROWS = 128
 # Fewest rows in a thread's block: at most _CHUNK_ROWS // _MIN_BLOCK_ROWS threads.
 _MIN_BLOCK_ROWS = 32

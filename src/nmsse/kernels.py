@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
                    _block_tridiag_solve, _closed_form_constants, _decay_scan, _scan_block,
@@ -462,24 +463,32 @@ def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, sums: np.nda
     return a, b, c, d, d_start, d_end
 
 
-def _conv_forward(u: complex, w: np.ndarray, dt: float, out: np.ndarray | None = None,
-                  grown: np.ndarray | None = None) -> np.ndarray:
+# Rows per np.add that forms _conv_forward's cells in place.  numpy copies
+# an operand that overlaps the output, so each add copies this many rows.
+_CELL_ROWS = 4
+
+
+def _conv_forward(u: complex, w: np.ndarray, dt: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """I(s_j) = int_0^{s_j} e^{-u (s_j - r)} w(r) dr, trapezoid per cell.
 
     The cell sources (dt/2)(e^{-u dt} w_{j-1} + w_j) enter _decay_scan grown
     by their block-local e^{u dt i_j}: with x_j = (dt/2) e^{u dt i_j} w_j,
-    built in grown, a cell inside a block is x_{j-1} + x_j, and only the
-    cell that starts each later block is formed from w.  The sources are
-    written into out and scanned there in place; out and grown are
-    C-contiguous complex arrays of w's shape, fresh when not given.
+    written into out, a cell inside a block is x_{j-1} + x_j, formed there
+    in place _CELL_ROWS rows per add, and only the cell that starts each
+    later block is formed from w.  The sources are then scanned in out in
+    place, so no second array of w's shape is made.  out is a C-contiguous
+    complex array of w's shape, fresh when not given.
     """
     z = u * dt
     n = w.shape[-1]
-    x = np.multiply(w, (dt / 2.0) * _scan_growth(z, n), out=grown).reshape(-1)
-    src = np.empty(w.shape, dtype=complex) if out is None else out
-    # one contiguous add over all rows; the cells it forms across row ends
-    # land in column 0, which is then cleared
-    np.add(x[:-1], x[1:], out=src.reshape(-1)[1:])
+    src = np.multiply(w, (dt / 2.0) * _scan_growth(z, n), out=out)
+    # one contiguous add per _CELL_ROWS rows; the cells it forms across row
+    # ends land in column 0, which is then cleared
+    x = src.reshape(-1)
+    for lo in range(0, x.size, _CELL_ROWS * n):
+        rows = x[lo:lo + _CELL_ROWS * n]
+        np.add(rows[:-1], rows[1:], out=rows[1:])
     src[..., 0] = 0.0
     b = _scan_block(z, n)
     src[..., b::b] = (dt / 2.0) * (np.exp(-z) * w[..., b - 1:n - 1:b] + w[..., b::b])
@@ -529,12 +538,15 @@ def _horizon_integrals(w: np.ndarray, y: np.ndarray, idx: np.ndarray,
 @dataclass(frozen=True)
 class _Scratch:
     """The buffers _HorizonKernels.coefficients writes a block into: the
-    convolutions (conv, with grown for their sources, and lin, the sinh
-    kernel's L) and the horizon integrals (linear, wi)."""
+    convolutions (conv, formed from their sources in place, and lin, the
+    sinh kernel's L, with prod for its products w cosh and w sinh) and the
+    horizon integrals (linear, wi).  conv is the one complex array of the
+    block's length, 16 B per node of a row; lin and prod span the sinh
+    kernel's nodes only, as many as conv at the most."""
 
     conv: np.ndarray
-    grown: np.ndarray
     lin: np.ndarray
+    prod: np.ndarray
     linear: np.ndarray
     wi: np.ndarray
 
@@ -594,10 +606,10 @@ class _HorizonKernels:
 
     def scratch(self, rows: int) -> _Scratch:
         """Fresh buffers for blocks of up to ``rows`` noise paths."""
-        conv = np.empty((rows, self.idx[-1] + 1), dtype=complex)
-        return _Scratch(conv=conv, grown=np.empty_like(conv),
-                        lin=np.empty((rows, max(x.shape[1] for x in self.sinh_nodes)),
-                                     dtype=complex),
+        stretch = (rows, max(x.shape[1] for x in self.sinh_nodes))
+        return _Scratch(conv=np.empty((rows, self.idx[-1] + 1), dtype=complex),
+                        lin=np.empty(stretch, dtype=complex),
+                        prod=np.empty(stretch, dtype=complex),
                         linear=np.empty((rows, self.t.size, self.table.shape[1])),
                         wi=np.empty((2, rows, self.t.size, 2)))
 
@@ -626,7 +638,7 @@ class _HorizonKernels:
         t = self.t
         m, n_conv = w.shape[0], k[-1] + 1
         w = w[:, :n_conv]
-        conv, grown, lin = scratch.conv[:m], scratch.grown[:m], scratch.lin[:m]
+        conv, lin, prod = scratch.conv[:m], scratch.lin[:m], scratch.prod[:m]
         mu, pref, half_sl = self.constants
 
         # columns V_1, V_2, then per root sinh and cosh, which become the
@@ -637,7 +649,7 @@ class _HorizonKernels:
         sums = np.zeros((2, 4, m, t.size), dtype=complex)    # see _add_root_ends
         w_part = np.empty((2, m, t.size), dtype=complex)     # int w p per root
         for r, (u, rho, usq) in enumerate(zip(self.u, self.rho, self.usq)):
-            _conv_forward(u, w, dt, out=conv, grown=grown)
+            _conv_forward(u, w, dt, out=conv)
             ik = conv[:, k]
             vk, od, ev = v_k[r], odd[r], even[r]
             nd, ns = self.n_sinh[r], self.n_small[r]
@@ -655,9 +667,9 @@ class _HorizonKernels:
                 # L from the cumulative integrals of w cosh(us) and w sinh(us)/u
                 sh, ch = self.sinh_nodes[r]
                 n_l = sh.size
-                wl, cw, sw = w[:, :n_l], conv[:, :n_l], lin[:, :n_l]
-                _cumtrapz(np.multiply(wl, ch, out=grown[:, :n_l]), dt, out=cw)
-                _cumtrapz(np.multiply(wl, sh, out=grown[:, :n_l]), dt, out=sw)
+                wl, cw, sw, wp = w[:, :n_l], conv[:, :n_l], lin[:, :n_l], prod[:, :n_l]
+                _cumtrapz(np.multiply(wl, ch, out=wp), dt, out=cw)
+                _cumtrapz(np.multiply(wl, sh, out=wp), dt, out=sw)
                 np.subtract(np.multiply(cw, sh, out=cw), np.multiply(sw, ch, out=sw), out=sw)
                 sw[:, k[:nd]] *= 0.5
                 wl_int = _horizon_integrals(wl, sw.view(float).reshape(m, n_l, 2), k[:nd],
@@ -834,9 +846,12 @@ def kernel_residual(solutions: list[KernelSolution], params: PhysicalParams,
     horizons), as the second difference is then itself rounding.  Exact
     discrete solutions score 0, analytic ones their truncation O(dt^2), and
     a kernel of the wrong coupling O(1).  The memory sum stays a dense
-    product with alpha evaluated pointwise, so it shares no algebra with the
-    collocation sweeps it checks; it streams _CHUNK_ROWS rows of alpha at a
-    time, each block evaluated once for the whole batch.
+    product, so it shares no algebra with the collocation sweeps it checks.
+    alpha(s_i, s_j) is read at the lag |i - j| dt: its rows are windows of
+    one mirrored vector of lags.  The product streams _CHUNK_ROWS rows at a
+    time, each block copied once as floats (8 B per entry, 2 MB at N =
+    2001) and applied to the whole batch by one real matmul against the
+    solutions' (real, imaginary) parts.
     """
     if noise is None and any(sol.kind == "H" for sol in solutions):
         raise InvalidParameterError("kind 'H' residual needs the driving noise")
@@ -845,15 +860,21 @@ def kernel_residual(solutions: list[KernelSolution], params: PhysicalParams,
     if grid is None or grid.n < 3:
         raise InvalidParameterError(
             f"kernel residual needs a batch on one grid of at least 3 grid nodes, got {grids}")
-    n, s, dt = grid.n, grid.nodes(), grid.dt
-    v = np.array([sol.values for sol in solutions])
-    weighted = np.r_[dt / 2.0, np.full(n - 2, dt), dt / 2.0] * v
-    mem = np.empty((len(solutions), n - 2), dtype=complex)
-    inner = s[1:-1, None]
-    for lo in range(0, n - 2, _CHUNK_ROWS):
-        alpha = _ou_covariance(kernel.gamma, inner[lo:lo + _CHUNK_ROWS], s).astype(complex)
-        for row, w in zip(mem, weighted):
-            row[lo:lo + _CHUNK_ROWS] = params.lam * (alpha @ w)
+    n, dt = grid.n, grid.dt
+    v = np.array([sol.values for sol in solutions], dtype=complex)
+    # weighted solutions one per column, last node first: window i of the
+    # mirrored lags holds alpha(s_i, s_j) at column n - 1 - j
+    weighted = (np.r_[dt / 2.0, np.full(n - 2, dt), dt / 2.0] * v)[:, ::-1].T.copy()
+    lag = _ou_covariance(kernel.gamma, grid.nodes(), 0.0)
+    windows = sliding_window_view(np.r_[lag[:0:-1], lag], n)
+    mem = np.empty((n - 2, len(solutions)), dtype=complex)
+    rows = np.empty((min(_CHUNK_ROWS, n - 2), n))
+    for lo in range(1, n - 1, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n - 1)
+        block = rows[:hi - lo]
+        np.copyto(block, windows[lo:hi])   # overlapping rows: no BLAS layout
+        np.matmul(block, weighted.view(float), out=mem[lo - 1:hi - 1].view(float))
+    mem = params.lam * mem.T
     mu = 1j * params.m / (2.0 * params.hbar)
     lapl = mu * (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]) / dt ** 2
     drive = 0.0 if noise is None else (math.sqrt(params.lam) / 2.0) * noise.values[1:-1]

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -614,3 +615,26 @@ def test_memory_touched_does_not_grow_with_the_ensemble(lam):
     faults(256)
     growth = faults(2048) - faults(256)
     assert growth < 1000, growth
+
+
+def test_a_warm_run_holds_two_arrays_per_row_in_flight():
+    # a row in flight holds its noise (8 B per node) and one convolution
+    # (16 B per node); the margin covers the noise-free table, the outputs
+    # and the per-block temporaries of up to four threads (7.0 to 7.7 MB in
+    # all at one to four threads).  A third (rows, N) complex array per
+    # thread, such as a separate source buffer of the convolution, reads
+    # 11.1 MB and over.
+    grid = make_grid(1.0, 2001)
+    state0 = _fixture_state(CRIT)
+
+    def run():
+        return run_ensemble(CRIT, 1.0, state0, [0.5, 1.0], 3000, 7, grid=grid)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _CHUNK_ROWS * grid.n * 24 + 2e6, peak / 1e6
