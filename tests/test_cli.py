@@ -17,11 +17,13 @@ import pytest
 import nmsse.cli
 from nmsse._svg import line_plot
 from nmsse.cli import (ConfigError, _check_classical_means, _Checks, _sample_node_indices,
-                       main, parse_config)
+                       _sample_times, main, parse_config)
 from nmsse.core import HBAR_SI
 from nmsse.ensemble import run_ensemble
-from nmsse.kernels import f_exponential
-from nmsse.propagator import gaussian_from_moments
+from nmsse.kernels import (characteristic_roots, f_exponential, h_exponential, kernel_residual,
+                           solve_f_numeric, solve_h_numeric)
+from nmsse.noise import exponential_kernel, sample_exponential_noise
+from nmsse.propagator import asymptotic_spread, gaussian_from_moments, spread_curve
 
 BASE = """\
 m = 1.0
@@ -272,6 +274,107 @@ def test_ensemble_files_hold_the_run_ensemble_arrays(tmp_path, capsys, spacing):
     for key, field in zip(ENSEMBLE_KEYS, ENSEMBLE_FIELDS):
         assert payload[key] == getattr(stats, field).tolist(), key
     assert (payload["n_traj"], payload["master_seed"], payload["measure"]) == (16, 42, "physical")
+    capsys.readouterr()
+
+
+# config -> the sigma-positive and ordering check names, in print order
+SPREAD_RUNS = {
+    "one-gamma": (BASE, ["sigma-positive[g=1]"]),
+    "four-gamma": (BASE.replace("gamma = 1.0", "gamma = 10, 0.5, inf, 2") + "log_times = true\n",
+                   ["sigma-positive[g=10]", "sigma-positive[g=0.5]", "sigma-positive[g=inf]",
+                    "sigma-positive[g=2]", "ordering[g=2<=g=0.5]", "ordering[g=10<=g=2]",
+                    "ordering[g=inf<=g=10]"]),
+    "lambda-0": (FREE, ["sigma-positive[g=1]", "sigma-positive[g=inf]",
+                        "ordering[g=inf<=g=1]"]),
+}
+
+
+@pytest.mark.parametrize("run", list(SPREAD_RUNS))
+def test_spread_files_hold_the_spread_curve_arrays(tmp_path, capsys, run):
+    text, check_names = SPREAD_RUNS[run]
+    out = tmp_path / "out"
+    assert main(["spread", "--config", _cfg_file(tmp_path, text), "--out", str(out),
+                 "--plot", "none"]) == 0
+    cfg = parse_config(text)
+    params = cfg.build_params()
+    times = _sample_times(cfg)
+    labels = ["inf" if math.isinf(g) else "%g" % g for g in cfg.gammas]
+    curves = [spread_curve(times, params, g, cfg.sigma0) for g in cfg.gammas]
+    asymptotes = [asymptotic_spread(params, g) if cfg.lam > 0 else math.inf
+                  for g in cfg.gammas]
+
+    header, *rows = (out / "spread.csv").read_text().splitlines()
+    if len(labels) == 1:
+        assert header == "t,sigma,sigma_inf"
+    else:
+        assert header == "t," + ",".join(f"sigma[g={lab}],sigma_inf[g={lab}]" for lab in labels)
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(table[:, 0], times)
+    for k, (curve, asym) in enumerate(zip(curves, asymptotes)):
+        assert np.array_equal(table[:, 1 + 2 * k], curve), labels[k]
+        assert np.array_equal(table[:, 2 + 2 * k], np.full_like(times, asym)), labels[k]
+
+    payload = json.loads((out / "spread.json").read_text())
+    assert set(payload) == {"t", "curves", "unit_mode", "sigma0"}
+    assert (payload["t"], payload["unit_mode"], payload["sigma0"]) == (
+        times.tolist(), cfg.unit_mode, cfg.sigma0)
+    assert list(payload["curves"]) == sorted(labels)
+    for lab, curve, asym in zip(labels, curves, asymptotes):
+        assert payload["curves"][lab] == {
+            "sigma": curve.tolist(), "sigma_inf": asym if math.isfinite(asym) else None}
+
+    printed = [ln.split(":")[0].removeprefix("check ")
+               for ln in capsys.readouterr().out.splitlines() if ln.startswith("check ")]
+    assert printed == check_names
+
+
+@pytest.mark.parametrize("lam, seed", [(0.1, 42), (0.0, 3), (1e3, 7)])
+def test_kernels_files_hold_the_kernel_arrays(tmp_path, capsys, lam, seed):
+    text = BASE.replace("lambda = 0.1", f"lambda = {lam}") + f"master_seed = {seed}\n"
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", _cfg_file(tmp_path, text), "--out", str(out),
+                 "--plot", "none"]) in (0, 1)
+    cfg = parse_config(text)
+    params, grid, gamma = cfg.build_params(), cfg.build_grid(), cfg.gammas[0]
+    t = grid.t_max
+    noise = sample_exponential_noise(gamma, grid, seed, 0)
+    kern = exponential_kernel(gamma)
+    closed = {"f": f_exponential(t, params, gamma, grid),
+              "h": h_exponential(t, params, gamma, noise)}
+    colloc = {"f": solve_f_numeric(t, params, kern, grid),
+              "h": solve_h_numeric(t, params, kern, noise)}
+    res = dict(zip(["fc", "hc", "fn", "hn"], kernel_residual(
+        [closed["f"], closed["h"], colloc["f"], colloc["h"]], params, kern, noise)))
+
+    header, *rows = (out / "kernels.csv").read_text().splitlines()
+    assert header == "s,f_re,f_im,h_re,h_im,f_colloc_re,f_colloc_im,h_colloc_re,h_colloc_im"
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    want = [grid.nodes()]
+    for sol in (closed["f"], closed["h"], colloc["f"], colloc["h"]):
+        want += [sol.values.real, sol.values.imag]
+    for k, col in enumerate(want):
+        assert np.array_equal(table[:, k], col), header.split(",")[k]
+
+    def pair(z):
+        return [z.real, z.imag]
+
+    report = json.loads((out / "kernels_report.json").read_text())
+    roots = characteristic_roots(gamma, params.omega_collapse)
+    assert report == {
+        "t": t,
+        "gamma": gamma,
+        "boundary": {f"{k}_{end}": pair(sol.values[i]) for k, sol in closed.items()
+                     for end, i in (("start", 0), ("end", -1))},
+        "derivatives": {f"{k}_d_{end}": pair(getattr(sol, f"d_{end}"))
+                        for k, sol in closed.items() for end in ("start", "end")},
+        "roots": {"upsilon1": pair(roots.upsilon1), "upsilon2": pair(roots.upsilon2)},
+        "route_deviation": {
+            k: float(np.max(np.abs(closed[k].values - colloc[k].values)))
+            / max(float(np.max(np.abs(closed[k].values))), 1e-300) for k in closed},
+        "closed_form_residual": {"f": res["fc"], "h": res["hc"]},
+        "collocation_residual": {"f": res["fn"], "h": res["hn"]},
+        "master_seed": seed,
+    }
     capsys.readouterr()
 
 
