@@ -27,9 +27,9 @@ Recognized keys (others are rejected):
     out_dir      output directory, default .
     format       csv | json | both, default both
 
-``gamma`` accepts a comma list for spread (one curve per value) and the
-literal ``inf``, which routes to the white-noise closed forms.  The other
-subcommands require a single finite gamma.
+``gamma`` accepts a comma list for spread (one curve per value, with
+distinct %g labels) and the literal ``inf``, which routes to the white-noise
+closed forms.  The other subcommands require a single finite gamma.
 
 Flags override keys of the config (or of figure1's preset) and are validated
 like them: --seed sets master_seed, --out out_dir, --format format and
@@ -153,6 +153,7 @@ def _bool(key: str, value: str) -> bool:
 
 def _gammas(key: str, value: str) -> tuple[float, ...]:
     gammas = []
+    labels = {}  # label -> token; the label keys every per-gamma output
     for tok in value.split(","):
         tok = tok.strip()
         try:
@@ -161,6 +162,10 @@ def _gammas(key: str, value: str) -> tuple[float, ...]:
             raise ConfigError(f"malformed gamma value {tok!r}") from None
         if not g > 0:
             raise ConfigError(f"gamma values must be positive, got {tok!r}")
+        lab = _gamma_label(g)
+        if lab in labels:
+            raise ConfigError(f"gamma values {labels[lab]!r} and {tok!r} share the label {lab!r}")
+        labels[lab] = tok
         gammas.append(g)
     return tuple(gammas)
 
@@ -347,71 +352,49 @@ def cmd_spread(cfg: RunConfig, checks: _Checks, plot: str, stem: str = "spread")
     """
     params = cfg.build_params()
     times = _sample_times(cfg)
-    curves = {}
-    asymptotes = {}
-    for g in cfg.gammas:
-        curves[g] = spread_curve(times, params, g, cfg.sigma0)
-        asymptotes[g] = (
-            asymptotic_spread(params, g) if cfg.lam > 0 else math.inf
-        )
+    # one (gamma, label, sigma(t), asymptote) record per curve, in config order
+    curves = [
+        (g, _gamma_label(g), spread_curve(times, params, g, cfg.sigma0),
+         asymptotic_spread(params, g) if cfg.lam > 0 else math.inf)
+        for g in cfg.gammas
+    ]
 
-    labels = [_gamma_label(g) for g in cfg.gammas]
-    if len(cfg.gammas) == 1:
+    if len(curves) == 1:
         header = "t,sigma,sigma_inf"
     else:
         header = "t," + ",".join(
-            f"sigma[g={lab}],sigma_inf[g={lab}]" for lab in labels
+            f"sigma[g={lab}],sigma_inf[g={lab}]" for _, lab, _, _ in curves
         )
     cols = [times]
-    for g in cfg.gammas:
-        cols += [curves[g], np.full_like(times, asymptotes[g])]
+    for _, _, sigma, asym in curves:
+        cols += [sigma, np.full_like(times, asym)]
     csv_text = _csv(header, cols)
 
     payload = {
         "t": times.tolist(),
-        "curves": {
-            lab: {
-                "sigma": curves[g].tolist(),
-                "sigma_inf": asymptotes[g] if math.isfinite(asymptotes[g]) else None,
-            }
-            for g, lab in zip(cfg.gammas, labels)
-        },
+        "curves": {lab: {"sigma": sigma.tolist(),
+                         "sigma_inf": asym if math.isfinite(asym) else None}
+                   for _, lab, sigma, asym in curves},
         "unit_mode": cfg.unit_mode,
         "sigma0": cfg.sigma0,
     }
     _write_data(cfg, f"{stem}.csv", csv_text, f"{stem}.json", payload)
 
-    for g, lab in zip(cfg.gammas, labels):
-        vals = curves[g]
-        checks.record(
-            f"sigma-positive[g={lab}]",
-            bool(np.all(np.isfinite(vals)) and np.all(vals > 0)),
-            f"min {vals.min():.6g}",
-        )
-    order = sorted(range(len(cfg.gammas)), key=lambda i: cfg.gammas[i])
-    for a, b in zip(order, order[1:]):
-        small, large = cfg.gammas[a], cfg.gammas[b]
-        ok = bool(np.all(curves[large] <= curves[small] * (1.0 + 1e-12)))
-        worst = float(np.max(curves[large] / curves[small] - 1.0))
-        checks.record(
-            f"ordering[g={_gamma_label(large)}<=g={_gamma_label(small)}]",
-            ok,
-            f"max excess {worst:.3g}",
-        )
+    for _, lab, sigma, _ in curves:
+        ok = bool(np.all(np.isfinite(sigma)) and np.all(sigma > 0))
+        checks.record(f"sigma-positive[g={lab}]", ok, f"min {sigma.min():.6g}")
+    by_gamma = sorted(curves, key=lambda curve: curve[0])
+    for (_, small_lab, small, _), (_, large_lab, large, _) in zip(by_gamma, by_gamma[1:]):
+        ok = bool(np.all(large <= small * (1.0 + 1e-12)))
+        worst = float(np.max(large / small - 1.0))
+        checks.record(f"ordering[g={large_lab}<=g={small_lab}]", ok, f"max excess {worst:.3g}")
 
-    series = [
-        (f"gamma = {lab}", times, curves[g], "solid")
-        for g, lab in zip(cfg.gammas, labels)
-    ]
-    hlines = [
-        (f"asymptote g={lab}", asymptotes[g])
-        for g, lab in zip(cfg.gammas, labels)
-        if math.isfinite(asymptotes[g])
-    ]
+    series = [(f"gamma = {lab}", times, sigma, "solid") for _, lab, sigma, _ in curves]
+    hlines = [(f"asymptote g={lab}", asym) for _, lab, _, asym in curves if math.isfinite(asym)]
+    sigmas = [sigma for _, _, sigma, _ in curves]
     log_y = bool(
-        all(np.all(c > 0) for c in curves.values())
-        and max(float(c.max()) for c in curves.values())
-        > 100 * min(float(c.min()) for c in curves.values())
+        all(np.all(c > 0) for c in sigmas)
+        and max(float(c.max()) for c in sigmas) > 100 * min(float(c.min()) for c in sigmas)
     )
     _write_svg(
         cfg, plot, f"{stem}.svg", csv_text, series,
@@ -469,56 +452,48 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
     t = grid.t_max
     s = grid.nodes()
 
-    f_c = f_exponential(t, params, gamma, grid)
+    f = f_exponential(t, params, gamma, grid)
     noise = sample_exponential_noise(gamma, grid, cfg.master_seed, 0)
-    h_c = h_exponential(t, params, gamma, noise)
+    h = h_exponential(t, params, gamma, noise)
     kern = exponential_kernel(gamma)
-    f_n = solve_f_numeric(t, params, kern, grid)
-    h_n = solve_h_numeric(t, params, kern, noise)
-
-    f_scale = float(np.max(np.abs(f_c.values)))
-    h_scale = float(max(np.max(np.abs(h_c.values)), 1e-300))
-    dev_f = float(np.max(np.abs(f_c.values - f_n.values))) / f_scale
-    dev_h = float(np.max(np.abs(h_c.values - h_n.values))) / h_scale
-    res_fc, res_hc, res_fn, res_hn = kernel_residual([f_c, h_c, f_n, h_n], params, kern, noise)
+    # kernel -> (closed form, collocation solution)
+    routes = {"f": (f, solve_f_numeric(t, params, kern, grid)),
+              "h": (h, solve_h_numeric(t, params, kern, noise))}
+    scale = {k: max(float(np.max(np.abs(c.values))), 1e-300) for k, (c, _) in routes.items()}
+    dev = {k: float(np.max(np.abs(c.values - n.values))) / scale[k]
+           for k, (c, n) in routes.items()}
+    closed, colloc = zip(*routes.values())  # (f, h) of each route
+    res = kernel_residual([*closed, *colloc], params, kern, noise)
+    res_closed, res_colloc = dict(zip(routes, res[:2])), dict(zip(routes, res[2:]))
 
     cols = [s]
-    for kernel in (f_c, h_c, f_n, h_n):
+    for kernel in closed + colloc:
         cols += [kernel.values.real, kernel.values.imag]
     csv_text = _csv("s,f_re,f_im,h_re,h_im,f_colloc_re,f_colloc_im,h_colloc_re,h_colloc_im",
                     cols)
+
+    def pair(z):
+        return [z.real, z.imag]
 
     roots = characteristic_roots(gamma, params.omega_collapse)
     report = {
         "t": t,
         "gamma": gamma,
-        "boundary": {
-            "f_start": [f_c.values[0].real, f_c.values[0].imag],
-            "f_end": [f_c.values[-1].real, f_c.values[-1].imag],
-            "h_start": [h_c.values[0].real, h_c.values[0].imag],
-            "h_end": [h_c.values[-1].real, h_c.values[-1].imag],
-        },
-        "derivatives": {
-            "f_d_start": [f_c.d_start.real, f_c.d_start.imag],
-            "f_d_end": [f_c.d_end.real, f_c.d_end.imag],
-            "h_d_start": [h_c.d_start.real, h_c.d_start.imag],
-            "h_d_end": [h_c.d_end.real, h_c.d_end.imag],
-        },
-        "roots": {
-            "upsilon1": [roots.upsilon1.real, roots.upsilon1.imag],
-            "upsilon2": [roots.upsilon2.real, roots.upsilon2.imag],
-        },
-        "route_deviation": {"f": dev_f, "h": dev_h},
-        "closed_form_residual": {"f": res_fc, "h": res_hc},
-        "collocation_residual": {"f": res_fn, "h": res_hn},
+        "boundary": {f"{k}_{end}": pair(z) for k, (c, _) in routes.items()
+                     for end, z in (("start", c.values[0]), ("end", c.values[-1]))},
+        "derivatives": {f"{k}_d_{end}": pair(z) for k, (c, _) in routes.items()
+                        for end, z in (("start", c.d_start), ("end", c.d_end))},
+        "roots": {"upsilon1": pair(roots.upsilon1), "upsilon2": pair(roots.upsilon2)},
+        "route_deviation": dev,
+        "closed_form_residual": res_closed,
+        "collocation_residual": res_colloc,
         "master_seed": cfg.master_seed,
     }
     _write_data(cfg, "kernels.csv", csv_text, "kernels_report.json", report, indent=2)
 
-    checks.record("f-boundary", abs(f_c.values[0] - 1.0) <= 1e-10
-                  and abs(f_c.values[-1]) <= 1e-10)
-    checks.record("h-boundary", abs(h_c.values[0]) <= 1e-10 * h_scale
-                  and abs(h_c.values[-1]) <= 1e-10 * h_scale)
+    checks.record("f-boundary", abs(f.values[0] - 1.0) <= 1e-10 and abs(f.values[-1]) <= 1e-10)
+    checks.record("h-boundary", abs(h.values[0]) <= 1e-10 * scale["h"]
+                  and abs(h.values[-1]) <= 1e-10 * scale["h"])
     # Roots good to a few ulps give a sum off by a few eps of its terms,
     # which exceed gamma^2 about 2 omega_c/gamma times where omega_c >> gamma.
     sum_sq = roots.upsilon1 ** 2 + roots.upsilon2 ** 2
@@ -536,20 +511,21 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
             abs(prod_sq - want) <= 1e-12 * abs(want),
             f"rel dev {abs(prod_sq - want) / abs(want):.3g}",
         )
-    checks.record("route-agreement-f", dev_f <= 1e-4, f"sup rel dev {dev_f:.3g}")
-    checks.record("route-agreement-h", dev_h <= 1e-4, f"sup rel dev {dev_h:.3g}")
+    for k, d in dev.items():
+        checks.record(f"route-agreement-{k}", d <= 1e-4, f"sup rel dev {d:.3g}")
     # The closed forms are exact, so their residual under the discrete
     # operator beyond rounding is pure truncation, O((|upsilon| dt)^2) for
     # the modes e^{-upsilon s}; |upsilon1| >= gamma, as Re zeta >= gamma^2.
     res_cap = max(1e-8, 5.0 * (max(abs(roots.upsilon1), abs(roots.upsilon2)) * grid.dt) ** 2)
-    checks.record("closed-form-residual", max(res_fc, res_hc) <= res_cap,
-                  f"max {max(res_fc, res_hc):.3g}, cap {res_cap:.3g}")
+    res_max = max(res_closed.values())
+    checks.record("closed-form-residual", res_max <= res_cap,
+                  f"max {res_max:.3g}, cap {res_cap:.3g}")
 
     series = [
-        ("Re f", s, f_c.values.real, "solid"),
-        ("Im f", s, f_c.values.imag, "solid"),
-        ("Re h", s, h_c.values.real, "dashed"),
-        ("Im h", s, h_c.values.imag, "dashed"),
+        ("Re f", s, f.values.real, "solid"),
+        ("Im f", s, f.values.imag, "solid"),
+        ("Re h", s, h.values.real, "dashed"),
+        ("Im h", s, h.values.imag, "dashed"),
     ]
     _write_svg(cfg, plot, "kernels.svg", csv_text, series,
                title=f"Boundary kernels, gamma = {_gamma_label(gamma)}",

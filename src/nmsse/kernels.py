@@ -243,10 +243,10 @@ class _BVPScalars:
         return b, d
 
 
-def _check_horizon(t: float, grid: TimeGrid):
+def _check_horizon(t: float, grid: TimeGrid | None):
     if not (math.isfinite(t) and t > 0):
         raise InvalidParameterError(f"horizon t must be positive and finite, got {t!r}")
-    if abs(grid.t_max - t) > 1e-12 * max(t, grid.t_max):
+    if grid is not None and abs(grid.t_max - t) > 1e-12 * max(t, grid.t_max):
         raise InvalidParameterError(
             f"grid horizon {grid.t_max} does not match requested t={t}")
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
-                   _closed_form_constants)
+from .core import InvalidParameterError, PhysicalParams, _closed_form_constants
 from .kernels import (_check_horizon, _HorizonKernels, _kappa, characteristic_roots,
                       f_endpoint_scalars, f_exponential, h_exponential)
 from .noise import NoisePath
@@ -98,24 +97,18 @@ def greens_coefficients(
     t: float,
     params: PhysicalParams,
     gamma: float,
-    grid: TimeGrid | None = None,
     noise: NoisePath | None = None,
 ) -> GreensCoefficients:
-    """Assemble A..E at horizon t, the end of the grid or of the noise's grid.
+    """Assemble A..E at horizon t, with noise the end of the noise's grid.
 
     A, B and det come from the endpoint scalars of f (f_endpoint_scalars),
-    C, D and E from the ensemble's single pass (kernels._HorizonKernels) at
-    this one horizon, so the path-sum oracle checks the formulas every
-    ensemble runs.  Without noise the linear and constant coefficients
-    vanish identically and only A, B are nonzero; with noise gamma must be
-    finite.
+    which need no grid; C, D and E from the ensemble's single pass
+    (kernels._HorizonKernels) on the noise's grid at this one horizon, so
+    the path-sum oracle checks the formulas every ensemble runs.  Without
+    noise the linear and constant coefficients vanish identically and only
+    A, B are nonzero; with noise gamma must be finite.
     """
-    if noise is not None:
-        if grid is not None and grid != noise.grid:
-            raise InvalidGridError(f"the noise lives on {noise.grid}, not on the grid {grid}")
-        grid = noise.grid
-    if grid is None:
-        raise InvalidParameterError("greens_coefficients needs a grid or a noise path")
+    grid = None if noise is None else noise.grid
     _check_horizon(t, grid)
     A, B, det = _quadratic_coefficients(params, *f_endpoint_scalars(t, params, gamma))
     C = D = E = 0.0 + 0.0j

@@ -64,8 +64,7 @@ def test_01_free_propagator_reduction():
     want_b = -2.0 * mu / t
 
     t0 = time.perf_counter()
-    coeffs = greens_coefficients(t, FREE, 1.0, grid=grid,
-                                 noise=NoisePath(grid, np.zeros(grid.n)))
+    coeffs = greens_coefficients(t, FREE, 1.0, noise=NoisePath(grid, np.zeros(grid.n)))
     kern = exponential_kernel(1.0)
     f_n = solve_f_numeric(t, FREE, kern, grid)
     h_n = solve_h_numeric(t, FREE, kern, NoisePath(grid, np.zeros(grid.n)))

@@ -77,6 +77,9 @@ def test_gamma_list_with_infinity():
     (BASE.replace("m = 1.0", "m ="), "empty value"),
     (BASE.replace("gamma = 1.0", "gamma = -1"), "must be positive"),
     (BASE.replace("gamma = 1.0", "gamma = 1, soup"), "malformed gamma"),
+    (BASE.replace("gamma = 1.0", "gamma = 1, 1.0"), "'1' and '1.0' share the label '1'"),
+    (BASE.replace("gamma = 1.0", "gamma = 1.0000001, 2, 1.0000002"),
+     "'1.0000001' and '1.0000002' share the label '1'"),
     (BASE + "log_times = maybe\n", "malformed boolean"),
     (BASE + "format = xml\n", "format must be"),
     (BASE + "unit_mode = planck\n", "unit_mode must be"),

@@ -121,7 +121,7 @@ def test_physical_and_reference_measures_disagree_as_predicted():
     ref_mean, ref_se = q.mean(), q.std() / math.sqrt(q.size)
     phys = run_ensemble(CRIT, 1.0, state0, [t], 800, 5, grid=grid)
 
-    coeffs = greens_coefficients(t, CRIT, 1.0, grid=grid)
+    coeffs = greens_coefficients(t, CRIT, 1.0)
     denom = state0.alpha + coeffs.A
     alpha_t = (state0.alpha * coeffs.A + coeffs.det) / denom
     beta_mean = coeffs.B * state0.beta / (2.0 * denom)

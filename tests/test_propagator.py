@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nmsse.core import InvalidGridError, InvalidParameterError, make_grid, make_params
+from nmsse.core import InvalidParameterError, make_grid, make_params
 from nmsse.kernels import f_exponential, h_exponential
 from nmsse.noise import NoisePath, sample_exponential_noise
 from nmsse.propagator import (
@@ -32,8 +32,7 @@ SI = make_params(m=1.0, hbar=1.0545718e-34, lam=1e-2, unit_mode="SI")
 
 def test_free_particle_coefficients_are_analytic():
     t = 1.0
-    grid = make_grid(t, 201)
-    coeffs = greens_coefficients(t, FREE, 3.0, grid=grid)
+    coeffs = greens_coefficients(t, FREE, 3.0)
     mu = 1j * FREE.m / (2.0 * FREE.hbar)
     assert abs(coeffs.A - (-mu / t)) <= 1e-14 * abs(mu / t)
     assert abs(coeffs.B - (-2.0 * mu / t)) <= 1e-14 * abs(2.0 * mu / t)
@@ -76,8 +75,7 @@ def test_normalize_rejects_unnormalizable():
 
 
 def test_degenerate_propagation_raises():
-    grid = make_grid(1.0, 101)
-    coeffs = greens_coefficients(1.0, FREE, 1.0, grid=grid)
+    coeffs = greens_coefficients(1.0, FREE, 1.0)
     state0 = GaussianState(alpha=-coeffs.A, beta=0.0j, g=0.0j)
     with pytest.raises(InvalidParameterError):
         propagate_gaussian(state0, coeffs)
@@ -87,8 +85,7 @@ def test_free_dispersion_matches_textbook_law():
     sigma0 = 0.5
     state0 = gaussian_from_moments(0.0, 0.0, sigma0, FREE)
     for t in (0.3, 1.0, 4.0):
-        grid = make_grid(t, 201)
-        coeffs = greens_coefficients(t, FREE, 1.0, grid=grid)
+        coeffs = greens_coefficients(t, FREE, 1.0)
         state = propagate_gaussian(state0, coeffs)
         want = sigma0 * math.sqrt(1.0 + (t / (2.0 * sigma0 * sigma0)) ** 2)
         assert spread_position(state) == pytest.approx(want, rel=1e-12)
@@ -107,7 +104,7 @@ def test_spread_curve_matches_propagation_route():
         curve = spread_curve(np.array(times), params, gamma, sigma0)
         state0 = gaussian_from_moments(0.0, 0.0, sigma0, params)
         for t, got in zip(times, curve):
-            coeffs = greens_coefficients(t, params, gamma, grid=make_grid(t, 401))
+            coeffs = greens_coefficients(t, params, gamma)
             want = spread_position(propagate_gaussian(state0, coeffs))
             assert got == pytest.approx(want, rel=1e-12), (params.lam, gamma, t)
 
@@ -176,8 +173,7 @@ def test_asymptotic_alpha_is_a_fixed_point():
     alpha_inf = asymptotic_alpha(SCALED, gamma)
     assert alpha_inf.real > 0.0
     t = 40.0
-    grid = make_grid(t, 2001)
-    coeffs = greens_coefficients(t, SCALED, gamma, grid=grid)
+    coeffs = greens_coefficients(t, SCALED, gamma)
     state0 = GaussianState(alpha=alpha_inf, beta=0.0j, g=0.0j)
     state = propagate_gaussian(state0, coeffs)
     assert abs(state.alpha - alpha_inf) <= 1e-11 * abs(alpha_inf)
@@ -205,8 +201,7 @@ def test_form_determinant_survives_si_cancellation():
     # A^2 - B^2/4 has an exactly zero real part in float64; the factored
     # form keeps it
     t = 1e-3
-    grid = make_grid(t, 2001)
-    coeffs = greens_coefficients(t, SI, 10.0, grid=grid)
+    coeffs = greens_coefficients(t, SI, 10.0)
     naive = coeffs.A * coeffs.A - coeffs.B * coeffs.B / 4.0
     assert naive.real == 0.0
     assert coeffs.det.real != 0.0
@@ -297,17 +292,10 @@ def test_noise_coefficients_match_60_digit_references(key):
             assert abs(got - want) <= 1e-12 * size, (name, abs(got - want) / size)
 
 
-def test_greens_coefficients_rejects_noise_on_another_grid():
-    noise = sample_exponential_noise(1.0, make_grid(1.0, 257), 0, 0)
-    with pytest.raises(InvalidGridError, match="n=513") as info:
-        greens_coefficients(1.0, CRIT, 1.0, grid=make_grid(1.0, 513), noise=noise)
-    assert "n=257" in str(info.value)
-
-
 def test_greens_coefficients_needs_finite_gamma_with_noise():
     # the white-noise limit has closed forms for A and B only
     grid = make_grid(1.0, 65)
-    assert greens_coefficients(1.0, CRIT, math.inf, grid=grid).A != 0.0
+    assert greens_coefficients(1.0, CRIT, math.inf).A != 0.0
     with pytest.raises(InvalidParameterError):
         greens_coefficients(1.0, CRIT, math.inf, noise=NoisePath(grid, np.ones(grid.n)))
 
@@ -344,6 +332,8 @@ def test_response_identity_against_finite_differences():
         assert abs(d_g - want_g) <= 1e-5 * abs(want_g)
 
 
-def test_greens_coefficients_requires_a_grid():
-    with pytest.raises(InvalidParameterError):
-        greens_coefficients(1.0, CRIT, 1.0)
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+def test_greens_coefficients_needs_a_positive_finite_horizon(t):
+    # without noise nothing else fixes the horizon
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        greens_coefficients(t, CRIT, 1.0)

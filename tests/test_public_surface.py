@@ -57,7 +57,7 @@ PARAMETERS = {
     "run_ensemble": ["params", "gamma", "state0", "t_samples", "n_traj", "master_seed",
                      "grid"],
     "oracle_convergence": ["t", "params", "gamma", "noise"],
-    "greens_coefficients": ["t", "params", "gamma", "grid", "noise"],
+    "greens_coefficients": ["t", "params", "gamma", "noise"],
     "line_plot": ["series", "title", "xlabel", "ylabel", "log_x", "log_y", "hlines",
                   "data_comment"],
 }
