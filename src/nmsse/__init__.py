@@ -39,7 +39,6 @@ from .kernels import (
     solve_h_numeric,
 )
 from .noise import (
-    CorrelationKernel,
     NoisePath,
     exponential_kernel,
     sample_exponential_noise,
@@ -73,7 +72,6 @@ __all__ = [
     "TimeGrid",
     "make_grid",
     "make_params",
-    "CorrelationKernel",
     "NoisePath",
     "exponential_kernel",
     "sample_exponential_noise",

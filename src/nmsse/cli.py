@@ -73,7 +73,7 @@ from .kernels import (
     solve_f_numeric,
     solve_h_numeric,
 )
-from .noise import exponential_kernel, sample_exponential_noise
+from .noise import sample_exponential_noise
 from .oracle import oracle_convergence
 from .propagator import asymptotic_spread, gaussian_from_moments, spread_curve
 
@@ -455,15 +455,14 @@ def cmd_kernels(cfg: RunConfig, checks: _Checks, plot: str):
     f = f_exponential(t, params, gamma, grid)
     noise = sample_exponential_noise(gamma, grid, cfg.master_seed, 0)
     h = h_exponential(t, params, gamma, noise)
-    kern = exponential_kernel(gamma)
     # kernel -> (closed form, collocation solution)
-    routes = {"f": (f, solve_f_numeric(t, params, kern, grid)),
-              "h": (h, solve_h_numeric(t, params, kern, noise))}
+    routes = {"f": (f, solve_f_numeric(t, params, gamma, grid)),
+              "h": (h, solve_h_numeric(t, params, gamma, noise))}
     scale = {k: max(float(np.max(np.abs(c.values))), 1e-300) for k, (c, _) in routes.items()}
     dev = {k: float(np.max(np.abs(c.values - n.values))) / scale[k]
            for k, (c, n) in routes.items()}
     closed, colloc = zip(*routes.values())  # (f, h) of each route
-    res = kernel_residual([*closed, *colloc], params, kern, noise)
+    res = kernel_residual([*closed, *colloc], params, gamma, noise)
     res_closed, res_colloc = dict(zip(routes, res[:2])), dict(zip(routes, res[2:]))
 
     cols = [s]

@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
                    _block_tridiag_solve, _closed_form_constants, _decay_scan, _scan_block,
                    _scan_growth)
-from .noise import CorrelationKernel, NoisePath, _ou_covariance
+from .noise import NoisePath, _ou_covariance, exponential_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +155,7 @@ def characteristic_roots(gamma: float, omega: float) -> CharacteristicRoots:
     times where omega >> gamma, and the product upsilon1^2 upsilon2^2 =
     i gamma^2 omega^2 to a few eps of itself.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = exponential_kernel(gamma)
     if not (math.isfinite(omega) and omega >= 0):
         raise InvalidParameterError(f"omega must be non-negative and finite, got {omega!r}")
     g2 = gamma * gamma
@@ -265,7 +264,7 @@ def f_exponential(t: float, params: PhysicalParams, gamma: float,
     white-noise limit (gamma = inf is the one-root case, f_markovian).  The
     lam = 0 limit degenerates smoothly to the straight line 1 - s/t.
     """
-    if math.isinf(gamma):
+    if gamma == math.inf:
         return f_markovian(t, params, grid)
     _check_horizon(t, grid)
     sc = _BVPScalars(gamma, params.omega_collapse, t)
@@ -287,7 +286,7 @@ def f_endpoint_scalars(t, params: PhysicalParams, gamma: float):
     everything the deterministic spread evolution needs, at any horizon,
     for the cost of a handful of array evaluations.
     """
-    if math.isinf(gamma):
+    if gamma == math.inf:
         k = _kappa(params)
         t = np.asarray(t, dtype=float)
         tiny = abs(k) * t < 1e-250          # straight line: P = -2/t, Q = 0
@@ -345,7 +344,6 @@ def h_exponential(t: float, params: PhysicalParams, gamma: float,
     gamma = inf takes the one-root white-noise case.
     """
     grid = noise.grid
-    _check_horizon(t, grid)
     # a one-row batch: with 0-d operands numpy switches to scalar arithmetic,
     # which rounds differently, and the path would not be its batch row
     vals, d_start, d_end = h_exponential_batch(t, params, gamma, grid, noise.values[None])
@@ -359,11 +357,12 @@ def h_exponential_batch(t: float, params: PhysicalParams, gamma: float,
 
     Returns (values, d_start, d_end) with the leading shape of w.
     """
+    _check_horizon(t, grid)
     w = np.asarray(w, dtype=float)
     if w.shape[-1] != grid.n:
         raise InvalidGridError(f"noise has {w.shape[-1]} nodes, grid has {grid.n}")
     _, pref, _ = _closed_form_constants(params)
-    if math.isinf(gamma):
+    if gamma == math.inf:
         return _h_markovian_core(t, params, grid, w, pref)
     sc = _BVPScalars(gamma, params.omega_collapse, t)
     u1, u2 = sc.roots.upsilon1, sc.roots.upsilon2
@@ -744,7 +743,7 @@ def _h_markovian_core(t: float, params: PhysicalParams, grid: TimeGrid,
 # collocation arbiter
 # ---------------------------------------------------------------------------
 
-def solve_f_numeric(t: float, params: PhysicalParams, kernel: CorrelationKernel,
+def solve_f_numeric(t: float, params: PhysicalParams, gamma: float,
                     grid: TimeGrid) -> KernelSolution:
     """Arbiter route for the homogeneous kernel: collocation linear solve.
 
@@ -754,18 +753,18 @@ def solve_f_numeric(t: float, params: PhysicalParams, kernel: CorrelationKernel,
     _check_horizon(t, grid)
     rhs = np.zeros((1, grid.n), dtype=complex)
     rhs[0, 0] = 1.0
-    vals = _collocation_solve(params, kernel.gamma, grid, rhs)[0]
+    vals = _collocation_solve(params, gamma, grid, rhs)[0]
     return _package_numeric(grid, vals, "F")
 
 
-def solve_h_numeric(t: float, params: PhysicalParams, kernel: CorrelationKernel,
+def solve_h_numeric(t: float, params: PhysicalParams, gamma: float,
                     noise: NoisePath) -> KernelSolution:
     """Arbiter route for the noise-driven kernel: collocation linear solve."""
     grid = noise.grid
     _check_horizon(t, grid)
     rhs = (math.sqrt(params.lam) / 2.0) * noise.values[None].astype(complex)
     rhs[0, [0, -1]] = 0.0
-    vals = _collocation_solve(params, kernel.gamma, grid, rhs)[0]
+    vals = _collocation_solve(params, gamma, grid, rhs)[0]
     return _package_numeric(grid, vals, "H")
 
 
@@ -784,6 +783,7 @@ def _collocation_solve(params: PhysicalParams, gamma: float, grid: TimeGrid,
     the sweep rows, not the memory row, so that pivoting inside a block
     picks a sweep row where memory dominates.
     """
+    gamma = exponential_kernel(gamma)
     if grid.n < 3:
         raise InvalidParameterError(
             f"the discrete kernel equation needs at least 3 grid nodes, got {grid.n}")
@@ -833,7 +833,7 @@ _RESIDUAL_ULPS = 16.0
 
 
 def kernel_residual(solutions: list[KernelSolution], params: PhysicalParams,
-                    kernel: CorrelationKernel, noise: NoisePath | None = None) -> list[float]:
+                    gamma: float, noise: NoisePath | None = None) -> list[float]:
     """Normalized max interior defect of the discrete kernel equation, per
     solution of a batch on one grid; kind "H" needs the driving noise.
 
@@ -853,6 +853,7 @@ def kernel_residual(solutions: list[KernelSolution], params: PhysicalParams,
     2001) and applied to the whole batch by one real matmul against the
     solutions' (real, imaginary) parts.
     """
+    gamma = exponential_kernel(gamma)
     if noise is None and any(sol.kind == "H" for sol in solutions):
         raise InvalidParameterError("kind 'H' residual needs the driving noise")
     grids = {sol.grid for sol in solutions} | ({noise.grid} if noise is not None else set())
@@ -865,7 +866,7 @@ def kernel_residual(solutions: list[KernelSolution], params: PhysicalParams,
     # weighted solutions one per column, last node first: window i of the
     # mirrored lags holds alpha(s_i, s_j) at column n - 1 - j
     weighted = (np.r_[dt / 2.0, np.full(n - 2, dt), dt / 2.0] * v)[:, ::-1].T.copy()
-    lag = _ou_covariance(kernel.gamma, grid.nodes(), 0.0)
+    lag = _ou_covariance(gamma, grid.nodes(), 0.0)
     windows = sliding_window_view(np.r_[lag[:0:-1], lag], n)
     mem = np.empty((n - 2, len(solutions)), dtype=complex)
     rows = np.empty((min(_CHUNK_ROWS, n - 2), n))

@@ -22,23 +22,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import InvalidParameterError, TimeGrid, _decay_scan, _scan_growth
+from .core import InvalidParameterError, TimeGrid, _decay_scan, _is_real, _scan_growth
 
 
-@dataclass(frozen=True)
-class CorrelationKernel:
-    """Two-time covariance of the driving noise, alpha(t,s) = gamma/2 e^{-gamma|t-s|}."""
-
-    gamma: float
-
-    def __post_init__(self):
-        g = self.gamma
-        if not (math.isfinite(g) and g > 0):
-            raise InvalidParameterError(f"exponential kernel needs gamma > 0, got {g!r}")
-
-
-def exponential_kernel(gamma: float) -> CorrelationKernel:
-    return CorrelationKernel(gamma=float(gamma))
+def exponential_kernel(gamma: float) -> float:
+    """The rate of alpha(t, s) as a float, if a positive finite real and not a
+    bool: the one check of every route that needs a finite gamma."""
+    if not (_is_real(gamma) and math.isfinite(gamma) and gamma > 0):
+        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
+    return float(gamma)
 
 
 def _ou_covariance(gamma: float, t, s) -> np.ndarray:
@@ -101,8 +93,7 @@ def sample_exponential_noise_batch(
     else into a new array; either is returned.  The master seed and every
     trajectory index must be an integer (not a bool) in [0, 2**64).
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = exponential_kernel(gamma)
     seed, *idx = keys = [master_seed, *trajectory_indices]
     for key in keys:
         if isinstance(key, bool) or not isinstance(key, numbers.Integral) or not 0 <= key < 2 ** 64:

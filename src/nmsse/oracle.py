@@ -30,7 +30,7 @@ from .kernels import _check_horizon, _collocation_solve
 # f_exponential and h_exponential are not called here; the benchmark's
 # traced run wraps them here by name (guarded by tests/test_public_surface.py).
 from .kernels import f_exponential, h_exponential  # noqa: F401
-from .noise import NoisePath, _ou_covariance
+from .noise import NoisePath, _ou_covariance, exponential_kernel
 from .propagator import GreensCoefficients, greens_coefficients
 
 # Segment counts of oracle_convergence, coarsest first; each halves the step.
@@ -40,8 +40,7 @@ _LEVELS = (64, 128, 256, 512)
 def _action_rows(params: PhysicalParams, gamma: float, noise: NoisePath,
                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The given rows of Q and all of L, see assemble_action."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = exponential_kernel(gamma)
     grid = noise.grid
     n = grid.n
     eps = grid.dt

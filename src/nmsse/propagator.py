@@ -191,7 +191,7 @@ def asymptotic_alpha(params: PhysicalParams, gamma: float) -> complex:
     gamma = inf returns the white-noise limit -i m/(2 hbar) kappa.
     """
     mu, _, _ = _closed_form_constants(params)
-    if math.isinf(gamma):
+    if gamma == math.inf:
         return complex(-mu * _kappa(params))
     roots = characteristic_roots(gamma, params.omega_collapse)
     g2 = gamma * gamma

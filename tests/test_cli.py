@@ -86,11 +86,34 @@ def test_gamma_list_with_infinity():
     (BASE + "t_min = 2.0\n", "t_min"),
     (BASE.replace("sigma0 = 1.0", "sigma0 = 0"), "sigma0"),
     (BASE.replace("N = 257", "N = 1"), "n must be"),
+    (BASE.replace("N = 257", "N = 2.5"), "malformed integer for 'N'"),
+    (BASE + "x0 = inf\n", "x0 must be finite"),
+    (BASE + "p0 = nan\n", "p0 must be finite"),
+    (BASE + "n_traj = 0\n", "n_traj must be >= 1"),
     (BASE + "just words\n", "expected `key = value`"),
 ])
 def test_parse_errors_name_the_problem(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+@pytest.mark.parametrize("line,field,want", [
+    ("format = json", "fmt", "json"),
+    ("format = CSV", "fmt", "csv"),
+    ("log_times = false", "log_times", False),
+    ("log_times = Yes", "log_times", True),
+])
+def test_config_keys_set_their_fields(line, field, want):
+    assert getattr(parse_config(BASE + line + "\n"), field) == want
+
+
+def test_an_output_path_under_a_file_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    cfg = _cfg_file(tmp_path)
+    assert main(["spread", "--config", cfg, "--out", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "Traceback" not in err
 
 
 def test_spread_end_to_end(tmp_path, capsys):

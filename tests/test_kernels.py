@@ -329,6 +329,17 @@ def test_h_is_linear_in_the_noise():
     assert np.max(np.abs(hm.values - combo)) <= 1e-12 * scale
 
 
+def test_h_batch_refuses_a_horizon_that_is_not_its_grid_end():
+    grid = make_grid(1.0, 33)
+    w = sample_exponential_noise_batch(1.0, grid, 1, [0])
+    with pytest.raises(InvalidParameterError, match="does not match requested t=0.5"):
+        h_exponential_batch(0.5, CRIT, 1.0, grid, w)
+    # at its own horizon h meets h(t) = 0 to rounding; the batch used to
+    # take t = 0.5 on this grid and end at 0.0027 - 0.0286i
+    vals, _, _ = h_exponential_batch(1.0, CRIT, 1.0, grid, w)
+    assert abs(vals[0, -1]) <= 1e-14 * np.max(np.abs(vals))
+
+
 def test_h_batch_matches_single_paths():
     grid = make_grid(1.0, 201)
     rows = np.stack([
@@ -632,7 +643,7 @@ def _dense_terms(sol, params, kern, noise):
     v = sol.values
     rho = np.full(grid.n, dt)
     rho[[0, -1]] = dt / 2.0
-    alpha = _ou_covariance(kern.gamma, s[1:-1, None], s[None, :])
+    alpha = _ou_covariance(kern, s[1:-1, None], s[None, :])
     mu = 1j * params.m / (2.0 * params.hbar)
     lapl = mu * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dt ** 2
     mem = params.lam * (alpha @ (rho * v))

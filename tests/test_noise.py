@@ -1,13 +1,21 @@
 """Correlated-noise sampling and the correlation kernel."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from nmsse.core import InvalidParameterError, make_grid
-from nmsse.noise import (_ou_covariance, _step_deviation, sample_exponential_noise,
-                         sample_exponential_noise_batch)
+import nmsse
+from nmsse.core import InvalidParameterError, make_grid, make_params
+from nmsse.ensemble import run_ensemble
+from nmsse.kernels import (characteristic_roots, f_exponential, f_ratio_form, h_exponential,
+                           kernel_residual, solve_f_numeric, solve_h_numeric)
+from nmsse.noise import (NoisePath, _ou_covariance, _step_deviation, exponential_kernel,
+                         sample_exponential_noise, sample_exponential_noise_batch)
+from nmsse.oracle import assemble_action, oracle_coefficients, oracle_convergence
+from nmsse.propagator import (asymptotic_spread, functional_derivative_coeffs,
+                              gaussian_from_moments, greens_coefficients, spread_curve)
 
 
 def test_same_key_is_bit_identical():
@@ -149,6 +157,67 @@ def test_rejects_nonfinite_gamma():
         sample_exponential_noise(math.inf, grid, 0, 0)
     with pytest.raises(InvalidParameterError):
         sample_exponential_noise(0.0, grid, 0, 0)
+
+
+_PARAMS = make_params(m=1.0, hbar=1.0, lam=0.1)
+_GRID = make_grid(1.0, 9)
+_NOISE = NoisePath(_GRID, np.ones(_GRID.n))
+_FINE = NoisePath(make_grid(1.0, 513), np.ones(513))
+
+# Every public route that takes gamma, by name.  The closed forms take
+# gamma = inf as the white-noise limit (greens_coefficients without noise
+# only); every other route refuses it.
+GAMMA_ROUTES = {
+    "exponential_kernel": exponential_kernel,
+    "characteristic_roots": lambda g: characteristic_roots(g, 1.0),
+    "f_exponential": lambda g: f_exponential(1.0, _PARAMS, g, _GRID),
+    "f_ratio_form": lambda g: f_ratio_form(1.0, _PARAMS, g, _GRID),
+    "h_exponential": lambda g: h_exponential(1.0, _PARAMS, g, _NOISE),
+    "functional_derivative_coeffs": lambda g: functional_derivative_coeffs(
+        1.0, _PARAMS, g, _NOISE),
+    "spread_curve": lambda g: spread_curve([0.5, 1.0], _PARAMS, g, 1.0),
+    "asymptotic_spread": lambda g: asymptotic_spread(_PARAMS, g),
+    "greens_coefficients": lambda g: greens_coefficients(1.0, _PARAMS, g),
+    "greens_coefficients with noise": lambda g: greens_coefficients(
+        1.0, _PARAMS, g, noise=_NOISE),
+    "sample_exponential_noise": lambda g: sample_exponential_noise(g, _GRID, 0),
+    "sample_exponential_noise_batch": lambda g: sample_exponential_noise_batch(g, _GRID, 0, [0]),
+    "run_ensemble": lambda g: run_ensemble(
+        _PARAMS, g, gaussian_from_moments(0.0, 0.0, 1.0, _PARAMS), [1.0], 2, 0, grid=_GRID),
+    "solve_f_numeric": lambda g: solve_f_numeric(1.0, _PARAMS, g, _GRID),
+    "solve_h_numeric": lambda g: solve_h_numeric(1.0, _PARAMS, g, _NOISE),
+    "kernel_residual": lambda g: kernel_residual(
+        [f_exponential(1.0, _PARAMS, 1.0, _GRID)], _PARAMS, g),
+    "assemble_action": lambda g: assemble_action(_PARAMS, g, _NOISE),
+    "oracle_coefficients": lambda g: oracle_coefficients(1.0, _PARAMS, g, _NOISE),
+    "oracle_convergence": lambda g: oracle_convergence(1.0, _PARAMS, g, _FINE),
+}
+WHITE_NOISE_ROUTES = {"f_exponential", "h_exponential", "functional_derivative_coeffs",
+                      "spread_curve", "asymptotic_spread", "greens_coefficients"}
+
+
+@pytest.mark.parametrize("route,gamma", [
+    (route, gamma) for route in GAMMA_ROUTES
+    for gamma in (0, -1.0, math.nan, True, math.inf, -math.inf)
+    if not (gamma == math.inf and route in WHITE_NOISE_ROUTES)])
+def test_every_route_checks_gamma_by_one_rule(route, gamma):
+    with pytest.raises(InvalidParameterError, match="gamma must be positive and finite"):
+        GAMMA_ROUTES[route](gamma)
+
+
+def test_the_gamma_routes_are_every_public_route_that_takes_gamma():
+    public = (getattr(nmsse, name) for name in nmsse.__all__)
+    takes_gamma = {f.__name__ for f in public
+                   if inspect.isfunction(f) and "gamma" in inspect.signature(f).parameters}
+    # assemble_action, the oracle's dense reference, is not exported
+    assert takes_gamma | {"assemble_action"} == {route.split()[0] for route in GAMMA_ROUTES}
+
+
+def test_the_gamma_rule_returns_a_float():
+    for g in (2, np.float64(2.0), np.int64(2), 2.0):
+        assert type(exponential_kernel(g)) is float and exponential_kernel(g) == 2.0
+    with pytest.raises(InvalidParameterError, match="gamma must be positive and finite"):
+        exponential_kernel("2")
 
 
 def test_ou_covariance_symmetric_and_decaying():

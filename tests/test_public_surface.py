@@ -7,7 +7,8 @@ library through public names only and alone writes file formats, the
 ensemble takes C, D and E from the single pass in kernels.py, the oracle
 solves the collocation arbiter's block system rather than its own, and every
 binding that the benchmark's traced run (bench/workloads.py,
-Workload.trace) wraps still exists in the module where it is wrapped."""
+Workload.trace) wraps still exists in the module where it is wrapped, and
+the benchmark's checks that call the library still run and pass."""
 
 import ast
 import dataclasses
@@ -16,6 +17,8 @@ import os
 import subprocess
 import sys
 import types
+
+import numpy as np
 
 import nmsse
 import nmsse._svg
@@ -32,7 +35,7 @@ PUBLIC = {
     "HBAR_SI", "InvalidGridError", "InvalidParameterError", "PhysicalParams", "TimeGrid",
     "make_grid", "make_params",
     # noise
-    "CorrelationKernel", "NoisePath", "exponential_kernel", "sample_exponential_noise",
+    "NoisePath", "exponential_kernel", "sample_exponential_noise",
     "sample_exponential_noise_batch",
     # kernels
     "CharacteristicRoots", "KernelSolution", "characteristic_roots", "f_exponential",
@@ -64,7 +67,6 @@ PARAMETERS = {
 FIELDS = {
     "PhysicalParams": ["m", "hbar", "lam", "unit_mode"],
     "TimeGrid": ["t_max", "n"],
-    "CorrelationKernel": ["gamma"],
     "NoisePath": ["grid", "values"],
     "CharacteristicRoots": ["zeta", "upsilon1", "upsilon2"],
     "KernelSolution": ["grid", "values", "d_start", "d_end", "kind"],
@@ -231,3 +233,34 @@ def test_traced_bindings_exist(monkeypatch):
             ("nmsse.ensemble", "h_exponential_batch"),
             ("nmsse.ensemble", "f_exponential"),
             ("nmsse", "run_ensemble")} <= {(m, a) for m, a, _ in rec.wrapped}
+
+
+def test_the_benchmark_checks_run_on_the_library(monkeypatch, tmp_path):
+    # the library calls the benchmark's checks make, run on small inputs:
+    # the collocation widths against spread_curve, and the SI asymptotes
+    # against the late widths of the Diagnostics spread
+    monkeypatch.syspath_prepend(BENCH)
+    import checks
+    import workloads
+
+    params = nmsse.make_params(m=1.0, hbar=1.0, lam=0.1)
+    grid = nmsse.make_grid(1.0, 129)
+    state0 = nmsse.gaussian_from_moments(1.0, 0.5, 1.0, params)
+    times = np.array([0.5, 1.0])
+    widths = workloads._arbiter_widths(params, 1.0, grid, state0, times)
+    record = checks.width_vs_arbiter(nmsse.spread_curve(times, params, 1.0, 1.0), widths,
+                                     grid.dt)
+    assert record["pass"], record
+
+    diag = workloads.Diagnostics
+    t = np.geomspace(1.0, 4e18, 200)
+    si = nmsse.make_params(m=1.0, hbar=nmsse.HBAR_SI, lam=0.01, unit_mode="SI")
+    header = ",".join(["t"] + [f"sigma[g={g:g}]" for g in diag.SI_GAMMAS])
+    cols = [t] + [nmsse.spread_curve(t, si, g, 1.0) for g in diag.SI_GAMMAS]
+    np.savetxt(tmp_path / "spread.csv", np.column_stack(cols), delimiter=",",
+               header=header, comments="")
+    records = diag._spread_checks(types.SimpleNamespace(out=str(tmp_path),
+                                                        SI_GAMMAS=diag.SI_GAMMAS),
+                                  "spread", "spread.csv")
+    assert len(records) == 1 + len(diag.SI_GAMMAS)
+    assert [r for r in records if not r["pass"]] == []
