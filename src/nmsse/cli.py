@@ -244,15 +244,11 @@ def parse_config(text: str) -> RunConfig:
 def _validated(cfg: RunConfig) -> RunConfig:
     """Return cfg if every value is in range, else raise ConfigError."""
     try:
-        cfg.build_params()
+        params = cfg.build_params()
         cfg.build_grid()
+        gaussian_from_moments(cfg.x0, cfg.p0, cfg.sigma0, params)
     except (InvalidParameterError, InvalidGridError) as e:
         raise ConfigError(str(e)) from None
-    if not (math.isfinite(cfg.sigma0) and cfg.sigma0 > 0):
-        raise ConfigError(f"sigma0 must be positive, got {cfg.sigma0!r}")
-    for key, val in (("x0", cfg.x0), ("p0", cfg.p0)):
-        if not math.isfinite(val):
-            raise ConfigError(f"{key} must be finite, got {val!r}")
     if cfg.n_times < 1:
         raise ConfigError(f"n_times must be >= 1, got {cfg.n_times}")
     if cfg.n_traj < 1:

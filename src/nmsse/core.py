@@ -85,14 +85,27 @@ class TimeGrid:
 
     def prefix(self, k: int) -> "TimeGrid":
         """Grid consisting of the first k nodes (horizon node k-1)."""
-        if not 2 <= k <= self.n:
-            raise InvalidGridError(f"prefix length {k} outside [2, {self.n}]")
+        k = _as_int(k, "prefix length", 2, self.n + 1, InvalidGridError)
         return TimeGrid(t_max=(k - 1) * self.dt, n=k)
 
 
-def _is_real(x) -> bool:
-    """A real number, numpy scalars included, but not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def _as_real(x, name: str, sign: str = "", error=InvalidParameterError) -> float:
+    """x as a float if a finite real, not a bool, of the sign asked; else error naming it."""
+    if not (isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+            and {"": True, "positive": x > 0, "non-negative": x >= 0}[sign]):
+        raise error(f"{name} must be {sign + ' and ' if sign else ''}finite, got {x!r}")
+    return float(x)
+
+
+def _as_int(x, name: str, low: int, high: int | None = None, error=InvalidParameterError) -> int:
+    """x as an int if an integer, not a bool, in [low, high) (no upper bound for
+    high None); else error naming it."""
+    if not (isinstance(x, numbers.Integral) and not isinstance(x, bool)
+            and low <= x and (high is None or x < high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        # the sampler's key bound reads better as a power of two
+        raise error(f"{name} must be an integer {span.replace(str(2 ** 64), '2**64')}, got {x!r}")
+    return int(x)
 
 
 def make_params(
@@ -106,17 +119,15 @@ def make_params(
     Raises
     ------
     InvalidParameterError
-        If any of m, hbar, lam is not a positive finite number, or
-        unit_mode is not one of "scaled" / "SI".
+        If m or hbar is not a positive finite real, lam not a non-negative
+        one (a bool is neither), or unit_mode not one of "scaled" / "SI".
     """
-    for name, val in (("m", m), ("hbar", hbar)):
-        if not (_is_real(val) and math.isfinite(val) and val > 0):
-            raise InvalidParameterError(f"{name} must be positive and finite, got {val!r}")
-    if not (_is_real(lam) and math.isfinite(lam) and lam >= 0):
-        raise InvalidParameterError(f"lambda must be non-negative and finite, got {lam!r}")
+    m = _as_real(m, "m", "positive")
+    hbar = _as_real(hbar, "hbar", "positive")
+    lam = _as_real(lam, "lambda", "non-negative")
     if unit_mode not in ("scaled", "SI"):
         raise InvalidParameterError(f"unit_mode must be 'scaled' or 'SI', got {unit_mode!r}")
-    return PhysicalParams(m=float(m), hbar=float(hbar), lam=float(lam), unit_mode=unit_mode)
+    return PhysicalParams(m=m, hbar=hbar, lam=lam, unit_mode=unit_mode)
 
 
 def _closed_form_constants(params: PhysicalParams) -> tuple[complex, complex, float]:
@@ -299,8 +310,5 @@ def _block_tridiag_solve(lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
 
 def make_grid(t_max: float, n: int) -> TimeGrid:
     """Build a uniform time grid with n nodes covering [0, t_max]."""
-    if not (_is_real(t_max) and math.isfinite(t_max) and t_max > 0):
-        raise InvalidGridError(f"t_max must be positive and finite, got {t_max!r}")
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 2):
-        raise InvalidGridError(f"n must be an integer >= 2, got {n!r}")
-    return TimeGrid(t_max=float(t_max), n=int(n))
+    return TimeGrid(t_max=_as_real(t_max, "t_max", "positive", InvalidGridError),
+                    n=_as_int(n, "n", 2, error=InvalidGridError))

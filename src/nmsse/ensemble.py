@@ -43,13 +43,12 @@ so the outputs are the same bit for bit on any number of CPUs.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid
+from .core import InvalidGridError, PhysicalParams, TimeGrid, _as_int
 # f_exponential and h_exponential_batch are not called here; the benchmark's
 # traced run wraps them here by name (guarded by tests/test_public_surface.py).
 from .kernels import _HorizonKernels, f_exponential, h_exponential_batch  # noqa: F401
@@ -91,6 +90,8 @@ def _snap_indices(grid: TimeGrid, t_samples) -> np.ndarray:
     ts = np.asarray(t_samples, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise InvalidGridError("t_samples must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(ts)):
+        raise InvalidGridError(f"t_samples must be finite, got {float(ts[~np.isfinite(ts)][0])!r}")
     if not np.all(np.diff(ts) > 0.0):
         raise InvalidGridError("t_samples must be strictly increasing")
     if ts[0] <= 0.0:
@@ -213,8 +214,7 @@ def run_ensemble(
     coefficient is noise independent), so that error aborts the run rather
     than producing a partial report.
     """
-    if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral) or n_traj < 1:
-        raise InvalidParameterError(f"n_traj must be an integer >= 1, got {n_traj!r}")
+    n_traj = _as_int(n_traj, "n_traj", 1)
     idx = _snap_indices(grid, t_samples)
     q, p, sigma, log_norm_sq = _moment_curves(params, gamma, grid, idx, state0,
                                               master_seed, range(n_traj))
@@ -244,5 +244,5 @@ def run_ensemble(
         se_vq=se_vq,
         sigma_q=sigma,
         ess=1.0 / np.sum(wts * wts, axis=0),
-        n_traj=int(n_traj),
+        n_traj=n_traj,
     )

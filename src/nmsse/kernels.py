@@ -34,8 +34,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (InvalidGridError, InvalidParameterError, PhysicalParams, TimeGrid,
-                   _block_tridiag_solve, _closed_form_constants, _decay_scan, _scan_block,
-                   _scan_growth)
+                   _as_real, _block_tridiag_solve, _closed_form_constants, _decay_scan,
+                   _scan_block, _scan_growth)
 from .noise import NoisePath, _ou_covariance, exponential_kernel
 
 
@@ -156,8 +156,7 @@ def characteristic_roots(gamma: float, omega: float) -> CharacteristicRoots:
     i gamma^2 omega^2 to a few eps of itself.
     """
     gamma = exponential_kernel(gamma)
-    if not (math.isfinite(omega) and omega >= 0):
-        raise InvalidParameterError(f"omega must be non-negative and finite, got {omega!r}")
+    omega = _as_real(omega, "omega", "non-negative")
     g2 = gamma * gamma
     zeta = np.sqrt(complex(g2 * g2, 0.0) - 4j * g2 * omega * omega)
     u1 = np.sqrt((g2 + zeta) / 2.0)
@@ -243,8 +242,7 @@ class _BVPScalars:
 
 
 def _check_horizon(t: float, grid: TimeGrid | None):
-    if not (math.isfinite(t) and t > 0):
-        raise InvalidParameterError(f"horizon t must be positive and finite, got {t!r}")
+    _as_real(t, "horizon t", "positive")
     if grid is not None and abs(grid.t_max - t) > 1e-12 * max(t, grid.t_max):
         raise InvalidParameterError(
             f"grid horizon {grid.t_max} does not match requested t={t}")

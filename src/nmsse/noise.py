@@ -16,21 +16,17 @@ streams.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import InvalidParameterError, TimeGrid, _decay_scan, _is_real, _scan_growth
+from .core import TimeGrid, _as_int, _as_real, _decay_scan, _scan_growth
 
 
 def exponential_kernel(gamma: float) -> float:
-    """The rate of alpha(t, s) as a float, if a positive finite real and not a
-    bool: the one check of every route that needs a finite gamma."""
-    if not (_is_real(gamma) and math.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
-    return float(gamma)
+    """The rate gamma of alpha(t, s) as a float: the one check of a finite gamma."""
+    return _as_real(gamma, "gamma", "positive")
 
 
 def _ou_covariance(gamma: float, t, s) -> np.ndarray:
@@ -94,11 +90,8 @@ def sample_exponential_noise_batch(
     trajectory index must be an integer (not a bool) in [0, 2**64).
     """
     gamma = exponential_kernel(gamma)
-    seed, *idx = keys = [master_seed, *trajectory_indices]
-    for key in keys:
-        if isinstance(key, bool) or not isinstance(key, numbers.Integral) or not 0 <= key < 2 ** 64:
-            raise InvalidParameterError(
-                f"master_seed and trajectory indices must be integers in [0, 2**64), got {key!r}")
+    seed = _as_int(master_seed, "master_seed", 0, 2 ** 64)
+    idx = [_as_int(i, "trajectory index", 0, 2 ** 64) for i in trajectory_indices]
     n = grid.n
     w = np.empty((len(idx), n)) if out is None else out
     # One Philox, reset to the fresh state of key (master_seed, i) per row.

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, PhysicalParams, _closed_form_constants
+from .core import InvalidParameterError, PhysicalParams, _as_real, _closed_form_constants
 from .kernels import (_check_horizon, _HorizonKernels, _kappa, characteristic_roots,
                       f_endpoint_scalars, f_exponential, h_exponential)
 from .noise import NoisePath
@@ -82,8 +82,10 @@ def gaussian_from_moments(x0: float, p0: float, sigma0: float,
                           params: PhysicalParams) -> GaussianState:
     """Normalized Gaussian with mean position x0, mean momentum p0,
     position spread sigma0."""
-    if not (math.isfinite(sigma0) and sigma0 > 0):
-        raise InvalidParameterError(f"sigma0 must be positive and finite, got {sigma0!r}")
+    sigma0 = _as_real(sigma0, "sigma0", "positive")
+    x0, p0 = _as_real(x0, "x0"), _as_real(p0, "p0")
+    if 4.0 * sigma0 * sigma0 == 0.0:
+        raise InvalidParameterError(f"sigma0 must be large enough to square, got {sigma0!r}")
     alpha0 = 1.0 / (4.0 * sigma0 * sigma0)
     beta0 = complex(x0 / (2.0 * sigma0 * sigma0), p0 / params.hbar)
     return normalize(GaussianState(alpha=complex(alpha0), beta=beta0, g=0.0 + 0.0j))

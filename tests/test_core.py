@@ -1,6 +1,7 @@
 """Parameter records, grids, their validation, and the block tridiagonal solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from nmsse.core import (
     make_grid,
     make_params,
 )
-from nmsse.kernels import solve_f_numeric, solve_h_numeric
-from nmsse.noise import NoisePath, exponential_kernel
+from nmsse.ensemble import run_ensemble
+from nmsse.kernels import (characteristic_roots, f_exponential, h_exponential, solve_f_numeric,
+                           solve_h_numeric)
+from nmsse.noise import NoisePath, exponential_kernel, sample_exponential_noise_batch
 from nmsse.oracle import oracle_coefficients
+from nmsse.propagator import (functional_derivative_coeffs, gaussian_from_moments,
+                              greens_coefficients, spread_curve)
 
 
 def test_make_params_freezes_inputs():
@@ -111,6 +116,15 @@ def test_prefix_bounds():
     assert grid.prefix(5) == grid
 
 
+def test_prefix_length_is_an_integer():
+    # prefix(2.5) returned TimeGrid(t_max=0.1875, n=2.5)
+    grid = make_grid(1.0, 9)
+    with pytest.raises(InvalidGridError, match="prefix length must be an integer"):
+        grid.prefix(2.5)
+    assert grid.prefix(np.int64(5)) == grid.prefix(5)
+    assert type(grid.prefix(np.int64(5)).n) is int
+
+
 @given(
     t_max=st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
     n=st.integers(min_value=2, max_value=400),
@@ -194,3 +208,61 @@ def test_the_routes_report_a_singular_system_as_a_parameter_error():
             (lambda: oracle_coefficients(1.0, params, 1.0, noise), "singular discretized kernel")):
         with pytest.raises(InvalidParameterError, match=message):
             call()
+
+
+_PARAMS = make_params(m=1.0, hbar=1.0, lam=0.1)
+_GRID = make_grid(1.0, 9)
+_NOISE = NoisePath(_GRID, np.ones(_GRID.n))
+_STATE = gaussian_from_moments(0.0, 0.0, 1.0, _PARAMS)
+
+_POSITIVE = (True, math.nan, math.inf, -math.inf, 0.0, -1.0)
+_NON_NEGATIVE = (True, math.nan, math.inf, -math.inf, -1.0)
+_ANY_SIGN = (True, math.nan, math.inf, -math.inf)
+_COUNT = (True, math.nan, math.inf, -math.inf, 2.5, 2.0)
+
+# Every scalar input but gamma (tests/test_noise.py has GAMMA_ROUTES) on every
+# route that takes it, as (input, route): the call with that input in place
+# and the values it refuses (a sigma0 of 1e-200 squared to 0 and raised
+# ZeroDivisionError).  The grid's inputs raise InvalidGridError, the
+# others InvalidParameterError, with a message that names the input.
+SCALAR_ROUTES = {
+    ("m", "make_params"): (lambda v: make_params(v, 1.0, 0.1), _POSITIVE),
+    ("hbar", "make_params"): (lambda v: make_params(1.0, v, 0.1), _POSITIVE),
+    ("lambda", "make_params"): (lambda v: make_params(1.0, 1.0, v), _NON_NEGATIVE),
+    ("t_max", "make_grid"): (lambda v: make_grid(v, 9), _POSITIVE),
+    ("n", "make_grid"): (lambda v: make_grid(1.0, v), _COUNT + (1, 0)),
+    ("prefix length", "TimeGrid.prefix"): (_GRID.prefix, _COUNT + (1, 10)),
+    ("omega", "characteristic_roots"): (lambda v: characteristic_roots(1.0, v), _NON_NEGATIVE),
+    ("horizon t", "f_exponential"): (lambda v: f_exponential(v, _PARAMS, 1.0, _GRID), _POSITIVE),
+    ("horizon t", "h_exponential"): (lambda v: h_exponential(v, _PARAMS, 1.0, _NOISE), _POSITIVE),
+    ("horizon t", "greens_coefficients"): (
+        lambda v: greens_coefficients(v, _PARAMS, 1.0), _POSITIVE),
+    ("horizon t", "solve_f_numeric"): (
+        lambda v: solve_f_numeric(v, _PARAMS, 1.0, _GRID), _POSITIVE),
+    ("horizon t", "functional_derivative_coeffs"): (
+        lambda v: functional_derivative_coeffs(v, _PARAMS, 1.0, _NOISE), _POSITIVE),
+    ("x0", "gaussian_from_moments"): (
+        lambda v: gaussian_from_moments(v, 0.0, 1.0, _PARAMS), _ANY_SIGN),
+    ("p0", "gaussian_from_moments"): (
+        lambda v: gaussian_from_moments(0.0, v, 1.0, _PARAMS), _ANY_SIGN),
+    ("sigma0", "gaussian_from_moments"): (
+        lambda v: gaussian_from_moments(0.0, 0.0, v, _PARAMS), _POSITIVE + (1e-200,)),
+    ("sigma0", "spread_curve"): (
+        lambda v: spread_curve(1.0, _PARAMS, 1.0, v), _POSITIVE + (1e-200,)),
+    ("n_traj", "run_ensemble"): (
+        lambda v: run_ensemble(_PARAMS, 1.0, _STATE, [1.0], v, 0, grid=_GRID), _COUNT + (0,)),
+    ("master_seed", "sample_exponential_noise_batch"): (
+        lambda v: sample_exponential_noise_batch(1.0, _GRID, v, [0]), _COUNT + (-1, 2**64)),
+    ("trajectory index", "sample_exponential_noise_batch"): (
+        lambda v: sample_exponential_noise_batch(1.0, _GRID, 0, [0, v]), _COUNT + (-1, 2**64)),
+}
+
+
+@pytest.mark.parametrize("key,value", [
+    (key, value) for key, (_, bad) in SCALAR_ROUTES.items() for value in bad],
+    ids=lambda x: "-".join(x) if isinstance(x, tuple) else repr(x))
+def test_every_route_checks_its_scalar_inputs_by_one_rule(key, value):
+    name, route = key
+    error = InvalidGridError if route in ("make_grid", "TimeGrid.prefix") else InvalidParameterError
+    with pytest.raises(error, match=f"^{re.escape(name)} must be "):
+        SCALAR_ROUTES[key][0](value)

@@ -1,6 +1,7 @@
 """Trajectory statistics: the physical measure, determinism, aggregation identities."""
 
 import math
+import re
 import sys
 import threading
 import time
@@ -638,3 +639,13 @@ def test_a_warm_run_holds_two_arrays_per_row_in_flight():
     finally:
         tracemalloc.stop()
     assert peak <= _CHUNK_ROWS * grid.n * 24 + 2e6, peak / 1e6
+
+
+@pytest.mark.parametrize("t_samples", [[math.nan], [0.5, math.nan], [math.inf]])
+def test_sample_times_must_be_finite(t_samples):
+    # rint(nan / dt) cast to an int and clipped to node 1, so a NaN sample
+    # time reported the statistics at t = dt
+    grid = make_grid(1.0, 9)
+    first = next(t for t in t_samples if not math.isfinite(t))
+    with pytest.raises(InvalidGridError, match=re.escape(f"t_samples must be finite, got {first!r}")):
+        run_ensemble(CRIT, 1.0, _fixture_state(CRIT), t_samples, 2, 0, grid=grid)

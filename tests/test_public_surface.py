@@ -7,8 +7,9 @@ library through public names only and alone writes file formats, the
 ensemble takes C, D and E from the single pass in kernels.py, the oracle
 solves the collocation arbiter's block system rather than its own, and every
 binding that the benchmark's traced run (bench/workloads.py,
-Workload.trace) wraps still exists in the module where it is wrapped, and
-the benchmark's checks that call the library still run and pass."""
+Workload.trace) wraps still exists in the module where it is wrapped, the
+benchmark's checks that call the library still run and pass, and core alone
+tests the type of a scalar input."""
 
 import ast
 import dataclasses
@@ -207,6 +208,29 @@ def test_only_the_cli_writes_file_formats():
                                 and f.name in ("to_csv", "to_json")]
     assert json_importers == {"cli.py"}
     assert serializers == []
+
+
+def test_core_alone_tests_the_type_of_a_scalar_input():
+    # core._as_real and core._as_int are the one rule for each kind of scalar
+    # input; a route with its own type test can let a bool or a fractional
+    # count through again, so no other module imports numbers or asks for bool
+    pkg = os.path.dirname(nmsse.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "core.py":
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+                found.append(f"{name}: imports numbers")
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "bool"
+                            for n in ast.walk(node.args[1]))):
+                found.append(f"{name}:{node.lineno}: isinstance(..., bool)")
+    assert found == []
 
 
 class _Recorder:
