@@ -153,8 +153,13 @@ def _scan_block(z, n: int) -> int:
 def _scan_growth(z, n: int) -> np.ndarray:
     """Block-local growth e^{z i_j} of the n nodes of a _decay_scan at rate z,
     with i_j = j mod block the node's place in its block.  The powers come
-    from exp directly rather than from repeated products."""
-    return np.exp(z * (np.arange(n) % _scan_block(z, n)))
+    from exp directly rather than from repeated products, in place: the
+    result is the only array of n besides the float places, which a real z
+    reuses."""
+    place = np.arange(n, dtype=float)
+    place %= _scan_block(z, n)
+    growth = np.multiply(place, z, out=place if np.isrealobj(z) else None)
+    return np.exp(growth, out=growth)
 
 
 def _decay_scan(z, y: np.ndarray) -> np.ndarray:
@@ -171,7 +176,9 @@ def _decay_scan(z, y: np.ndarray) -> np.ndarray:
     """
     n = y.shape[-1]
     block = _scan_block(z, n)
-    decay = np.exp(-z * np.arange(block + 1))
+    decay = np.arange(block + 1, dtype=np.result_type(z, float))
+    decay *= -z
+    np.exp(decay, out=decay)
     for b in range(0, n, block):
         part = y[..., b:b + block]
         if b:

@@ -24,7 +24,8 @@ This module samples the noise, applies the Gaussian update, forms the log
 norms and takes the statistics.  The noise coefficients C, D and E of every
 sample horizon come from the single pass of kernels._HorizonKernels, built
 once per run: per characteristic root and block of trajectories, one
-forward convolution (one cumulative sum per scan block) serves every
+forward convolution, streamed through time tiles of at most
+kernels._TILE_NODES nodes with one cumulative sum per tile, serves every
 horizon, and the linear functionals of the noise are read from one weight
 table, a matmul per row and segment between horizons.  The quadratic part
 of the update is noise free and is also formed once per run.
@@ -36,9 +37,10 @@ running block holds one of as many noise buffers and convolution scratches
 as there are threads, made by the calling thread and reused block after
 block; the noise-free data are shared and only read.  The rows of all
 blocks in flight add up to _CHUNK_ROWS, so the memory a run touches grows
-neither with its size nor with the CPU count.  A row's arithmetic does not
-depend on the other rows of its block, on the block size or on the thread,
-so the outputs are the same bit for bit on any number of CPUs.
+neither with its size nor with the CPU count: 8 B per node of a row in
+flight for its noise, and one tile of its convolution.  A row's arithmetic
+does not depend on the other rows of its block, on the block size or on
+the thread, so the outputs are the same bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ from .propagator import (GaussianState, _gaussian_update, _noise_free_update,
                          mean_momentum, mean_position)
 
 # Trajectories in flight in the single pass, summed over its threads, so the
-# working set is _CHUNK_ROWS x N noise values and as many convolution values,
-# 24 B per node, whatever the ensemble size and the CPU count.
+# working set is _CHUNK_ROWS x N noise values, 8 B per node, and _CHUNK_ROWS
+# x kernels._TILE_NODES complex convolution values, 16 B per node of a tile,
+# whatever the ensemble size and the CPU count.
 _CHUNK_ROWS = 128
 # Fewest rows in a thread's block: at most _CHUNK_ROWS // _MIN_BLOCK_ROWS threads.
 _MIN_BLOCK_ROWS = 32
@@ -152,7 +155,8 @@ def _moment_curves(
     import queue
     from concurrent.futures import ThreadPoolExecutor
 
-    rows = list(trajectory_indices)
+    # a sequence, range(n_traj) in a run: no Python int per trajectory
+    rows = trajectory_indices
     workers = _worker_count()
     block = min(len(rows), _CHUNK_ROWS // workers)
     kern = _HorizonKernels(params, gamma, grid, idx)

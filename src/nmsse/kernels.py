@@ -460,33 +460,19 @@ def _h_boundary_solve(sc: _BVPScalars, gamma: float, pref: complex, sums: np.nda
     return a, b, c, d, d_start, d_end
 
 
-# Rows per np.add that forms _conv_forward's cells in place.  numpy copies
-# an operand that overlaps the output, so each add copies this many rows.
-_CELL_ROWS = 4
-
-
-def _conv_forward(u: complex, w: np.ndarray, dt: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def _conv_forward(u: complex, w: np.ndarray, dt: float) -> np.ndarray:
     """I(s_j) = int_0^{s_j} e^{-u (s_j - r)} w(r) dr, trapezoid per cell.
 
     The cell sources (dt/2)(e^{-u dt} w_{j-1} + w_j) enter _decay_scan grown
-    by their block-local e^{u dt i_j}: with x_j = (dt/2) e^{u dt i_j} w_j,
-    written into out, a cell inside a block is x_{j-1} + x_j, formed there
-    in place _CELL_ROWS rows per add, and only the cell that starts each
-    later block is formed from w.  The sources are then scanned in out in
-    place, so no second array of w's shape is made.  out is a C-contiguous
-    complex array of w's shape, fresh when not given.
+    by their block-local e^{u dt i_j}: with x_j = (dt/2) e^{u dt i_j} w_j, a
+    cell inside a block is x_{j-1} + x_j, and only the cell that starts each
+    later block is formed from w.
     """
     z = u * dt
     n = w.shape[-1]
-    src = np.multiply(w, (dt / 2.0) * _scan_growth(z, n), out=out)
-    # one contiguous add per _CELL_ROWS rows; the cells it forms across row
-    # ends land in column 0, which is then cleared
-    x = src.reshape(-1)
-    for lo in range(0, x.size, _CELL_ROWS * n):
-        rows = x[lo:lo + _CELL_ROWS * n]
-        np.add(rows[:-1], rows[1:], out=rows[1:])
-    src[..., 0] = 0.0
+    x = w * ((dt / 2.0) * _scan_growth(z, n))
+    src = np.zeros_like(x)
+    np.add(x[..., :-1], x[..., 1:], out=src[..., 1:])
     b = _scan_block(z, n)
     src[..., b::b] = (dt / 2.0) * (np.exp(-z) * w[..., b - 1:n - 1:b] + w[..., b::b])
     return _decay_scan(z, src)
@@ -497,10 +483,9 @@ def _conv_backward(u: complex, w: np.ndarray, dt: float) -> np.ndarray:
     return _conv_forward(u, w[..., ::-1], dt)[..., ::-1]
 
 
-def _cumtrapz(y: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative trapezoid of y along the last axis, into out when given."""
-    if out is None:
-        out = np.empty_like(y, dtype=y.dtype if np.iscomplexobj(y) else float)
+def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative trapezoid of y along the last axis."""
+    out = np.empty_like(y, dtype=y.dtype if np.iscomplexobj(y) else float)
     out[..., 0] = 0.0
     body = np.add(y[..., 1:], y[..., :-1], out=out[..., 1:])
     np.cumsum(np.divide(body, 2.0, out=body), axis=-1, out=body)
@@ -532,16 +517,55 @@ def _horizon_integrals(w: np.ndarray, y: np.ndarray, idx: np.ndarray,
     return np.cumsum(out, axis=1, out=out)
 
 
+# Most nodes in a time tile of the single pass: a block's convolutions are
+# streamed through one (rows, _TILE_NODES) complex buffer, whatever N.  512
+# nodes hold about 12 of the 40-node segments between the CLI's 50 horizons.
+_TILE_NODES = 512
+
+
+def _tile_plan(idx: np.ndarray, cap: int):
+    """Time tiles of one root's convolution in the single pass, and the
+    pieces of the segments between horizons that they hold.
+
+    Nodes 0..idx[-1] are cut into tiles [lo, hi) of at most ``cap`` nodes; a
+    tile ends after the last horizon node it can hold, if it holds one.
+    Segment k owns the nodes (idx[k-1], idx[k]], segment 0 the nodes
+    0..idx[0], and its piece in a tile is the owned nodes there.  Returns
+    (tiles, ends): per tile (lo, hi, horizons, pieces), horizons the slice
+    of idx inside it and pieces (p, a, b), piece p over nodes a..b, numbered
+    in order across the tiles; ends[k] is the last piece of segment k.
+    """
+    n = idx[-1] + 1
+    owned = np.concatenate(([0], idx[:-1] + 1))
+    tiles, ends, count, lo = [], [], 0, 0
+    while lo < n:
+        hi = min(lo + cap, n)
+        k0, k1 = (int(x) for x in np.searchsorted(idx, [lo, hi]))
+        if k1 > k0:
+            hi = int(idx[k1 - 1]) + 1
+        pieces = []
+        for s in range(k0, int(np.searchsorted(owned, hi))):
+            pieces.append((count, max(int(owned[s]), lo), min(int(idx[s]), hi - 1)))
+            if idx[s] < hi:
+                ends.append(count)
+            count += 1
+        tiles.append((lo, hi, slice(k0, k1), pieces))
+        lo = hi
+    return tiles, np.array(ends)
+
+
 @dataclass(frozen=True)
 class _Scratch:
-    """The buffers _HorizonKernels.coefficients writes a block into: the
-    convolutions (conv, formed from their sources in place, and lin, the
-    sinh kernel's L, with prod for its products w cosh and w sinh) and the
-    horizon integrals (linear, wi).  conv is the one complex array of the
-    block's length, 16 B per node of a row; lin and prod span the sinh
-    kernel's nodes only, as many as conv at the most."""
+    """The buffers _HorizonKernels.coefficients writes a block into: conv,
+    the one tile of the streamed convolutions; segments, their integrals
+    per piece of the tile plans; squares, the sums of w^2 per horizon; lin
+    and prod, the sinh kernel's cumulative sums; linear and wi, the horizon
+    integrals.  None spans the grid: conv holds _TILE_NODES nodes of a row,
+    and lin and prod the sinh kernel's nodes only, |u t| <= _SINH_KERNEL_MAX."""
 
     conv: np.ndarray
+    segments: np.ndarray
+    squares: np.ndarray
     lin: np.ndarray
     prod: np.ndarray
     linear: np.ndarray
@@ -553,17 +577,21 @@ class _HorizonKernels:
     paths.
 
     Holds the noise-free data of every horizon (``sc``, one _BVPScalars over
-    the horizons ``t``; f's basis weights; e^{-u t_k}) and the weight table
-    of every linear functional of the noise the horizons need.  They are
-    only read after construction, so threads may share one instance; the
-    buffers a block writes are a _Scratch (``scratch``) that no other
-    running block holds.  The table's complex columns, stored as (real, imaginary)
-    pairs of floats with the trapezoid weights of _horizon_integrals, are
-    e^{-u s} for both roots, then per root sinh(u s)/u and cosh(u s) up to
-    its last horizon with |u t_k| <= 1 (those come first) and 0 beyond.
+    the horizons ``t``; f's basis weights; e^{-u t_k}), the weight table
+    of every linear functional of the noise the horizons need, and per root
+    the tile plan of its convolution (``plan``: the growth (dt/2) e^{z c}
+    and weights 2 e^{-z c} of a tile's node c, z = u dt, and _tile_plan's
+    tiles and ends).  They are only read after construction, so threads may
+    share one instance; the buffers a block writes are a _Scratch
+    (``scratch``) that no other running block holds.  The table's complex
+    columns, stored as (real, imaginary) pairs of floats with the trapezoid
+    weights of _horizon_integrals, are e^{-u s} for both roots, then per
+    root sinh(u s)/u and cosh(u s) up to its last horizon with |u t_k| <= 1
+    (those come first) and 0 beyond.
     The first ``n_sinh`` horizons of a root, |u t_k| <= _SINH_KERNEL_MAX,
     take the sinh kernel of h's particular part, with ``sinh_nodes`` the
-    unweighted sinh and cosh columns up to the last one.
+    unweighted sinh and cosh columns up to the last one, cosh halved at
+    node 0.
     """
 
     def __init__(self, params: PhysicalParams, gamma: float, grid: TimeGrid,
@@ -582,7 +610,7 @@ class _HorizonKernels:
         self.tau = (sc.tau1, sc.tau2)
         self.f_even, self.f_odd = sc.solve_even(0.5, 0.0), sc.solve_odd(-0.5, 0.0)
 
-        self.e_t, self.n_small, self.n_sinh, self.sinh_nodes = [], [], [], []
+        self.e_t, self.n_small, self.n_sinh, self.sinh_nodes, self.plan = [], [], [], [], []
         table = np.zeros((s.size, 6), dtype=complex)
         for r, u in enumerate(self.u):
             self.e_t.append(np.exp(-u * t))
@@ -595,7 +623,14 @@ class _HorizonKernels:
             table[: head.size, 2 + 2 * r] = _sinh_over(u, head)
             table[: head.size, 3 + 2 * r] = np.cosh(u * head)
             stretch = idx[nd - 1] + 1 if nd else 0
-            self.sinh_nodes.append(table[:stretch, 2 + 2 * r:4 + 2 * r].T.copy())
+            nodes = table[:stretch, 2 + 2 * r:4 + 2 * r].T.copy()
+            nodes[1, :1] *= 0.5
+            self.sinh_nodes.append(nodes)
+            # a tile is a scan block: its growth stays within e^_SCAN_GROWTH
+            z = u * self.dt
+            c = np.arange(_scan_block(z, _TILE_NODES) + 1)
+            self.plan.append(((self.dt / 2.0) * np.exp(z * c[:-1]), 2.0 * np.exp(-z * c),
+                              *_tile_plan(idx, c.size - 1)))
         table *= self.dt
         table[0] *= 0.5
         table[idx] *= 0.5
@@ -604,11 +639,49 @@ class _HorizonKernels:
     def scratch(self, rows: int) -> _Scratch:
         """Fresh buffers for blocks of up to ``rows`` noise paths."""
         stretch = (rows, max(x.shape[1] for x in self.sinh_nodes))
-        return _Scratch(conv=np.empty((rows, self.idx[-1] + 1), dtype=complex),
+        pieces = max(ends[-1] + 1 for *_, ends in self.plan)
+        return _Scratch(conv=np.empty((rows, min(_TILE_NODES, self.idx[-1] + 1)), dtype=complex),
+                        segments=np.empty((rows, pieces, 2)),
+                        squares=np.empty((rows, self.t.size)),
                         lin=np.empty(stretch, dtype=complex),
                         prod=np.empty(stretch, dtype=complex),
                         linear=np.empty((rows, self.t.size, self.table.shape[1])),
                         wi=np.empty((2, rows, self.t.size, 2)))
+
+    def _stream(self, r: int, w: np.ndarray, scratch: _Scratch, integrals: bool):
+        """(I(t_k), A_k or None) of root r for the noise rows w, the
+        convolution streamed through the tiles of its plan: A_k =
+        sum_{j <= idx[k]} w_j e^{-z c_j} (K + 2 S_j), see coefficients."""
+        grown, weights, tiles, ends = self.plan[r]
+        m = w.shape[0]
+        segs = scratch.segments[:m]
+        ik = np.empty((m, self.t.size), dtype=complex)
+        for lo, hi, hz, pieces in tiles:
+            n_t = hi - lo
+            x = scratch.conv.reshape(-1)[:m * n_t].reshape(m, n_t)
+            pairs = x.view(float).reshape(m, n_t, 2)
+            np.copyto(x, w[:, lo:hi])
+            x *= grown[:n_t]
+            # seeded with K/2 the cumulative sum is S + K/2; K = -x_0 in the first tile
+            if lo:
+                x[:, 0] += half
+            else:
+                x[:, 0] *= 0.5
+            np.cumsum(x, axis=1, out=x)
+            nodes = self.idx[hz]
+            c = nodes - lo
+            ik[:, hz] = (2.0 * x[:, c] - w[:, nodes] * grown[c]) * (0.5 * weights[c])
+            half = (0.5 * weights[n_t]) * x[:, -1]
+            if integrals:
+                x *= weights[:n_t]
+                for p, a, b in pieces:
+                    np.matmul(w[:, None, a:b + 1], pairs[:, a - lo:b - lo + 1],
+                              out=segs[:, p, None])
+        if not integrals:
+            return ik, None
+        n_p = ends[-1] + 1
+        sums = np.cumsum(segs[:, :n_p], axis=1, out=segs[:, :n_p])[:, ends]
+        return ik, sums.view(complex)[..., 0]
 
     def coefficients(self, w: np.ndarray, scratch: _Scratch):
         """(C, D, E), each (rows of w, horizons), for a block of noise rows w,
@@ -623,19 +696,36 @@ class _HorizonKernels:
         solves of h_exponential_batch.  Where |u t_k| <= 1 the odd one would
         cancel to eps / |u t_k|, so it comes from int w sinh(us)/u -
         tanh(u t_k/2)/u int w cosh(us) instead.  V(k) and those integrals
-        are read from the weight table, int w I from the explicit I, both by
-        _horizon_integrals.  On the sinh kernel's horizons the particular
-        part's ends come from the sinh and cosh columns, and int w p = rho int
-        w L, L(s) = int_0^s sinh(u(s - r))/u w dr, with no edge term.  The
-        convolutions and integrals are written into scratch, so a block
-        allocates nothing of its own length.
+        are read from the weight table by _horizon_integrals.
+
+        The convolution is never held whole: it streams through the time
+        tiles of the root's plan (_tile_plan), each a block of the scan of
+        core._decay_scan.  With z = u dt, c_j a node's place in its tile and
+        x_j = (dt/2) e^{z c_j} w_j, the grown trapezoid cells x_{j-1} + x_j
+        of a tile sum to G_j = K + 2 S_j - x_j, S_j the running sum of x from
+        the tile's start, and I(j) = e^{-z c_j} G_j.  K is the tile's first
+        cell less its x: -x_0 in the first tile, e^{-z n} (K + 2 S) at the
+        end of the tile of n nodes before.  So a tile is one cumulative sum
+        of its x seeded with K/2, which gives S + K/2, and no cell is
+        formed.  In int w I = dt (sum_j w_j I(j) -
+        w_k I(k)/2) over j <= idx[k], e^{-z c_j} w_j x_j = (dt/2) w_j^2 does
+        not depend on the root: each tile scales S + K/2 by 2 e^{-z c_j} for
+        one matmul per row and segment piece, and the sums of w_j^2 are
+        taken once per block.  K is carried per row, so a row's result does
+        not depend on the block size or the thread.
+
+        On the sinh kernel's horizons the particular part's ends come from
+        the sinh and cosh columns, and int w p = rho int w L, L(s) =
+        int_0^s sinh(u(s - r))/u w dr, with no edge term.  The convolutions and
+        integrals are written into scratch, so a block allocates nothing of
+        its own length.
         """
         k = self.idx
         dt = self.dt
         t = self.t
         m, n_conv = w.shape[0], k[-1] + 1
         w = w[:, :n_conv]
-        conv, lin, prod = scratch.conv[:m], scratch.lin[:m], scratch.prod[:m]
+        lin, prod = scratch.lin[:m], scratch.prod[:m]
         mu, pref, half_sl = self.constants
 
         # columns V_1, V_2, then per root sinh and cosh, which become the
@@ -645,33 +735,40 @@ class _HorizonKernels:
         v_k, odd, even = columns[:2], columns[2::2], columns[3::2]
         sums = np.zeros((2, 4, m, t.size), dtype=complex)    # see _add_root_ends
         w_part = np.empty((2, m, t.size), dtype=complex)     # int w p per root
+        need = [nd < t.size for nd in self.n_sinh]
+        if any(need):
+            # dt^2 times the edge term of int w J less the sum of w^2 / 2 in int w I
+            sq, a = scratch.squares[:m], 0
+            for j, b in enumerate(k):
+                np.matmul(w[:, None, a:b + 1], w[:, a:b + 1, None], out=sq[:, j, None, None])
+                a = b + 1
+            wk = w[:, k]
+            rest = (dt * dt) * ((w[:, :1] ** 2 - wk * wk) / 4.0 - np.cumsum(sq, axis=1, out=sq))
         for r, (u, rho, usq) in enumerate(zip(self.u, self.rho, self.usq)):
-            _conv_forward(u, w, dt, out=conv)
-            ik = conv[:, k]
+            ik, wi = self._stream(r, w, scratch, need[r])
             vk, od, ev = v_k[r], odd[r], even[r]
             nd, ns = self.n_sinh[r], self.n_small[r]
             _add_root_ends(sums[..., :nd], usq,
                            _particular_ends(u, rho, t[:nd], True, ev[:, :nd], od[:, :nd]))
-            if nd < t.size:
+            if need[r]:
                 _add_root_ends(sums[..., nd:], usq,
                                _particular_ends(u, rho, t[nd:], False, ik[:, nd:], vk[:, nd:]))
-                conv[:, k] *= 0.5
-                wi = _horizon_integrals(w, conv.view(float).reshape(m, n_conv, 2), k,
-                                        scratch.wi[r, :m]).view(complex)[:, nd:, 0]
-                edge = (dt * dt / 4.0) * (w[:, :1] ** 2 - w[:, k[nd:]] ** 2)
-                w_part[r, :, nd:] = -rho / (2.0 * u) * (2.0 * dt * wi + edge)
+                w_part[r, :, nd:] = -rho / (2.0 * u) * (
+                    dt * (2.0 * wi[:, nd:] - wk[:, nd:] * ik[:, nd:]) + rest[:, nd:])
             if nd:
-                # L from the cumulative integrals of w cosh(us) and w sinh(us)/u
+                # L/dt = sinh(us)/u c - cosh(us) s_n, with c and s_n the plain
+                # cumulative sums of w cosh(ur) and w sinh(ur)/u, node 0 halved:
+                # the trapezoid's half end terms cancel between the two
                 sh, ch = self.sinh_nodes[r]
                 n_l = sh.size
-                wl, cw, sw, wp = w[:, :n_l], conv[:, :n_l], lin[:, :n_l], prod[:, :n_l]
-                _cumtrapz(np.multiply(wl, ch, out=wp), dt, out=cw)
-                _cumtrapz(np.multiply(wl, sh, out=wp), dt, out=sw)
-                np.subtract(np.multiply(cw, sh, out=cw), np.multiply(sw, ch, out=sw), out=sw)
-                sw[:, k[:nd]] *= 0.5
-                wl_int = _horizon_integrals(wl, sw.view(float).reshape(m, n_l, 2), k[:nd],
+                wl, cw, sw = w[:, :n_l], lin[:, :n_l], prod[:, :n_l]
+                np.cumsum(np.multiply(wl, ch, out=cw), axis=1, out=cw)
+                np.cumsum(np.multiply(wl, sh, out=sw), axis=1, out=sw)
+                np.subtract(np.multiply(cw, sh, out=cw), np.multiply(sw, ch, out=sw), out=cw)
+                cw[:, k[:nd]] *= 0.5
+                wl_int = _horizon_integrals(wl, cw.view(float).reshape(m, n_l, 2), k[:nd],
                                             scratch.wi[r, :m, :nd]).view(complex)[..., 0]
-                w_part[r, :, :nd] = (rho * dt) * wl_int
+                w_part[r, :, :nd] = (rho * dt * dt) * wl_int
             od[:, :ns] -= self.tau[r][:ns] * ev[:, :ns]
             np.subtract(ik[:, ns:], vk[:, ns:], out=od[:, ns:])
             od[:, ns:] /= u * (1.0 + self.e_t[r][ns:])

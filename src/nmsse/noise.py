@@ -107,7 +107,9 @@ def sample_exponential_noise_batch(
     # the scan's sources grown by e^{gamma dt i_j}, scaled in the same
     # multiply: sqrt(gamma/2) at node 0 (growth 1), the step deviation after
     z = gamma * grid.dt
-    scale = _step_deviation(gamma, grid.dt) * _scan_growth(z, n)
+    scale = _scan_growth(z, n)
+    scale *= _step_deviation(gamma, grid.dt)
     scale[0] = math.sqrt(gamma / 2.0)
     w *= scale
+    del scale       # before the scan makes its own table of the grid's length
     return _decay_scan(z, w)

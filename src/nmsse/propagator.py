@@ -22,6 +22,7 @@ det form loses none.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -156,12 +157,18 @@ def propagate_gaussian(state0: GaussianState, coeffs: GreensCoefficients,
 
 
 def normalize(state: GaussianState) -> GaussianState:
-    """Set Re g so the state has unit L2 norm; alpha and beta untouched."""
+    """Set Re g so the state has unit L2 norm; alpha and beta untouched.
+    Raises InvalidParameterError, naming the quantity, where Re alpha is not
+    positive and finite or beta or the new Re g is not finite (overflow)."""
     ar = state.alpha.real
     if not (ar > 0.0 and math.isfinite(ar)):
         raise InvalidParameterError(f"state not normalizable: Re alpha = {ar}")
+    if not cmath.isfinite(state.beta):
+        raise InvalidParameterError(f"state not normalizable: beta = {state.beta}")
     br = state.beta.real
     re_g = -br * br / (4.0 * ar) - 0.25 * math.log(math.pi / (2.0 * ar))
+    if not math.isfinite(re_g):
+        raise InvalidParameterError(f"state not normalizable: Re g = {re_g}")
     return GaussianState(alpha=state.alpha,
                          beta=state.beta,
                          g=complex(re_g, state.g.imag))

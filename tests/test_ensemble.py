@@ -14,7 +14,7 @@ import pytest
 import nmsse.ensemble
 from nmsse.core import InvalidGridError, InvalidParameterError, make_grid, make_params
 from nmsse.ensemble import _CHUNK_ROWS, _moment_curves, _worker_count, run_ensemble
-from nmsse.kernels import f_endpoint_scalars, f_exponential, h_exponential_batch
+from nmsse.kernels import _TILE_NODES, f_endpoint_scalars, f_exponential, h_exponential_batch
 from nmsse.noise import sample_exponential_noise_batch
 from nmsse.propagator import gaussian_from_moments, greens_coefficients
 
@@ -618,14 +618,15 @@ def test_memory_touched_does_not_grow_with_the_ensemble(lam):
     assert growth < 1000, growth
 
 
-def test_a_warm_run_holds_two_arrays_per_row_in_flight():
-    # a row in flight holds its noise (8 B per node) and one convolution
-    # (16 B per node); the margin covers the noise-free table, the outputs
-    # and the per-block temporaries of up to four threads (7.0 to 7.7 MB in
-    # all at one to four threads).  A third (rows, N) complex array per
-    # thread, such as a separate source buffer of the convolution, reads
-    # 11.1 MB and over.
-    grid = make_grid(1.0, 2001)
+@pytest.mark.parametrize("n", [2001, 8001])
+def test_a_warm_run_holds_two_arrays_per_row_in_flight(n):
+    # a row in flight holds its noise (8 B per node) and one time tile of
+    # the convolution (16 B per node of the tile), so only the noise grows
+    # with N; the margin covers the noise-free tables, the outputs and the
+    # per-block temporaries of up to four threads (3.8 to 4.3 MB in all at
+    # N = 2001 and 10.5 to 11.1 MB at N = 8001, at one to four threads).  A
+    # convolution of the grid's length per row reads 7.3 and 26.8 MB.
+    grid = make_grid(1.0, n)
     state0 = _fixture_state(CRIT)
 
     def run():
@@ -638,7 +639,7 @@ def test_a_warm_run_holds_two_arrays_per_row_in_flight():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _CHUNK_ROWS * grid.n * 24 + 2e6, peak / 1e6
+    assert peak <= _CHUNK_ROWS * grid.n * 8 + _CHUNK_ROWS * (_TILE_NODES + 1) * 16 + 2e6, peak / 1e6
 
 
 @pytest.mark.parametrize("t_samples", [[math.nan], [0.5, math.nan], [math.inf]])

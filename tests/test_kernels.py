@@ -19,9 +19,12 @@ from nmsse.core import (HBAR_SI, InvalidParameterError, _decay_scan, _scan_block
                         make_grid, make_params)
 from nmsse.kernels import (
     _RESIDUAL_ULPS,
+    _TILE_NODES,
     KernelSolution,
     _basis_odd,
     _conv_forward,
+    _horizon_integrals,
+    _HorizonKernels,
     _tanh_ratio,
     _tanh_sqrt_divdiff,
     characteristic_roots,
@@ -374,11 +377,10 @@ def test_forward_convolution_matches_the_step_recursion(gamma):
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1e3])
-def test_forward_convolution_forms_its_cells_in_place(gamma):
-    # one scan block at gamma = 1, blocks of 80 nodes at 1e3; 128 rows, the
-    # block of a one-thread ensemble.  The cells built in place are the sums
-    # of a separate source buffer bit for bit, and the copies numpy makes of
-    # the overlapping operand stay far below a second (rows, N) array.
+def test_forward_convolution_forms_its_cells_from_grown_sources(gamma):
+    # one scan block at gamma = 1, blocks of 80 nodes at 1e3; 128 rows.  The
+    # cells of the closed-form h's convolution are the sums of a separate
+    # grown source buffer bit for bit.
     grid = make_grid(1.0, 2001)
     dt, n = grid.dt, grid.n
     u = characteristic_roots(gamma, CRIT.omega_collapse).upsilon1
@@ -391,17 +393,75 @@ def test_forward_convolution_forms_its_cells_in_place(gamma):
     assert (b < n) == (gamma > 1.0)
     src[:, b::b] = (dt / 2.0) * (np.exp(-z) * w[:, b - 1:n - 1:b] + w[:, b::b])
     want = _decay_scan(z, src)
+    assert np.array_equal(_conv_forward(u, w, dt), want)
 
-    out = np.empty(w.shape, dtype=complex)
-    tracemalloc.start()
-    try:
-        got = _conv_forward(u, w, dt, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got is out
-    assert np.array_equal(got, want)
-    assert peak < out.nbytes / 10, peak / out.nbytes
+
+def _horizon_sets(n):
+    # two segments longer than a tile at N = 2001, or the CLI's 50 short ones
+    return {"long": np.array([(n - 1) * 3 // 10, n - 1]),
+            "short": np.rint(np.linspace(1 / 50, 1.0, 50) * (n - 1)).astype(int)}
+
+
+@pytest.mark.parametrize("horizons", ["long", "short"])
+@pytest.mark.parametrize("n", [257, 2001])
+@pytest.mark.parametrize("gamma", [1.0, 1e3, 1e5])
+def test_streamed_convolution_matches_the_whole_grid_route(gamma, n, horizons):
+    # The single pass streams each root's convolution through time tiles;
+    # the closed-form h forms it whole (_conv_forward), and its integrals
+    # then come from _horizon_integrals on I halved at the horizons.  Scan
+    # blocks of upsilon1 ~ gamma: one at gamma = 1, 80 nodes at 1e3 and
+    # N = 2001, one node at 1e5.  Bound: N eps of each quantity's scale.
+    grid = make_grid(1.0, n)
+    idx = _horizon_sets(n)[horizons]
+    kern = _HorizonKernels(CRIT, gamma, grid, idx)
+    w = sample_exponential_noise_batch(gamma, grid, 4, [0, 9, 2**40])
+    eps = np.finfo(float).eps
+    for r, u in enumerate(kern.u):
+        ik, sums = kern._stream(r, w, kern.scratch(w.shape[0]), True)
+        conv = _conv_forward(u, w, grid.dt)
+        assert np.max(np.abs(ik - conv[:, idx])) <= n * eps * np.max(np.abs(conv))
+        conv[:, idx] *= 0.5
+        want = _horizon_integrals(w, conv.view(float).reshape(w.shape[0], n, 2), idx,
+                                  np.empty((w.shape[0], idx.size, 2))).view(complex)[..., 0]
+        # sum_j h_j w_j I_j = sums - (dt/2) sum_j w_j^2 - w_k I_k / 2 over j <= k
+        got = sums - (grid.dt / 2.0) * np.cumsum(w * w, axis=1)[:, idx] - w[:, idx] * ik / 2.0
+        scale = np.sum(np.abs(w * conv), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= n * eps * scale)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e3, 1e5])
+def test_time_tiles_keep_the_horizon_segments_whole(gamma):
+    # a tile is at most _TILE_NODES nodes and one block of the scan long,
+    # and it ends after a horizon node when it holds one: the CLI's 50
+    # segments of 40 nodes are then never split at gamma = 1
+    grid = make_grid(1.0, 2001)
+    for horizons, idx in _horizon_sets(grid.n).items():
+        kern = _HorizonKernels(CRIT, gamma, grid, idx)
+        for u, (grown, weights, tiles, ends) in zip(kern.u, kern.plan):
+            cap = _scan_block(u * grid.dt, _TILE_NODES)
+            assert grown.size == cap and weights.size == cap + 1
+            assert tiles[0][0] == 0 and tiles[-1][1] == idx[-1] + 1
+            for (lo, hi, hz, pieces), after in zip(tiles, tiles[1:] + [None]):
+                assert 0 < hi - lo <= cap
+                assert hi - 1 in idx or not np.any((idx >= lo) & (idx < hi))
+                assert after is None or after[0] == hi
+                assert [a for _, a, _ in pieces][1:] == [b + 1 for _, _, b in pieces][:-1]
+            assert ends.size == idx.size
+            if gamma == 1.0 and horizons == "short":
+                assert np.array_equal(ends, np.arange(idx.size))
+
+
+def test_scratch_does_not_grow_with_the_grid():
+    # at lam = 0.1 no horizon takes the sinh kernel, so the scratch of a
+    # block holds no complex array of the grid's length
+    shapes = []
+    for n in (2001, 8001):
+        grid = make_grid(1.0, n)
+        idx = np.array([(n - 1) // 2, n - 1])
+        scratch = _HorizonKernels(CRIT, 1.0, grid, idx).scratch(64)
+        shapes.append(scratch.conv.shape)
+        assert all(a.shape[-1] <= _TILE_NODES for a in vars(scratch).values())
+    assert shapes == [(64, _TILE_NODES)] * 2
 
 
 def test_closed_forms_agree_with_collocation():

@@ -1,6 +1,7 @@
 """Gaussian propagation: free limits, moment maps, response identity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,14 @@ def test_normalize_rejects_unnormalizable():
     bad = GaussianState(alpha=-1.0 + 0.0j, beta=0.0j, g=0.0j)
     with pytest.raises(InvalidParameterError):
         normalize(bad)
+
+
+@pytest.mark.parametrize("sigma0, name", [(1e-10, "beta = (inf"), (1.0, "Re g = -inf")])
+def test_normalize_rejects_an_overflowed_state(sigma0, name):
+    # a finite x0 whose beta0 = x0 / (2 sigma0^2) overflows, or whose
+    # Re g = -beta^2 / (4 alpha) - ... does, returned an infinite state
+    with pytest.raises(InvalidParameterError, match=re.escape(name)):
+        gaussian_from_moments(1e300, 0.0, sigma0, SCALED)
 
 
 def test_degenerate_propagation_raises():
